@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 log = logging.getLogger("navstack")
 
 EXIT_OK = 0
@@ -206,6 +204,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     from . import world as sim
+    from .fileio import write_pgm
     from .policy import build_observation, safety_heatmap
 
     bundle = _load_policy_arg(args.bundle)
@@ -228,11 +227,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    data = np.round(values * 255.0).astype(np.uint8)
-    with open(out_path, "wb") as f:
-        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-    print(f"heatmap {data.shape[1]}x{data.shape[0]} -> {out_path}")
+    write_pgm(out_path, values)
+    print(f"heatmap {values.shape[1]}x{values.shape[0]} -> {out_path}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import label
 
-from .mapping import CellClass, OccupancyGrid, classify, map_entropy
+from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
 from .planning import distance_field
 
 _ENTROPY_EPS = 1e-12
@@ -171,23 +171,10 @@ def should_reselect(
     if math.hypot(current_pose[0] - px, current_pose[1] - py) < arrival_radius:
         return "reselect"
 
-    if not _is_frontier_cell(grid, state.current_point):
+    cell = state.current_point
+    if not (grid.in_grid(cell) and frontier_mask(grid)[cell]):
         return "reselect"
     return "no"
-
-
-def _is_frontier_cell(grid: OccupancyGrid, cell: tuple[int, int]) -> bool:
-    if not grid.in_grid(cell) or classify(grid, cell) != CellClass.FREE:
-        return False
-    r, c = cell
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            n = (r + dr, c + dc)
-            if grid.in_grid(n) and classify(grid, n) == CellClass.UNKNOWN:
-                return True
-    return False
 
 
 def candidate_csv_rows(scored, config: ExplorationConfig) -> list[tuple]:

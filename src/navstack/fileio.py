@@ -59,6 +59,15 @@ def write_csv(path: str | Path, header, rows) -> None:
             f.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def write_pgm(path: str | Path, values: np.ndarray) -> None:
+    """Write a 2D array of values in [0, 1] as an 8-bit binary PGM, pixel
+    round(v * 255), row 0 first."""
+    data = np.round(values * 255.0).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
+        f.write(data.tobytes())
+
+
 def sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_pgm
+
 P_MIN = 0.02
 P_MAX = 0.98
 OCCUPIED_THRESHOLD = 0.52   # occupied iff p > this
@@ -166,10 +168,9 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     return grid
 
 
-def frontier_cells(grid: OccupancyGrid) -> list[tuple[int, int]]:
-    """Free cells with at least one unknown cell in their 8-neighborhood,
-    in row-major order."""
-    free = free_mask(grid)
+def frontier_mask(grid: OccupancyGrid) -> np.ndarray:
+    """True at free cells with at least one unknown cell in their
+    8-neighborhood."""
     unk = unknown_mask(grid)
     near_unknown = np.zeros_like(unk)
     rows, cols = unk.shape
@@ -179,7 +180,12 @@ def frontier_cells(grid: OccupancyGrid) -> list[tuple[int, int]]:
                 continue
             src = unk[max(dr, 0):rows + min(dr, 0), max(dc, 0):cols + min(dc, 0)]
             near_unknown[max(-dr, 0):rows + min(-dr, 0), max(-dc, 0):cols + min(-dc, 0)] |= src
-    return [tuple(rc) for rc in np.argwhere(free & near_unknown)]
+    return free_mask(grid) & near_unknown
+
+
+def frontier_cells(grid: OccupancyGrid) -> list[tuple[int, int]]:
+    """The frontier cells (see ``frontier_mask``) in row-major order."""
+    return [tuple(rc) for rc in np.argwhere(frontier_mask(grid))]
 
 
 def map_entropy(grid: OccupancyGrid) -> float:
@@ -197,10 +203,7 @@ def save_pgm(grid: OccupancyGrid, pgm_path: str | Path, sidecar_path: str | Path
     """Write probabilities as an 8-bit binary PGM (value = round(p * 255),
     row 0 first) plus a JSON sidecar with origin/resolution."""
     pgm_path = Path(pgm_path)
-    data = np.round(grid.p * 255.0).astype(np.uint8)
-    with open(pgm_path, "wb") as f:
-        f.write(f"P5\n{grid.cols} {grid.rows}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    write_pgm(pgm_path, grid.p)
     if sidecar_path is None:
         sidecar_path = pgm_path.with_suffix(".json")
     meta = {

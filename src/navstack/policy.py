@@ -238,24 +238,14 @@ def scale_to_limits(raw: np.ndarray) -> np.ndarray:
     return ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * (ACTION_HIGH - ACTION_LOW)
 
 
-def act_with_alpha(bank: ExpertBank, alpha, obs, noise_std: float = 0.0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    a = scale_to_limits(forward(fuse(bank, alpha), obs))
-    if noise_std > 0.0:
-        if rng is None:
-            raise ValueError("training-mode noise needs an rng")
-        a = a + rng.normal(0.0, noise_std, a.shape)
-    return np.clip(a, ACTION_LOW, ACTION_HIGH)
+def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:
+    return np.clip(scale_to_limits(forward(fuse(bank, alpha), obs)), ACTION_LOW, ACTION_HIGH)
 
 
-def act(bank: ExpertBank, gating: GatingParams, obs, noise_std: float = 0.0,
-        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Fused action (v_x, v_y, omega_z), always within the command limits.
-
-    Deterministic unless noise_std > 0, in which case Gaussian exploration
-    noise is added before clamping.
-    """
-    return act_with_alpha(bank, gate(gating, obs), obs, noise_std, rng)
+def act(bank: ExpertBank, gating: GatingParams, obs) -> np.ndarray:
+    """Fused action (v_x, v_y, omega_z), deterministic and always within
+    the command limits."""
+    return act_with_alpha(bank, gate(gating, obs), obs)
 
 
 def critic_value(critic: CriticParams, obs) -> float:
@@ -297,8 +287,8 @@ class PolicyBundle:
     gating: GatingParams
     critic: CriticParams
 
-    def action(self, obs, noise_std: float = 0.0, rng=None) -> np.ndarray:
-        return act(self.bank, self.gating, obs, noise_std, rng)
+    def action(self, obs) -> np.ndarray:
+        return act(self.bank, self.gating, obs)
 
     def value(self, obs) -> float:
         return critic_value(self.critic, obs)
@@ -314,14 +304,8 @@ class SingleExpertPolicy:
     obs_config: ObservationConfig
     params: MlpParams
 
-    def action(self, obs, noise_std: float = 0.0, rng=None) -> np.ndarray:
-        a = scale_to_limits(forward(self.params, obs))
-        if noise_std > 0.0:
-            a = a + rng.normal(0.0, noise_std, a.shape)
-        return np.clip(a, ACTION_LOW, ACTION_HIGH)
-
-    def alpha(self, obs):
-        return None
+    def action(self, obs) -> np.ndarray:
+        return np.clip(scale_to_limits(forward(self.params, obs)), ACTION_LOW, ACTION_HIGH)
 
 
 def _mlp_to_dict(p: MlpParams) -> dict:

@@ -9,6 +9,7 @@ range at 0.05 m; collisions end the episode before that matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,31 @@ def step_reward(profile: RewardProfile, t: Transition) -> float:
         terms["goal"] + terms["proximity"] + terms["collision"]
         + terms["reach"] + terms["time"] + terms["timeout"] + terms["spin"]
     )
+
+
+def episode_rewards(profile: RewardProfile, result, goal) -> list[float]:
+    """Per-step rewards of a finished episode, replayed from its record.
+
+    ``result`` is a stack.EpisodeResult.  Step k takes the robot from
+    ``poses[k]`` to the next pose, or to the final one on the last step,
+    which also carries the episode's collision, reach or timeout event.
+    """
+    traj = result.trajectory
+    gx, gy = goal
+    dists = [traj.d_start] + [math.hypot(p[0] - gx, p[1] - gy) for p in result.poses[1:]] + [traj.d_end]
+    last = traj.n_steps - 1
+    return [
+        step_reward(profile, Transition(
+            d_prev=dists[k],
+            d_now=dists[k + 1],
+            min_range=float(traj.min_ranges[k]),
+            omega_z=float(result.actions[k, 2]),
+            collision=k == last and traj.outcome == "crash",
+            reached=k == last and traj.outcome == "success",
+            timeout=k == last and traj.outcome == "timeout",
+        ))
+        for k in range(traj.n_steps)
+    ]
 
 
 def risk_score(ranges) -> float:

@@ -31,7 +31,7 @@ class ScriptedGoStraight:
         self.gain = gain
         self.turn_gain = turn_gain
 
-    def action(self, obs: Observation, noise_std: float = 0.0, rng=None) -> np.ndarray:
+    def action(self, obs: Observation) -> np.ndarray:
         gx, gy = obs.goal
         dist = math.hypot(gx, gy)
         if dist < 1e-9:
@@ -44,9 +44,6 @@ class ScriptedGoStraight:
         ])
         return _clip(a)
 
-    def alpha(self, obs):
-        return None
-
 
 class ScriptedAvoid:
     """Potential-field repulsion from near beams with a slow forward drift."""
@@ -55,16 +52,13 @@ class ScriptedAvoid:
         self.influence = influence
         self.push = push
 
-    def action(self, obs: Observation, noise_std: float = 0.0, rng=None) -> np.ndarray:
+    def action(self, obs: Observation) -> np.ndarray:
         angles = _beam_angles(len(obs.ranges))
         weight = np.maximum(0.0, (self.influence - obs.ranges) / self.influence) ** 2
         rx = -np.sum(weight * np.cos(angles))
         ry = -np.sum(weight * np.sin(angles))
         a = np.array([0.25 + self.push * rx, self.push * ry, 1.5 * ry])
         return _clip(a)
-
-    def alpha(self, obs):
-        return None
 
 
 class ScriptedBlend:
@@ -80,7 +74,7 @@ class ScriptedBlend:
         self._go = ScriptedGoStraight()
         self._avoid = ScriptedAvoid()
 
-    def action(self, obs: Observation, noise_std: float = 0.0, rng=None) -> np.ndarray:
+    def action(self, obs: Observation) -> np.ndarray:
         min_range = float(np.min(obs.ranges))
         w = min(1.0, max(0.0, (self.caution_range - min_range) / self.caution_range))
         a = (1.0 - w) * self._go.action(obs) + w * self._avoid.action(obs)
@@ -98,9 +92,6 @@ class ScriptedBlend:
             cone = obs.ranges
         return float(np.min(cone))
 
-    def alpha(self, obs):
-        return None
-
 
 class CompositePolicy:
     """Action from one source, critic value from another (used to pair the
@@ -110,8 +101,8 @@ class CompositePolicy:
         self._action = action_source
         self._value = value_source
 
-    def action(self, obs, noise_std: float = 0.0, rng=None) -> np.ndarray:
-        return self._action.action(obs, noise_std, rng)
+    def action(self, obs) -> np.ndarray:
+        return self._action.action(obs)
 
     def value(self, obs) -> float:
         return self._value.value(obs)

@@ -5,6 +5,9 @@ planning rate the path and waypoint refresh; at the exploration rate (or
 when a trigger fires, honored at the next planning tick) the frontier
 candidates are re-scored.  Once the goal cell is known and reachable the
 stack plans straight at it.  All cadences run on simulated time.
+
+"lower-only" mode skips the map and the upper layer and feeds the goal
+straight to the policy; training rollouts run in it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from .exploration import (
     select_exploration_point,
     should_reselect,
 )
+from .fileio import json_text
 from .mapping import CellClass, OccupancyGrid, classify, frontier_cells, integrate_scan, map_entropy
 from .planning import blocked_mask, distance_field, extract_waypoint, inflate_occupied, plan_path
-from .policy import ObservationConfig, build_observation
+from .policy import ObservationConfig, build_observation, goal_in_robot_frame
 from .rewards import Trajectory, episode_metrics, metrics_csv_row
 from .scripted import CompositePolicy, scripted_bundle
 
@@ -70,19 +74,6 @@ class EpisodeResult:
     error: str | None = None
 
 
-class _TraceWriter:
-    def __init__(self, path):
-        self._f = open(path, "w")
-
-    def write(self, row: dict) -> None:
-        from .fileio import json_text
-
-        self._f.write(json_text(row) + "\n")
-
-    def close(self) -> None:
-        self._f.close()
-
-
 def run_episode(
     spec,
     policy,
@@ -94,10 +85,11 @@ def run_episode(
     """Run one episode and return its outcome, metrics, and trajectory.
 
     ``policy`` provides action(obs); value(obs) feeds the exploration
-    heuristic when present.  In "upper-with-scripted-lower" mode actions
-    come from the scripted blend while value() stays with ``policy``.
-    Simulator or planner errors mark the episode failed (distinct from a
-    crash) instead of propagating.
+    heuristic and alpha(obs) the trace, when present.  In "upper-with-scripted-lower" mode actions
+    come from the scripted blend while value() stays with ``policy``; in
+    "lower-only" mode nothing is mapped and the policy is steered at the
+    goal itself.  Simulator or planner errors mark the episode failed
+    (distinct from a crash) instead of propagating.
     """
     if config.mode == "upper-with-scripted-lower":
         policy = CompositePolicy(scripted_bundle(), policy) if hasattr(policy, "value") else scripted_bundle()
@@ -105,6 +97,7 @@ def run_episode(
         obs_config = getattr(policy, "obs_config", None) or ObservationConfig()
 
     world = sim.spawn(spec)
+    upper = config.mode != "lower-only"
     dt = 1.0 / config.control_hz
     max_ticks = int(round(config.timeout * config.control_hz))
     plan_period = max(1, int(round(config.control_hz / config.plan_hz)))
@@ -128,24 +121,26 @@ def run_episode(
     selections: list = []
     scored_tables: list = []
     cadence = {"map": 0, "plan": 0, "explore_scheduled": 0, "explore_triggered": 0}
-    tracer = _TraceWriter(trace_path) if trace_path else None
+    trace_file = open(trace_path, "w") if trace_path else None
 
     outcome = "timeout"
     error: str | None = None
     try:
         for tick in range(max_ticks):
             scan = sim.raycast(world, obs_config.beams, obs_config.max_range)
-            integrate_scan(grid, world.robot.pose, scan, obs_config.max_range)
-            cadence["map"] += 1
+            if upper:
+                integrate_scan(grid, world.robot.pose, scan, obs_config.max_range)
+                cadence["map"] += 1
             scans.append(scan)
             pose = world.robot.pose
 
-            if config.mode != "lower-only" and tick % plan_period == 0:
+            if upper and tick % plan_period == 0:
                 snapshot = grid.copy()
                 blocked = blocked_mask(snapshot, spec.robot_radius)
                 occ_inflated = inflate_occupied(snapshot, spec.robot_radius)
                 robot_cell = snapshot.world_to_cell(pose[0], pose[1])
                 goal_cell = snapshot.world_to_cell(*goal)
+                path = None
 
                 decision = should_reselect(
                     exp_state, snapshot, goal, pose, explore_cfg, config.arrival_radius
@@ -155,9 +150,9 @@ def run_episode(
                     goal_known_time = world.sim_time if goal_known_time is None else goal_known_time
                 if not goal_mode and exp_state.goal_known:
                     if classify(snapshot, goal_cell) == CellClass.FREE:
-                        trial = plan_path(snapshot, robot_cell, goal_cell, spec.robot_radius, blocked)
-                        if trial is not None:
-                            goal_mode = True
+                        # A found path is the real plan for this tick too.
+                        path = plan_path(snapshot, robot_cell, goal_cell, spec.robot_radius, blocked)
+                        goal_mode = path is not None
 
                 if not goal_mode:
                     scheduled = tick % explore_period == 0
@@ -195,33 +190,33 @@ def run_episode(
 
                 target = goal_cell if goal_mode else exp_state.current_point
                 if target is not None:
-                    path = plan_path(snapshot, robot_cell, target, spec.robot_radius, blocked)
+                    if path is None:
+                        path = plan_path(snapshot, robot_cell, target, spec.robot_radius, blocked)
                     cadence["plan"] += 1
                     if path is not None:
                         waypoint = extract_waypoint(path, snapshot, pose, spec.robot_radius, occ_inflated)
                     elif not goal_mode:
                         exp_state.current_point = None  # force re-selection next cycle
 
-            target_world = goal if config.mode == "lower-only" else (waypoint or (pose[0], pose[1]))
+            target_world = (waypoint or (pose[0], pose[1])) if upper else goal
             obs = build_observation(scans, pose, target_world, world.robot.velocity, obs_config.history)
             action = policy.action(obs)
             poses.append(pose.copy())
             actions.append(np.asarray(action, dtype=float).copy())
             min_ranges.append(float(np.min(scan)))
 
-            if tracer:
+            if trace_file:
                 alpha = getattr(policy, "alpha", lambda _o: None)(obs)
-                tracer.write(
-                    {
-                        "tick": tick,
-                        "t": world.sim_time,
-                        "pose": [float(v) for v in pose],
-                        "action": [float(v) for v in np.asarray(action)],
-                        "alpha": [float(v) for v in alpha] if alpha is not None else None,
-                        "waypoint": list(waypoint) if waypoint is not None else None,
-                        "exploration_point": list(exp_state.current_point) if exp_state.current_point else None,
-                    }
-                )
+                row = {
+                    "tick": tick,
+                    "t": world.sim_time,
+                    "pose": [float(v) for v in pose],
+                    "action": [float(v) for v in np.asarray(action)],
+                    "alpha": [float(v) for v in alpha] if alpha is not None else None,
+                    "waypoint": list(waypoint) if waypoint is not None else None,
+                    "exploration_point": list(exp_state.current_point) if exp_state.current_point else None,
+                }
+                trace_file.write(json_text(row) + "\n")
 
             _, event = sim.step(world, action, dt, config.arrival_radius)
             if event == "collision":
@@ -234,8 +229,8 @@ def run_episode(
         outcome = "failed"
         error = f"{type(exc).__name__}: {exc}"
     finally:
-        if tracer:
-            tracer.close()
+        if trace_file:
+            trace_file.close()
 
     traj = Trajectory(
         min_ranges=np.array(min_ranges),
@@ -268,8 +263,6 @@ def _euclid(a, b) -> float:
 def _candidate_critic(policy, obs_now, pose):
     """Bind the live observation; candidates arrive as world points and are
     rotated into the robot frame before the critic sees them."""
-    from .policy import goal_in_robot_frame
-
     value = getattr(policy, "value", None)
     if value is None:
         return lambda _pt: 0.0

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import world as sim
 from .policy import (
     CriticParams,
     ExpertBank,
@@ -27,9 +26,9 @@ from .policy import (
     ObservationConfig,
     PolicyBundle,
     SingleExpertPolicy,
-    build_observation,
 )
-from .rewards import PROFILES, RewardProfile, Trajectory, Transition, episode_metrics, step_reward
+from .rewards import PROFILES, RewardProfile, episode_rewards
+from .stack import StackConfig, run_episode, run_suite
 
 DISCOUNT = 0.99
 HIDDEN = (64, 64)
@@ -95,7 +94,19 @@ def mlp_size(sizes: tuple[int, int, int, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast lower-layer rollouts (no mapping, goal fed straight to the policy)
+# Lower-layer rollouts: the episode loop in lower-only mode, then scored
+
+
+class _ObservationRecorder:
+    """Passes actions through and keeps every observation's feature vector."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.rows: list[np.ndarray] = []
+
+    def action(self, obs) -> np.ndarray:
+        self.rows.append(obs.vector())
+        return self.policy.action(obs)
 
 
 def rollout_lower(
@@ -104,66 +115,24 @@ def rollout_lower(
     profile: RewardProfile,
     obs_config: ObservationConfig,
     time_limit: float,
-    noise_std: float = 0.0,
-    noise_seed: int = 0,
     collect: bool = False,
 ):
-    """One lower-layer episode; returns (return, trajectory, obs_matrix,
-    rewards) where the last two are None unless ``collect``."""
-    world = sim.spawn(spec)
-    dt = sim.CONTROL_DT
-    max_ticks = int(round(time_limit / dt))
-    rng = np.random.Generator(np.random.PCG64(noise_seed)) if noise_std > 0 else None
-    scans: list[np.ndarray] = []
-    obs_rows = [] if collect else None
-    rewards = [] if collect else None
+    """One lower-layer episode (``run_episode`` in lower-only mode) scored
+    under ``profile``; returns (return, trajectory, obs_matrix, rewards)
+    where the last two are None unless ``collect``.  Raises RuntimeError if
+    the episode failed, so an error never passes for a short return."""
+    recorder = _ObservationRecorder(policy) if collect else None
+    config = StackConfig(mode="lower-only", timeout=time_limit)
+    res = run_episode(spec, recorder or policy, config, obs_config)
+    if res.outcome == "failed":
+        raise RuntimeError(f"rollout on {spec.name} seed {spec.seed} failed: {res.error}")
+    rewards = episode_rewards(profile, res, spec.goal)
     total = 0.0
-    d_prev = world.goal_distance()
-    d_start = d_prev
-    min_ranges = []
-    outcome = "timeout"
-    for tick in range(max_ticks):
-        scan = sim.raycast(world, obs_config.beams, obs_config.max_range)
-        scans.append(scan)
-        if len(scans) > obs_config.history + 1:
-            scans.pop(0)
-        obs = build_observation(scans, world.robot.pose, spec.goal, world.robot.velocity, obs_config.history)
-        action = policy.action(obs, noise_std=noise_std, rng=rng)
-        _, event = sim.step(world, action, dt)
-        d_now = world.goal_distance()
-        t = Transition(
-            d_prev=d_prev,
-            d_now=d_now,
-            min_range=float(np.min(scan)),
-            omega_z=float(action[2]),
-            collision=event == "collision",
-            reached=event == "goal_reached",
-            timeout=(tick == max_ticks - 1 and event == "none"),
-        )
-        r = step_reward(profile, t)
+    for r in rewards:  # left to right: np.sum's pairwise order changes the bits
         total += r
-        if collect:
-            obs_rows.append(obs.vector())
-            rewards.append(r)
-        min_ranges.append(t.min_range)
-        d_prev = d_now
-        if event == "collision":
-            outcome = "crash"
-            break
-        if event == "goal_reached":
-            outcome = "success"
-            break
-    traj = Trajectory(
-        min_ranges=np.array(min_ranges),
-        d_start=d_start,
-        d_end=world.goal_distance(),
-        outcome=outcome,
-        sim_time=world.sim_time,
-        arrive_time=world.sim_time if outcome == "success" else None,
-    )
     if collect:
-        return total, traj, np.array(obs_rows), np.array(rewards)
-    return total, traj, None, None
+        return total, res.trajectory, np.array(recorder.rows), np.array(rewards)
+    return total, res.trajectory, None, None
 
 
 def _eval_candidate(policy, scenario_set, seeds, profile, obs_config, time_limit) -> float:
@@ -209,7 +178,7 @@ def train_expert(
         return SingleExpertPolicy(obs_config, unflatten_mlp(vec, sizes))
 
     scales = mlp_scale_vector(sizes, obs_config.feature_scales())
-    best_vec, best_ret, init_ret = _cem(
+    best_vec, best_ret, init_ret, _ = _cem(
         mean,
         scales,
         make_policy,
@@ -240,12 +209,17 @@ def _require_beats_zero(policy, sizes, scenario_set, profile, obs_config, config
         )
 
 
-def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation):
-    """Shared CEM loop; returns (best_vec, best_return, initial_return).
+def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation,
+         _after_update=None):
+    """Shared CEM loop; returns (best_vec, best_return, initial_return,
+    final_mean).
 
     Perturbations are sigma * scales * N(0, 1): proportional to each
     parameter's init magnitude.  Episode seeds are shared across the
     population (common random numbers) so candidates are comparable.
+    ``_after_update(gen, seeds, elite_vecs, mean)``, when given, runs after
+    each mean update and returns the mean to carry on with; the elite
+    vectors are drawn from the pre-update mean and sigma.
     """
     sigma = config.noise_std
     dim = mean.shape[0]
@@ -270,7 +244,10 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
         if returns[gen_best] > best_ret:
             best_ret = float(returns[gen_best])
             best_vec = mean + sigma * scales * noise[gen_best]
+        elite_vecs = [mean + sigma * scales * noise[i] for i in elites]
         mean = mean + sigma * scales * noise[elites].mean(axis=0)
+        if _after_update is not None:
+            mean = _after_update(gen, seeds, elite_vecs, mean)
         sigma = max(sigma * config.noise_decay, 1e-3)
         if on_generation is not None:
             on_generation(
@@ -282,7 +259,7 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
                     "sigma": sigma,
                 }
             )
-    return best_vec, best_ret, float(init_ret)
+    return best_vec, best_ret, float(init_ret), mean
 
 
 # ---------------------------------------------------------------------------
@@ -393,73 +370,37 @@ def cotrain_fusion(
         bank, gating, critic = layout.split(vec)
         return PolicyBundle(obs_config, bank, gating, critic)
 
-    sigma = config.noise_std
-    dim = mean.shape[0]
-    scales = layout.scale_vector(obs_config.feature_scales())
-    best_vec = mean.copy()
-    best_ret = -math.inf
-    init_ret: float | None = None
     buffer_obs: list[np.ndarray] = []
     buffer_g: list[np.ndarray] = []
-    for gen in range(config.generations):
-        seeds = _episode_seeds(master, config.episodes_per_eval)
-        noise = master.normal(0.0, 1.0, (config.population, dim))
-        noise[0] = 0.0
-        returns = np.empty(config.population)
-        for i in range(config.population):
-            returns[i] = _eval_candidate(
-                make_policy(mean + sigma * scales * noise[i]), scenario_mix, seeds,
-                profile, obs_config, config.episode_time_limit,
-            )
-        if init_ret is None:
-            init_ret = float(returns[0])
-        order = np.argsort(-returns, kind="stable")
-        elites = order[: config.n_elite]
-        if returns[order[0]] > best_ret:
-            best_ret = float(returns[order[0]])
-            best_vec = mean + sigma * scales * noise[order[0]]
 
+    def refit_critic(gen, seeds, elite_vecs, mean):
         # Elite rollouts feed the critic's regression targets (re-run on the
         # generation's seeds, so the data matches what was scored).
-        for j, i in enumerate(elites[: min(4, len(elites))]):
-            policy = make_policy(mean + sigma * scales * noise[i])
-            spec = replace(
-                scenario_mix[(gen + j) % len(scenario_mix)],
-                seed=int(seeds[j % len(seeds)]),
-            )
+        for j, vec in enumerate(elite_vecs[:4]):
+            spec = replace(scenario_mix[(gen + j) % len(scenario_mix)], seed=int(seeds[j % len(seeds)]))
             _, _, obs_m, rews = rollout_lower(
-                spec, policy, profile, obs_config, config.episode_time_limit, collect=True
+                spec, make_policy(vec), profile, obs_config, config.episode_time_limit, collect=True
             )
-            if obs_m is not None and len(obs_m):
+            if len(obs_m):
                 buffer_obs.append(obs_m)
                 buffer_g.append(_discounted_returns(rews))
-        mean = mean + sigma * scales * noise[elites].mean(axis=0)
         if buffer_obs:
-            obs_all = np.concatenate(buffer_obs)[-40000:]
-            g_all = np.concatenate(buffer_g)[-40000:]
-            _, _, critic_mean = layout.split(mean)
-            _refit_critic_head(critic_mean, obs_all, g_all)
-            bank_m, gating_m, _ = layout.split(mean)
-            mean = layout.join(bank_m, gating_m, critic_mean)
-        sigma = max(sigma * config.noise_decay, 1e-3)
-        if on_generation is not None:
-            on_generation(
-                {
-                    "generation": gen,
-                    "best_return": best_ret,
-                    "gen_best_return": float(returns[order[0]]),
-                    "mean_return": float(returns.mean()),
-                    "sigma": sigma,
-                }
-            )
+            bank_m, gating_m, critic_m = layout.split(mean)
+            _refit_critic_head(critic_m, np.concatenate(buffer_obs)[-40000:], np.concatenate(buffer_g)[-40000:])
+            mean = layout.join(bank_m, gating_m, critic_m)
+        return mean
+
+    scales = layout.scale_vector(obs_config.feature_scales())
+    best_vec, best_ret, init_ret, mean = _cem(
+        mean, scales, make_policy, scenario_mix, profile, obs_config, config, master, on_generation,
+        _after_update=refit_critic,
+    )
     if best_ret <= init_ret:
         raise TrainingError(
             f"fusion co-training did not improve ({best_ret:.3f} <= {init_ret:.3f})"
         )
     bank, gating, _ = layout.split(best_vec)
     _, _, critic = layout.split(mean)  # carries the latest regression fit
-    if buffer_obs:
-        _refit_critic_head(critic, np.concatenate(buffer_obs)[-40000:], np.concatenate(buffer_g)[-40000:])
     return bank, gating, critic
 
 
@@ -479,30 +420,14 @@ def evaluate(
 ) -> dict:
     """Aggregate the five metrics over episodes with 95% bootstrap CIs.
 
-    mode "lower-only" runs the fast goal-direct rollouts; "full" runs the
-    whole hierarchical stack.
+    ``mode`` is a stack mode: "lower-only" steers straight at the goal,
+    "full" runs the whole hierarchical stack.
     """
     if episodes == 0:
         return {"episodes": 0, "empty": True}
-    per_ep: list[dict] = []
-    if mode == "full":
-        from .stack import StackConfig, run_suite
-
-        cfg = StackConfig(timeout=time_limit)
-        _, results = run_suite(scenario_set, policy, episodes, seed, cfg, obs_config)
-        per_ep = [r.metrics for r in results]
-    else:
-        master = np.random.Generator(np.random.PCG64(seed))
-        seeds = _episode_seeds(master, episodes * len(scenario_set))
-        k = 0
-        for spec in scenario_set:
-            for _ in range(episodes):
-                ep_spec = replace(spec, seed=int(seeds[k]))
-                k += 1
-                _, traj, _, _ = rollout_lower(
-                    ep_spec, policy, PROFILES["fusion"], obs_config, time_limit
-                )
-                per_ep.append(episode_metrics(traj))
+    config = StackConfig(mode=mode, timeout=time_limit)
+    _, results = run_suite(scenario_set, policy, episodes, seed, config, obs_config)
+    per_ep = [r.metrics for r in results]
     out: dict = {"episodes": len(per_ep), "empty": False}
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     for key in ("success", "crash", "timeout"):

@@ -237,17 +237,6 @@ class TestAct:
         assert np.all(mapped >= ACTION_LOW)
         assert np.all(mapped <= ACTION_HIGH)
 
-    def test_training_noise_reproducible(self):
-        rng = np.random.default_rng(11)
-        bank = make_bank(rng)
-        gating = GatingParams(random_mlp((21, 6, 5, 4), rng))
-        obs = random_obs(rng)
-        a1 = act(bank, gating, obs, noise_std=0.1, rng=np.random.default_rng(77))
-        a2 = act(bank, gating, obs, noise_std=0.1, rng=np.random.default_rng(77))
-        assert np.array_equal(a1, a2)
-        a3 = act(bank, gating, obs)
-        assert not np.array_equal(a1, a3)
-
 
 class TestCritic:
     def test_zero_params_zero_value(self):

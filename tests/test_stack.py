@@ -80,6 +80,7 @@ class TestRunEpisode:
             open_goal_spec(), ScriptedGoStraight(), StackConfig(mode="lower-only", timeout=30.0)
         )
         assert res.outcome == "success"
+        assert res.cadence["map"] == 0
         assert res.cadence["plan"] == 0
         assert res.cadence["explore_scheduled"] == 0
 

@@ -93,6 +93,16 @@ class TestTrainExpert:
             _require_beats_zero(zero, sizes, small_tasks(), PROFILES["go-straight"], OBS8, TINY)
 
 
+class TestRollout:
+    def test_policy_exception_propagates(self):
+        class Exploding:
+            def action(self, obs):
+                raise RuntimeError("wiring fault")
+
+        with pytest.raises(RuntimeError, match="wiring fault"):
+            rollout_lower(small_tasks()[0], Exploding(), PROFILES["fusion"], OBS8, 1.0)
+
+
 class TestCotrain:
     def _experts(self):
         rng = np.random.default_rng(3)
