@@ -147,11 +147,14 @@ def should_reselect(
     current_pose,
     config: ExplorationConfig = ExplorationConfig(),
     arrival_radius: float = 0.3,
+    frontier: np.ndarray | None = None,
 ) -> str:
     """One of "no", "reselect", "goal_now_known".
 
     goal_now_known dominates: once the goal cell leaves the unknown class
-    the stack should plan straight at it and stop exploring.
+    the stack should plan straight at it and stop exploring.  ``frontier``
+    may carry the grid's ``frontier_mask``; otherwise it is built here when
+    the point's frontier status is tested.
     """
     goal_cell = grid.world_to_cell(*goal)
     goal_known = grid.in_grid(goal_cell) and classify(grid, goal_cell) != CellClass.UNKNOWN
@@ -172,7 +175,11 @@ def should_reselect(
         return "reselect"
 
     cell = state.current_point
-    if not (grid.in_grid(cell) and frontier_mask(grid)[cell]):
+    if not grid.in_grid(cell):
+        return "reselect"
+    if frontier is None:
+        frontier = frontier_mask(grid)
+    if not frontier[cell]:
         return "reselect"
     return "no"
 

@@ -122,8 +122,10 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     Cells traversed by a beam move toward free; the terminal cell moves
     toward occupied when the beam actually hit something (range < max_range).
     Each scan applies at most one update per cell and the hit update wins
-    over the miss update.  Beams leaving the grid are truncated at the
-    border.  Returns the grid for chaining; the update is in place.
+    over the miss update: touched cells are marked in one grid-sized array
+    (miss, then hit over it) and each class is updated once, in row-major
+    order.  Beams leaving the grid are truncated at the border.  Returns the
+    grid for chaining; the update is in place.
     """
     x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
     ranges = np.asarray(ranges, dtype=float)
@@ -149,8 +151,6 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     rows = np.floor((py - grid.origin[1]) / res).astype(np.int64)
     cols = np.floor((px - grid.origin[0]) / res).astype(np.int64)
     valid = mask & (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
-    miss_flat = rows[valid] * grid.cols + cols[valid]
-    miss_flat = np.unique(np.append(miss_flat, cell[0] * grid.cols + cell[1]))
 
     hit_beams = ranges < max_range
     hx = x + dirs[hit_beams, 0] * ranges[hit_beams]
@@ -158,11 +158,15 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     hrows = np.floor((hy - grid.origin[1]) / res).astype(np.int64)
     hcols = np.floor((hx - grid.origin[0]) / res).astype(np.int64)
     hvalid = (hrows >= 0) & (hrows < grid.rows) & (hcols >= 0) & (hcols < grid.cols)
-    hit_flat = np.unique(hrows[hvalid] * grid.cols + hcols[hvalid])
 
-    miss_flat = np.setdiff1d(miss_flat, hit_flat, assume_unique=True)
+    # 1 marks a miss, 2 a hit; hits are written last so they win.
+    touched = np.zeros(grid.p.size, dtype=np.int8)
+    touched[rows[valid] * grid.cols + cols[valid]] = 1
+    touched[cell[0] * grid.cols + cell[1]] = 1
+    touched[hrows[hvalid] * grid.cols + hcols[hvalid]] = 2
     flat_p = grid.p.reshape(-1)
-    for flat, delta in ((miss_flat, LOGIT_MISS), (hit_flat, LOGIT_HIT)):
+    for mark, delta in ((1, LOGIT_MISS), (2, LOGIT_HIT)):
+        flat = np.flatnonzero(touched == mark)
         if flat.size:
             flat_p[flat] = np.clip(_sigmoid(_logit(flat_p[flat]) + delta), P_MIN, P_MAX)
     return grid
@@ -183,9 +187,14 @@ def frontier_mask(grid: OccupancyGrid) -> np.ndarray:
     return free_mask(grid) & near_unknown
 
 
-def frontier_cells(grid: OccupancyGrid) -> list[tuple[int, int]]:
-    """The frontier cells (see ``frontier_mask``) in row-major order."""
-    return [tuple(rc) for rc in np.argwhere(frontier_mask(grid))]
+def frontier_cells(grid: OccupancyGrid, mask: np.ndarray | None = None) -> list[tuple[int, int]]:
+    """The frontier cells (see ``frontier_mask``) in row-major order.
+
+    ``mask`` may carry this grid's ``frontier_mask``, built once per
+    snapshot for every frontier test on it."""
+    if mask is None:
+        mask = frontier_mask(grid)
+    return [tuple(rc) for rc in np.argwhere(mask)]
 
 
 def map_entropy(grid: OccupancyGrid) -> float:

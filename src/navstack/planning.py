@@ -61,9 +61,18 @@ def inflate_occupied(grid: OccupancyGrid, robot_radius: float = ROBOT_RADIUS) ->
     return binary_dilation(occ, structure=structure)
 
 
-def blocked_mask(grid: OccupancyGrid, robot_radius: float = ROBOT_RADIUS) -> np.ndarray:
-    """Cells that block planning: inflated occupied plus unknown."""
-    return inflate_occupied(grid, robot_radius) | unknown_mask(grid)
+def blocked_mask(
+    grid: OccupancyGrid,
+    robot_radius: float = ROBOT_RADIUS,
+    occ: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cells that block planning: inflated occupied plus unknown.
+
+    ``occ`` may carry this grid's ``inflate_occupied`` result, so a caller
+    that also needs it inflates once."""
+    if occ is None:
+        occ = inflate_occupied(grid, robot_radius)
+    return occ | unknown_mask(grid)
 
 
 def _snap_start(blocked: np.ndarray, start: tuple[int, int], window: int = 3) -> tuple[int, int] | None:
@@ -163,33 +172,41 @@ def distance_field(
     """Dijkstra flood from start: meters to every cell, inf where unreachable.
 
     Same costs and blocking rules as plan_path, so values match planned path
-    lengths; one flood prices every frontier candidate at once.
+    lengths; one flood prices every frontier candidate at once.  The flood
+    runs on flat Python lists over the grid padded by one blocked cell, so a
+    neighbor is one fixed offset away and needs no bounds test.  Pushes,
+    pops and the tie-breaking push counter follow a heap flood over
+    (row, col) cells, so the values are bit-identical to that flood.
     """
     if blocked is None:
         blocked = blocked_mask(grid, robot_radius)
     rows, cols = blocked.shape
-    dist = np.full((rows, cols), np.inf)
     snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
     if snapped is None:
-        return dist
-    start = snapped
-    dist[start] = 0.0
+        return np.full((rows, cols), np.inf)
+    width = cols + 2
+    is_open = (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
+    steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
+    dist = [math.inf] * len(is_open)
+    source = (snapped[0] + 1) * width + snapped[1] + 1
+    dist[source] = 0.0
     counter = 0
-    heap: list[tuple[float, int, tuple[int, int]]] = [(0.0, counter, start)]
+    heap: list[tuple[float, int, int]] = [(0.0, counter, source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, _, (r, c) = heapq.heappop(heap)
-        if d > dist[r, c]:
+        d, _, i = pop(heap)
+        if d > dist[i]:
             continue
-        for dr, dc, cost in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < rows and 0 <= nc < cols) or blocked[nr, nc]:
-                continue
-            nd = d + cost
-            if nd < dist[nr, nc]:
-                dist[nr, nc] = nd
-                counter += 1
-                heapq.heappush(heap, (nd, counter, (nr, nc)))
-    return dist * grid.resolution
+        for offset, cost in steps:
+            j = i + offset
+            if is_open[j]:
+                nd = d + cost
+                if nd < dist[j]:
+                    dist[j] = nd
+                    counter += 1
+                    push(heap, (nd, counter, j))
+    field = np.array(dist).reshape(rows + 2, width)[1:-1, 1:-1]
+    return field * grid.resolution
 
 
 def _segment_blocked(

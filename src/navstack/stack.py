@@ -28,7 +28,15 @@ from .exploration import (
     should_reselect,
 )
 from .fileio import json_text
-from .mapping import CellClass, OccupancyGrid, classify, frontier_cells, integrate_scan, map_entropy
+from .mapping import (
+    CellClass,
+    OccupancyGrid,
+    classify,
+    frontier_cells,
+    frontier_mask,
+    integrate_scan,
+    map_entropy,
+)
 from .planning import blocked_mask, distance_field, extract_waypoint, inflate_occupied, plan_path
 from .policy import ObservationConfig, build_observation, goal_in_robot_frame
 from .rewards import Trajectory, episode_metrics, metrics_csv_row
@@ -136,14 +144,15 @@ def run_episode(
 
             if upper and tick % plan_period == 0:
                 snapshot = grid.copy()
-                blocked = blocked_mask(snapshot, spec.robot_radius)
                 occ_inflated = inflate_occupied(snapshot, spec.robot_radius)
+                blocked = blocked_mask(snapshot, spec.robot_radius, occ_inflated)
+                frontier = frontier_mask(snapshot)
                 robot_cell = snapshot.world_to_cell(pose[0], pose[1])
                 goal_cell = snapshot.world_to_cell(*goal)
                 path = None
 
                 decision = should_reselect(
-                    exp_state, snapshot, goal, pose, explore_cfg, config.arrival_radius
+                    exp_state, snapshot, goal, pose, explore_cfg, config.arrival_radius, frontier
                 )
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
@@ -161,7 +170,7 @@ def run_episode(
                     if scheduled or decision == "reselect" or exp_state.current_point is None:
                         if decision == "reselect" and not scheduled:
                             cadence["explore_triggered"] += 1
-                        frontiers = frontier_cells(snapshot)
+                        frontiers = frontier_cells(snapshot, frontier)
                         dist = distance_field(snapshot, robot_cell, spec.robot_radius, blocked)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
                         critic = _candidate_critic(policy, obs_now, pose)

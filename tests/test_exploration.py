@@ -13,7 +13,7 @@ from navstack.exploration import (
     select_exploration_point,
     should_reselect,
 )
-from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, map_entropy
+from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_mask, map_entropy
 
 RES = 0.1
 
@@ -198,6 +198,7 @@ class TestTriggers:
         st_.entropy_at_selection = map_entropy(g)
         pose = (*g.cell_center((30, 5)), 0.0)
         assert should_reselect(st_, g, goal, pose) == "no"
+        assert should_reselect(st_, g, goal, pose, frontier=frontier_mask(g)) == "no"
 
     def test_arrival_triggers(self):
         g = self._frontier_setup()
@@ -232,6 +233,7 @@ class TestTriggers:
         st_.entropy_at_selection = map_entropy(g)
         pose = (*g.cell_center((30, 5)), 0.0)
         assert should_reselect(st_, g, goal, pose) == "reselect"
+        assert should_reselect(st_, g, goal, pose, frontier=frontier_mask(g)) == "reselect"
 
     def test_goal_becoming_known_dominates(self):
         g = self._frontier_setup()

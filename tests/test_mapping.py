@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from navstack.mapping import (
     CellClass,
     FREE_THRESHOLD,
+    LOGIT_HIT,
+    LOGIT_MISS,
     OCCUPIED_THRESHOLD,
     OccupancyGrid,
     P_MAX,
@@ -15,6 +17,7 @@ from navstack.mapping import (
     classify,
     classify_p,
     frontier_cells,
+    frontier_mask,
     integrate_scan,
     load_pgm,
     map_entropy,
@@ -117,6 +120,102 @@ class TestIntegrateScan:
             integrate_scan(g, (50.0, 50.0, 0.0), np.array([1.0]), max_range=2.0)
 
 
+def _integrate_scan_oracle(grid, pose, ranges, max_range):
+    """Reference scan update: the cell sets deduplicated with np.unique and
+    np.setdiff1d; integrate_scan must match it bit for bit."""
+    x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
+    ranges = np.asarray(ranges, dtype=float)
+    n = ranges.shape[0]
+    cell = grid.world_to_cell(x, y)
+    if n == 0:
+        return grid
+    res = grid.resolution
+    angles = th + 2.0 * math.pi * np.arange(n) / n
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    step = 0.5 * res
+    n_steps = int(math.ceil(ranges.max() / step)) + 1
+    ts = (np.arange(n_steps) + 0.5) * step
+    mask = ts[None, :] < ranges[:, None]
+    px = x + dirs[:, 0:1] * ts[None, :]
+    py = y + dirs[:, 1:2] * ts[None, :]
+    rows = np.floor((py - grid.origin[1]) / res).astype(np.int64)
+    cols = np.floor((px - grid.origin[0]) / res).astype(np.int64)
+    valid = mask & (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
+    miss_flat = rows[valid] * grid.cols + cols[valid]
+    miss_flat = np.unique(np.append(miss_flat, cell[0] * grid.cols + cell[1]))
+
+    hit_beams = ranges < max_range
+    hx = x + dirs[hit_beams, 0] * ranges[hit_beams]
+    hy = y + dirs[hit_beams, 1] * ranges[hit_beams]
+    hrows = np.floor((hy - grid.origin[1]) / res).astype(np.int64)
+    hcols = np.floor((hx - grid.origin[0]) / res).astype(np.int64)
+    hvalid = (hrows >= 0) & (hrows < grid.rows) & (hcols >= 0) & (hcols < grid.cols)
+    hit_flat = np.unique(hrows[hvalid] * grid.cols + hcols[hvalid])
+
+    miss_flat = np.setdiff1d(miss_flat, hit_flat, assume_unique=True)
+    flat_p = grid.p.reshape(-1)
+    for flat, delta in ((miss_flat, LOGIT_MISS), (hit_flat, LOGIT_HIT)):
+        if flat.size:
+            logit = np.log(flat_p[flat] / (1.0 - flat_p[flat])) + delta
+            flat_p[flat] = np.clip(1.0 / (1.0 + np.exp(-logit)), P_MIN, P_MAX)
+    return grid
+
+
+def _assert_scans_match_oracle(p0, scans, max_range, resolution=0.1):
+    """Apply the scans to two copies of ``p0`` and require identical bytes
+    after every scan."""
+    g = OccupancyGrid(resolution, (0.0, 0.0), p0.copy())
+    ref = OccupancyGrid(resolution, (0.0, 0.0), p0.copy())
+    for pose, ranges in scans:
+        integrate_scan(g, pose, ranges, max_range)
+        _integrate_scan_oracle(ref, pose, ranges, max_range)
+        assert g.p.tobytes() == ref.p.tobytes()
+    return g
+
+
+class TestIntegrateScanOracle:
+    def test_hit_in_robot_cell_wins_over_its_miss(self):
+        g = _assert_scans_match_oracle(np.full((10, 10), 0.5), [((0.55, 0.55, 0.0), np.array([0.02, 3.0]))], 3.0)
+        assert g.p[5, 5] > 0.5  # the robot cell is both a miss and a hit
+
+    def test_hit_on_another_beams_miss_samples_wins(self):
+        # Beam 1 (1 degree off beam 0) passes through beam 0's hit cell.
+        ranges = np.full(360, 1.0)
+        ranges[0] = 0.5
+        g = _assert_scans_match_oracle(np.full((30, 30), 0.5), [((1.05, 1.05, 0.0), ranges)], 1.0)
+        assert g.p[10, 15] > 0.5
+        assert g.p[10, 16] < 0.5
+
+    def test_beams_leave_the_grid_and_max_range_beams(self):
+        scans = [((0.15, 0.15, math.pi), np.array([5.0, 0.3, 6.0, 2.0])),
+                 ((0.85, 0.45, 0.3), np.array([6.0, 6.0, 0.75]))]
+        _assert_scans_match_oracle(np.full((6, 9), 0.5), scans, 6.0)
+
+
+@st.composite
+def _scan_sequences(draw):
+    rows = draw(st.integers(1, 25))
+    cols = draw(st.integers(1, 25))
+    max_range = draw(st.sampled_from([0.5, 1.5, 4.0]))
+    p0 = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).uniform(P_MIN, P_MAX, (rows, cols))
+    special = st.sampled_from([0.001, 0.04, max_range, 2.0 * max_range])  # own cell, max range, past the border
+    scans = []
+    for _ in range(draw(st.integers(1, 6))):
+        pose = ((draw(st.integers(0, cols - 1)) + draw(st.floats(0.05, 0.95))) * 0.1,
+                (draw(st.integers(0, rows - 1)) + draw(st.floats(0.05, 0.95))) * 0.1,
+                draw(st.floats(-math.pi, math.pi)))
+        ranges = draw(st.lists(st.one_of(st.floats(0.0, max_range), special), min_size=1, max_size=48))
+        scans.append((pose, np.array(ranges)))
+    return p0, scans, max_range
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_sequences())
+def test_integrate_scan_matches_oracle(case):
+    p0, scans, max_range = case
+    _assert_scans_match_oracle(p0, scans, max_range)
+
+
 def _frontier_oracle(grid):
     out = []
     rows, cols = grid.p.shape
@@ -151,7 +250,9 @@ class TestFrontiers:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             g = OccupancyGrid(0.1, (0.0, 0.0), rng.uniform(0.0, 1.0, (50, 50)))
-            assert frontier_cells(g) == _frontier_oracle(g)
+            oracle = _frontier_oracle(g)
+            assert frontier_cells(g) == oracle
+            assert frontier_cells(g, frontier_mask(g)) == oracle
 
 
 class TestEntropy:

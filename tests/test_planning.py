@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN
 from navstack.planning import (
+    _NEIGHBORS,
     GridPath,
     SQRT2,
+    _snap_start,
     blocked_mask,
     distance_field,
     extract_waypoint,
@@ -157,6 +161,7 @@ class TestPlanPath:
             g = random_grid(seed, rows=25, cols=25)
             assert np.array_equal(blocked_mask(g), oracle_blocked(g))
             assert np.array_equal(blocked_mask(g, 0.12), oracle_blocked(g, 0.12))
+            assert np.array_equal(blocked_mask(g, 0.12, inflate_occupied(g, 0.12)), oracle_blocked(g, 0.12))
 
     def test_path_cells_free_and_uninflated(self):
         g = random_grid(7, p_occ=0.1)
@@ -176,6 +181,40 @@ class TestPlanPath:
         assert p is not None
         r, c = p.cells[0]
         assert max(abs(r - 5), abs(c - 5)) <= 3
+
+
+def distance_field_oracle(grid, start, blocked):
+    """Reference flood: heap Dijkstra over (row, col) cells with bounds
+    tests and numpy indexing; distance_field must match it bit for bit."""
+    rows, cols = blocked.shape
+    dist = np.full((rows, cols), np.inf)
+    snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
+    if snapped is None:
+        return dist
+    start = snapped
+    dist[start] = 0.0
+    counter = 0
+    heap = [(0.0, counter, start)]
+    while heap:
+        d, _, (r, c) = heapq.heappop(heap)
+        if d > dist[r, c]:
+            continue
+        for dr, dc, cost in _NEIGHBORS:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols) or blocked[nr, nc]:
+                continue
+            nd = d + cost
+            if nd < dist[nr, nc]:
+                dist[nr, nc] = nd
+                counter += 1
+                heapq.heappush(heap, (nd, counter, (nr, nc)))
+    return dist * grid.resolution
+
+
+def assert_field_matches_oracle(grid, start, blocked):
+    field = distance_field(grid, start, blocked=blocked)
+    assert field.tobytes() == distance_field_oracle(grid, start, blocked).tobytes()
+    return field
 
 
 class TestDistanceField:
@@ -199,6 +238,61 @@ class TestDistanceField:
         g.p[:, 10] = P_MAX
         field = distance_field(g, (5, 2))
         assert np.isinf(field[5, 18])
+
+    def test_border_starts_match_oracle(self):
+        g = random_grid(4, rows=17, cols=23, p_occ=0.1)
+        blocked = blocked_mask(g, 0.05)
+        blocked[0, :] = blocked[-1, :] = blocked[:, 0] = blocked[:, -1] = False  # open border row and column
+        for start in [(0, 0), (0, 11), (16, 22), (8, 0), (16, 5), (3, 22)]:
+            field = assert_field_matches_oracle(g, start, blocked)
+            assert field[start] == 0.0
+
+    def test_snapped_start_matches_oracle(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        blocked[6:12, 6:12] = True
+        field = assert_field_matches_oracle(g, (8, 8), blocked)  # nearest open cell is 3 away
+        assert field[5, 8] == 0.0
+        assert np.isfinite(field).sum() == (~blocked).sum()
+        blocked[5:12, 5:12] = True
+        assert np.isinf(assert_field_matches_oracle(g, (8, 8), blocked)).all()  # 4 away: sealed
+
+    def test_start_outside_grid_is_all_inf(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        for start in [(-1, 3), (3, 20), (20, 20)]:
+            assert np.isinf(assert_field_matches_oracle(g, start, blocked)).all()
+
+    def test_sealed_start_reaches_only_itself(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        blocked[9:12, 9:12] = True
+        blocked[10, 10] = False
+        field = assert_field_matches_oracle(g, (10, 10), blocked)
+        assert field[10, 10] == 0.0
+        assert np.isfinite(field).sum() == 1
+
+    @pytest.mark.parametrize("is_blocked", [False, True])
+    def test_one_cell_grid(self, is_blocked):
+        g = grid_from_mask(rows=1, cols=1)
+        field = assert_field_matches_oracle(g, (0, 0), np.array([[is_blocked]]))
+        assert field.shape == (1, 1)
+        assert np.isinf(field[0, 0]) == is_blocked
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.floats(0.0, 0.6),
+    st.integers(-2, 31),
+    st.integers(-2, 31),
+)
+def test_distance_field_matches_oracle_on_random_grids(seed, rows, cols, p_blocked, r, c):
+    g = grid_from_mask(rows=rows, cols=cols)
+    blocked = np.random.default_rng(seed).uniform(0, 1, (rows, cols)) < p_blocked
+    assert_field_matches_oracle(g, (r, c), blocked)
 
 
 class TestLineOfSight:
