@@ -14,46 +14,51 @@ The default budget finishes in roughly ten minutes on a laptop CPU; scale
 import argparse
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from navstack.fileio import write_jsonl
 from navstack.policy import ObservationConfig, PolicyBundle, save_bundle, save_expert
 from navstack.scenarios import training_scenarios
-from navstack.training import TrainConfig, cotrain_fusion, train_expert
+from navstack.training import (
+    PIPELINE_STAGE1,
+    PIPELINE_STAGE2,
+    PIPELINE_TASK_SEEDS,
+    PIPELINE_TASKS,
+    cotrain_fusion,
+    train_expert,
+)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("runs/pipeline"))
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--population", type=int, default=32)
-    ap.add_argument("--generations", type=int, default=24)
-    ap.add_argument("--fusion-generations", type=int, default=16)
-    ap.add_argument("--episodes-per-eval", type=int, default=4)
-    ap.add_argument("--tasks", type=int, default=12)
+    ap.add_argument("--seed", type=int, default=PIPELINE_STAGE1.seed)
+    ap.add_argument("--population", type=int, default=PIPELINE_STAGE1.population)
+    ap.add_argument("--generations", type=int, default=PIPELINE_STAGE1.generations)
+    ap.add_argument("--fusion-generations", type=int, default=PIPELINE_STAGE2.generations)
+    ap.add_argument("--episodes-per-eval", type=int, default=PIPELINE_STAGE1.episodes_per_eval)
+    ap.add_argument("--tasks", type=int, default=PIPELINE_TASKS)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
     obs_cfg = ObservationConfig()
     t0 = time.time()
 
-    cfg1 = TrainConfig(
+    cfg1 = replace(
+        PIPELINE_STAGE1,
         population=args.population,
-        elite_fraction=0.2,
-        noise_std=0.5,
-        noise_decay=0.96,
         generations=args.generations,
         episodes_per_eval=args.episodes_per_eval,
         seed=args.seed,
-        episode_time_limit=12.0,
     )
-    for stage, profile, kind, task_seed in (
-        ("expert-gs", "go-straight", "static", 3),
-        ("expert-oa", "obstacle-avoidance", "dynamic", 4),
+    for stage, profile, kind in (
+        ("expert-gs", "go-straight", "static"),
+        ("expert-oa", "obstacle-avoidance", "dynamic"),
     ):
         log_rows = []
         params = train_expert(
-            profile, training_scenarios(kind, args.tasks, task_seed), cfg1, obs_cfg,
+            profile, training_scenarios(kind, args.tasks, PIPELINE_TASK_SEEDS[kind]), cfg1, obs_cfg,
             on_generation=lambda row: (log_rows.append(row), print(f"  {stage} gen {row['generation']:3d} best {row['best_return']:8.2f}"))[0],
         )
         save_expert(params, profile, obs_cfg, args.out / f"{stage}.json")
@@ -64,19 +69,16 @@ def main() -> None:
         else:
             oa = params
 
-    cfg2 = TrainConfig(
-        population=max(4, args.population - 4),
-        elite_fraction=0.2,
-        noise_std=0.25,
-        noise_decay=0.96,
+    # stage 2 keeps its population and seed offsets from stage 1
+    cfg2 = replace(
+        PIPELINE_STAGE2,
+        population=max(4, args.population + PIPELINE_STAGE2.population - PIPELINE_STAGE1.population),
         generations=args.fusion_generations,
-        episodes_per_eval=3,
-        seed=args.seed + 1,
-        episode_time_limit=12.0,
+        seed=args.seed + PIPELINE_STAGE2.seed - PIPELINE_STAGE1.seed,
     )
     log_rows = []
     bank, gating, critic = cotrain_fusion(
-        gs, oa, training_scenarios("families", args.tasks, 5), cfg2, obs_cfg,
+        gs, oa, training_scenarios("families", args.tasks, PIPELINE_TASK_SEEDS["families"]), cfg2, obs_cfg,
         on_generation=lambda row: (log_rows.append(row), print(f"  fusion gen {row['generation']:3d} best {row['best_return']:8.2f}"))[0],
     )
     save_bundle(PolicyBundle(obs_cfg, bank, gating, critic), args.out / "fusion-bundle.json")

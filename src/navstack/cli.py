@@ -114,6 +114,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows.append(metrics_csv_row(spec.name, sd, result.metrics))
         if result.outcome != "success":
             failures += 1
+        if result.outcome == "failed":
+            print(f"seed {sd}: failed: {result.error}", file=sys.stderr)
         log.info("seed %d: %s in %.1fs", sd, result.outcome, result.sim_time)
     csv_path = out / "metrics.csv"
     write_csv(csv_path, METRICS_CSV_HEADER, rows)
@@ -320,10 +322,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # training gates, episode failures

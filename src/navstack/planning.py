@@ -2,15 +2,16 @@
 
 Planning runs 8-connected over free cells after inflating occupied cells by
 the robot radius; unknown cells block planning but not line of sight (a
-frontier target is by definition bordered by unknown space).  Path lengths
-are exact Dijkstra optima: the A* heuristic is the octile distance, which is
-admissible and consistent for unit/sqrt(2) step costs.
+frontier target is by definition bordered by unknown space).  One heap
+search is the Dijkstra flood and, with a target, A* under the octile
+heuristic (admissible and consistent for unit/sqrt(2) steps): exact optima.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,9 @@ class GridPath:
     length: float                 # meters, straight + sqrt(2) * diagonal steps
 
     def step_counts(self) -> tuple[int, int]:
-        straight = diagonal = 0
-        for (r0, c0), (r1, c1) in zip(self.cells, self.cells[1:]):
-            if r0 != r1 and c0 != c1:
-                diagonal += 1
-            else:
-                straight += 1
-        return straight, diagonal
+        steps = list(zip(self.cells, self.cells[1:]))
+        diagonal = sum(r0 != r1 and c0 != c1 for (r0, c0), (r1, c1) in steps)
+        return len(steps) - diagonal, diagonal
 
 
 def _disk_structure(radius_cells: float) -> np.ndarray:
@@ -76,21 +73,67 @@ def blocked_mask(
 
 
 def _snap_start(blocked: np.ndarray, start: tuple[int, int], window: int = 3) -> tuple[int, int] | None:
+    """The start if open, else the nearest open cell within ``window`` (ties: lowest row, col)."""
     r0, c0 = start
     if not blocked[r0, c0]:
         return start
-    best = None
-    best_key = None
     rows, cols = blocked.shape
-    for dr in range(-window, window + 1):
-        for dc in range(-window, window + 1):
-            r, c = r0 + dr, c0 + dc
-            if 0 <= r < rows and 0 <= c < cols and not blocked[r, c]:
-                key = (dr * dr + dc * dc, r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-    return best
+    span = range(-window, window + 1)
+    near = [(dr * dr + dc * dc, r0 + dr, c0 + dc) for dr in span for dc in span
+            if 0 <= r0 + dr < rows and 0 <= c0 + dc < cols and not blocked[r0 + dr, c0 + dc]]
+    return min(near)[1:] if near else None
+
+
+def _search(
+    blocked: np.ndarray,
+    start: tuple[int, int],
+    target: tuple[int, int] | None = None,
+) -> tuple[list[float], list[int]]:
+    """Flat ``dist`` (in cells) and ``parent`` lists over the grid padded by
+    one blocked cell, so a neighbor is one fixed offset away with no bounds
+    test.  A target makes it A* that stops when the target is popped.  Closed
+    cells still relax: under A* a rounding-level gain can move their parent."""
+    rows, cols = blocked.shape
+    width = cols + 2
+    is_open = (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
+    size = len(is_open)
+    if target is None:
+        goal, h = -1, [0.0] * size
+    else:
+        tr, tc = target[0] + 1, target[1] + 1
+        goal = tr * width + tc
+        rgap = np.abs(np.arange(rows + 2) - tr)[:, None]
+        cgap = np.abs(np.arange(width) - tc)
+        lo = np.minimum(rgap, cgap)
+        # octile (hi - lo) + lo * sqrt(2), in an array: A* reads too few cells for a list
+        h = array("d", (np.maximum(rgap, cgap) - lo + lo * SQRT2).tobytes())
+    steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
+    dist = [math.inf] * size
+    parent = [-1] * size
+    closed = [False] * size  # a list: CPython specialises list indexing, not bytearray
+    source = (start[0] + 1) * width + start[1] + 1
+    dist[source] = 0.0
+    counter = 0
+    heap = [(h[source], counter, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        _, _, i = pop(heap)
+        if i == goal:
+            break
+        if closed[i]:
+            continue
+        closed[i] = True
+        d = dist[i]
+        for offset, cost in steps:
+            j = i + offset
+            if is_open[j]:
+                nd = d + cost
+                if nd < dist[j]:
+                    dist[j] = nd
+                    parent[j] = i
+                    counter += 1
+                    push(heap, (nd + h[j], counter, j))
+    return dist, parent
 
 
 def plan_path(
@@ -116,51 +159,20 @@ def plan_path(
     if start == target:
         return GridPath([start], 0.0)
 
-    rows, cols = blocked.shape
-    tr, tc = target
-    g_score = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    counter = 0
-    h0 = _octile(start, target)
-    frontier: list[tuple[float, int, tuple[int, int]]] = [(h0, counter, start)]
-    closed = set()
-    while frontier:
-        f, _, cell = heapq.heappop(frontier)
-        if cell == target:
-            break
-        if cell in closed:
-            continue
-        closed.add(cell)
-        g = g_score[cell]
-        r, c = cell
-        for dr, dc, cost in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < rows and 0 <= nc < cols) or blocked[nr, nc]:
-                continue
-            ncell = (nr, nc)
-            ng = g + cost
-            if ncell not in g_score or ng < g_score[ncell]:
-                g_score[ncell] = ng
-                parent[ncell] = cell
-                counter += 1
-                heapq.heappush(frontier, (ng + _octile(ncell, target), counter, ncell))
-    if target not in g_score:
+    parent = _search(blocked, start, target)[1]
+    width = blocked.shape[1] + 2
+    i = parent[(target[0] + 1) * width + target[1] + 1]
+    if i < 0:
         return None
     cells = [target]
-    while cells[-1] != start:
-        cells.append(parent[cells[-1]])
-    cells.reverse()
-    path = GridPath(cells, 0.0)
+    while parent[i] >= 0:  # the start is the one reached cell without a parent
+        r, c = divmod(i, width)
+        cells.append((r - 1, c - 1))
+        i = parent[i]
+    path = GridPath([start, *reversed(cells)], 0.0)
     straight, diagonal = path.step_counts()
     path.length = (straight + diagonal * SQRT2) * grid.resolution
     return path
-
-
-def _octile(a: tuple[int, int], b: tuple[int, int]) -> float:
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    lo, hi = (dr, dc) if dr < dc else (dc, dr)
-    return (hi - lo) + lo * SQRT2
 
 
 def distance_field(
@@ -171,12 +183,8 @@ def distance_field(
 ) -> np.ndarray:
     """Dijkstra flood from start: meters to every cell, inf where unreachable.
 
-    Same costs and blocking rules as plan_path, so values match planned path
-    lengths; one flood prices every frontier candidate at once.  The flood
-    runs on flat Python lists over the grid padded by one blocked cell, so a
-    neighbor is one fixed offset away and needs no bounds test.  Pushes,
-    pops and the tie-breaking push counter follow a heap flood over
-    (row, col) cells, so the values are bit-identical to that flood.
+    The same search, costs and blocking rules as plan_path, so values match
+    planned path lengths; one flood prices every frontier candidate at once.
     """
     if blocked is None:
         blocked = blocked_mask(grid, robot_radius)
@@ -184,28 +192,8 @@ def distance_field(
     snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
     if snapped is None:
         return np.full((rows, cols), np.inf)
-    width = cols + 2
-    is_open = (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
-    steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
-    dist = [math.inf] * len(is_open)
-    source = (snapped[0] + 1) * width + snapped[1] + 1
-    dist[source] = 0.0
-    counter = 0
-    heap: list[tuple[float, int, int]] = [(0.0, counter, source)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, _, i = pop(heap)
-        if d > dist[i]:
-            continue
-        for offset, cost in steps:
-            j = i + offset
-            if is_open[j]:
-                nd = d + cost
-                if nd < dist[j]:
-                    dist[j] = nd
-                    counter += 1
-                    push(heap, (nd, counter, j))
-    field = np.array(dist).reshape(rows + 2, width)[1:-1, 1:-1]
+    dist = _search(blocked, snapped)[0]
+    field = np.fromiter(dist, float, len(dist)).reshape(rows + 2, cols + 2)[1:-1, 1:-1]
     return field * grid.resolution
 
 

@@ -315,6 +315,9 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ValueError(f"unsupported scenario schema {doc.get('schema')!r}")
+    for field in ("bounds", "robot_start", "goal"):
+        if field not in doc:
+            raise ValueError(f"scenario is missing required field {field!r}")
     rects = []
     segments = []
     for shape in doc.get("static_shapes", []):

@@ -62,6 +62,15 @@ class TrainConfig:
         return max(1, int(round(self.population * self.elite_fraction)))
 
 
+# The acceptance training pipeline: stage-1 experts, then stage-2 fusion, each
+# on ``training_scenarios(kind, PIPELINE_TASKS, PIPELINE_TASK_SEEDS[kind])``.
+PIPELINE_STAGE1 = TrainConfig(population=32, elite_fraction=0.2, noise_std=0.5, noise_decay=0.96,
+                              generations=24, episodes_per_eval=4, seed=11, episode_time_limit=12.0)
+PIPELINE_STAGE2 = replace(PIPELINE_STAGE1, population=28, noise_std=0.25, generations=16, episodes_per_eval=3, seed=12)
+PIPELINE_TASKS = 12
+PIPELINE_TASK_SEEDS = {"static": 3, "dynamic": 4, "families": 5}
+
+
 # ---------------------------------------------------------------------------
 # Parameter vector packing
 

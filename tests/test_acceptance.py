@@ -50,7 +50,15 @@ from navstack.rewards import (
 from navstack.scenarios import blind_alley, double_branch, training_scenarios
 from navstack.scripted import CompositePolicy, scripted_bundle
 from navstack.stack import StackConfig, run_episode
-from navstack.training import TrainConfig, cotrain_fusion, rollout_lower, train_expert
+from navstack.training import (
+    PIPELINE_STAGE1,
+    PIPELINE_STAGE2,
+    PIPELINE_TASK_SEEDS,
+    PIPELINE_TASKS,
+    cotrain_fusion,
+    rollout_lower,
+    train_expert,
+)
 from navstack.world import ACTION_HIGH, ACTION_LOW
 
 
@@ -67,13 +75,10 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def trained():
     obs_cfg = ObservationConfig()
     t0 = time.time()
-    cfg1 = TrainConfig(population=32, elite_fraction=0.2, noise_std=0.5, noise_decay=0.96,
-                       generations=24, episodes_per_eval=4, seed=11, episode_time_limit=12.0)
-    gs = train_expert("go-straight", training_scenarios("static", 12, 3), cfg1)
-    oa = train_expert("obstacle-avoidance", training_scenarios("dynamic", 12, 4), cfg1)
-    cfg2 = TrainConfig(population=28, elite_fraction=0.2, noise_std=0.25, noise_decay=0.96,
-                       generations=16, episodes_per_eval=3, seed=12, episode_time_limit=12.0)
-    bank, gating, critic = cotrain_fusion(gs, oa, training_scenarios("families", 12, 5), cfg2, obs_cfg)
+    tasks = {kind: training_scenarios(kind, PIPELINE_TASKS, seed) for kind, seed in PIPELINE_TASK_SEEDS.items()}
+    gs = train_expert("go-straight", tasks["static"], PIPELINE_STAGE1)
+    oa = train_expert("obstacle-avoidance", tasks["dynamic"], PIPELINE_STAGE1)
+    bank, gating, critic = cotrain_fusion(gs, oa, tasks["families"], PIPELINE_STAGE2, obs_cfg)
     return {
         "obs_cfg": obs_cfg,
         "gs": gs,

@@ -84,6 +84,23 @@ class TestSimulate:
         ])
         assert code == EXIT_EPISODE_FAILURE  # 2 s is not enough to escape
 
+    def test_failed_episode_prints_its_error(self, tmp_path, monkeypatch, capsys):
+        class Exploding:
+            def action(self, obs):
+                raise RuntimeError("policy exploded")
+
+        monkeypatch.setattr("navstack.scripted.scripted_bundle", lambda: Exploding())
+        code = main([
+            "simulate", "--scenario", "blind-alley", "--bundle", "scripted",
+            "--seed", "3", "--episodes", "2", "--out", str(tmp_path / "r"),
+        ])
+        assert code == EXIT_EPISODE_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line in err:
+            assert line.startswith("seed ")
+            assert line.endswith(": failed: RuntimeError: policy exploded")
+
 
 class TestTrain:
     def test_one_generation_checkpoint_loads(self, tmp_path):
@@ -190,3 +207,14 @@ class TestFrontierDebug:
 
 def test_unknown_scenario_is_usage_error(tmp_path):
     assert main(["simulate", "--scenario", "mars", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+
+
+def test_scenario_missing_field_is_usage_error(tmp_path, capsys):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario("blind-alley", 0))
+    del doc["bounds"]
+    path = tmp_path / "no-bounds.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "scenario is missing required field 'bounds'" in capsys.readouterr().err

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN
 from navstack.planning import (
     _NEIGHBORS,
     GridPath,
+    ROBOT_RADIUS,
     SQRT2,
     _snap_start,
     blocked_mask,
@@ -106,6 +107,103 @@ def dijkstra_oracle(blocked, start, target):
     return straight, diag
 
 
+def _octile(a, b):
+    dr = abs(a[0] - b[0])
+    dc = abs(a[1] - b[1])
+    lo, hi = (dr, dc) if dr < dc else (dc, dr)
+    return (hi - lo) + lo * SQRT2
+
+
+def plan_path_oracle(grid, start, target, robot_radius=ROBOT_RADIUS, blocked=None):
+    """Reference planner: A* over (row, col) tuples with g_score, parent and
+    closed containers and its own bounds test; plan_path must match its
+    cells and length exactly."""
+    if blocked is None:
+        blocked = blocked_mask(grid, robot_radius)
+    if not (grid.in_grid(start) and grid.in_grid(target)):
+        return None
+    snapped = _snap_start(blocked, start)
+    if snapped is None or blocked[target[0], target[1]]:
+        return None
+    start = snapped
+    if start == target:
+        return GridPath([start], 0.0)
+
+    rows, cols = blocked.shape
+    tr, tc = target
+    g_score = {start: 0.0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    counter = 0
+    h0 = _octile(start, target)
+    frontier: list[tuple[float, int, tuple[int, int]]] = [(h0, counter, start)]
+    closed = set()
+    while frontier:
+        f, _, cell = heapq.heappop(frontier)
+        if cell == target:
+            break
+        if cell in closed:
+            continue
+        closed.add(cell)
+        g = g_score[cell]
+        r, c = cell
+        for dr, dc, cost in _NEIGHBORS:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols) or blocked[nr, nc]:
+                continue
+            ncell = (nr, nc)
+            ng = g + cost
+            if ncell not in g_score or ng < g_score[ncell]:
+                g_score[ncell] = ng
+                parent[ncell] = cell
+                counter += 1
+                heapq.heappush(frontier, (ng + _octile(ncell, target), counter, ncell))
+    if target not in g_score:
+        return None
+    cells = [target]
+    while cells[-1] != start:
+        cells.append(parent[cells[-1]])
+    cells.reverse()
+    path = GridPath(cells, 0.0)
+    straight, diagonal = path.step_counts()
+    path.length = (straight + diagonal * SQRT2) * grid.resolution
+    return path
+
+
+def snap_start_oracle(blocked, start, window=3):
+    """Reference start snapping: scan the window, keep the smallest
+    (squared distance, row, col) key."""
+    r0, c0 = start
+    if not blocked[r0, c0]:
+        return start
+    best = None
+    best_key = None
+    rows, cols = blocked.shape
+    for dr in range(-window, window + 1):
+        for dc in range(-window, window + 1):
+            r, c = r0 + dr, c0 + dc
+            if 0 <= r < rows and 0 <= c < cols and not blocked[r, c]:
+                key = (dr * dr + dc * dc, r, c)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (r, c)
+    return best
+
+
+def random_blocked(seed, rows, cols, p_blocked):
+    return np.random.default_rng(seed).uniform(0, 1, (rows, cols)) < p_blocked
+
+
+def assert_plan_matches_oracle(grid, start, target, blocked):
+    path = plan_path(grid, start, target, blocked=blocked)
+    expected = plan_path_oracle(grid, start, target, blocked=blocked)
+    if expected is None:
+        assert path is None
+    else:
+        assert path.cells == expected.cells
+        assert path.length == expected.length
+    return path
+
+
 class TestPlanPath:
     def test_single_cell(self):
         g = grid_from_mask()
@@ -183,6 +281,83 @@ class TestPlanPath:
         assert max(abs(r - 5), abs(c - 5)) <= 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.floats(0.0, 0.6),
+    st.tuples(st.integers(0, 31), st.integers(0, 31)),
+    st.tuples(st.integers(0, 31), st.integers(0, 31)),
+)
+@example(0, 1, 1, 0.0, (1, 1), (1, 1))              # 1x1 grid, start == target
+@example(0, 1, 1, 1.0, (1, 1), (1, 1))              # 1x1 grid, blocked
+@example(1, 20, 20, 0.0, (1, 1), (20, 20))          # border corners, open grid
+@example(2, 20, 20, 0.0, (20, 1), (1, 20))
+@example(3, 15, 25, 0.3, (8, 13), (8, 13))          # start == target on a cluttered grid
+@example(4, 15, 25, 0.55, (1, 25), (15, 1))         # dense clutter: often unreachable
+@example(5, 10, 10, 0.2, (0, 4), (11, 4))           # start and target just outside the grid
+def test_plan_path_matches_oracle_on_random_grids(seed, rows, cols, p_blocked, start, target):
+    # coordinates map to -1..rows and -1..cols: mostly on the grid, sometimes just off it
+    start = (start[0] % (rows + 2) - 1, start[1] % (cols + 2) - 1)
+    target = (target[0] % (rows + 2) - 1, target[1] % (cols + 2) - 1)
+    g = grid_from_mask(rows=rows, cols=cols)
+    blocked = random_blocked(seed, rows, cols, p_blocked)
+    assert_plan_matches_oracle(g, start, target, blocked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.tuples(st.integers(0, 11), st.integers(0, 11)),
+)
+def test_snap_start_matches_oracle(seed, rows, cols, p_blocked, start):
+    blocked = random_blocked(seed, rows, cols, p_blocked)
+    start = (start[0] % rows, start[1] % cols)
+    assert _snap_start(blocked, start) == snap_start_oracle(blocked, start)
+
+
+class TestPlanPathOracleCases:
+    def test_blocked_target(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        blocked[12, 15] = True
+        assert assert_plan_matches_oracle(g, (2, 3), (12, 15), blocked) is None
+
+    def test_snapped_start(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        blocked[6:12, 6:12] = True  # nearest open cell is 3 away
+        path = assert_plan_matches_oracle(g, (8, 8), (17, 2), blocked)
+        assert path.cells[0] == (5, 8)
+
+    def test_unreachable_target(self):
+        g = grid_from_mask()
+        blocked = np.zeros((20, 20), dtype=bool)
+        blocked[:, 10] = True
+        assert assert_plan_matches_oracle(g, (5, 2), (5, 18), blocked) is None
+
+    def test_border_cells(self):
+        g = random_grid(4, rows=17, cols=23)
+        blocked = random_blocked(4, 17, 23, 0.2)
+        blocked[0, :] = blocked[-1, :] = blocked[:, 0] = blocked[:, -1] = False
+        corners = [(0, 0), (0, 22), (16, 22), (16, 0), (0, 11), (8, 0)]
+        for start in corners:
+            for target in corners:
+                assert assert_plan_matches_oracle(g, start, target, blocked) is not None
+
+    def test_random_grids_reach_far_targets(self):
+        for seed in range(20):
+            g = random_grid(seed, rows=40, cols=40, p_occ=0.1)
+            blocked = blocked_mask(g, 0.12)
+            free = [tuple(rc) for rc in np.argwhere(~blocked)]
+            assert_plan_matches_oracle(g, free[0], free[-1], blocked)
+            assert_plan_matches_oracle(g, free[-1], free[len(free) // 2], blocked)
+
+
 def distance_field_oracle(grid, start, blocked):
     """Reference flood: heap Dijkstra over (row, col) cells with bounds
     tests and numpy indexing; distance_field must match it bit for bit."""
@@ -218,20 +393,26 @@ def assert_field_matches_oracle(grid, start, blocked):
 
 
 class TestDistanceField:
-    def test_matches_plan_lengths(self):
-        g = random_grid(9, rows=30, cols=30, p_occ=0.12)
-        blocked = blocked_mask(g, 0.12)
-        free = np.argwhere(~blocked)
-        start = tuple(free[0])
-        field = distance_field(g, start, robot_radius=0.12)
-        rng = np.random.default_rng(0)
-        for idx in rng.choice(len(free), size=15, replace=False):
-            target = tuple(free[idx])
-            p = plan_path(g, start, target, robot_radius=0.12)
-            if p is None:
-                assert np.isinf(field[target])
-            else:
-                assert field[target] == pytest.approx(p.length, abs=1e-9)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.floats(0.0, 0.6),
+        st.tuples(st.integers(0, 29), st.integers(0, 29)),
+        st.tuples(st.integers(0, 29), st.integers(0, 29)),
+    )
+    def test_matches_plan_lengths(self, seed, rows, cols, p_blocked, start, target):
+        g = grid_from_mask(rows=rows, cols=cols)
+        blocked = random_blocked(seed, rows, cols, p_blocked)
+        start = (start[0] % rows, start[1] % cols)
+        target = (target[0] % rows, target[1] % cols)
+        field = distance_field(g, start, blocked=blocked)
+        p = plan_path(g, start, target, blocked=blocked)
+        if p is None:
+            assert np.isinf(field[target])
+        else:
+            assert field[target] == pytest.approx(p.length, abs=1e-9)
 
     def test_unreachable_is_inf(self):
         g = grid_from_mask()
