@@ -2,9 +2,10 @@
 """Benchmark a policy across the four scenario families.
 
 Runs the full hierarchical stack on blind-alley / double-branch / rooms /
-square, aggregates the five metrics per family (mean + 95% bootstrap CI on
-rates), and writes one CSV row per episode.  Works with the scripted
-fallback ("--bundle scripted") or any trained fusion bundle.
+square and prints one line per family: the success, crash and timeout rates
+and the mean arriving time (successful episodes only), ARSPS and ANSPS.
+Writes one CSV row per episode.  Works with the scripted fallback
+("--bundle scripted") or any trained fusion bundle.
 """
 
 import argparse

@@ -112,10 +112,15 @@ class MlpParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w0, self.b0, self.w1, self.b1, self.w2, self.b2)
 
+    @staticmethod
+    def shapes(sizes: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
+        """The six array shapes for ``sizes`` = (x, h1, h2, y), in ``arrays()`` order."""
+        x, h1, h2, y = sizes
+        return ((x, h1), (h1,), (h1, h2), (h2,), (h2, y), (y,))
+
     @classmethod
     def zeros(cls, x: int, h1: int, h2: int, y: int) -> "MlpParams":
-        return cls(np.zeros((x, h1)), np.zeros(h1), np.zeros((h1, h2)), np.zeros(h2),
-                   np.zeros((h2, y)), np.zeros(y))
+        return cls(*(np.zeros(shape) for shape in cls.shapes((x, h1, h2, y))))
 
     @classmethod
     def random(cls, x: int, h1: int, h2: int, y: int, rng: np.random.Generator,
@@ -150,9 +155,7 @@ class MlpParams:
         )
 
     def validate(self) -> None:
-        x, h1, h2, y = self.sizes
-        expect = ((x, h1), (h1,), (h1, h2), (h2,), (h2, y), (y,))
-        for a, shape in zip(self.arrays(), expect):
+        for a, shape in zip(self.arrays(), self.shapes(self.sizes)):
             if a.shape != shape:
                 raise ValueError(f"inconsistent parameter shapes: {a.shape} != {shape}")
             if not np.all(np.isfinite(a)):
@@ -234,12 +237,14 @@ def fuse(bank: ExpertBank, alpha) -> MlpParams:
 
 
 def scale_to_limits(raw: np.ndarray) -> np.ndarray:
-    """Map raw network outputs through tanh onto the command limits."""
-    return ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * (ACTION_HIGH - ACTION_LOW)
+    """Map raw network outputs through tanh onto the command limits; the
+    clip keeps rounding from stepping past them."""
+    scaled = ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * (ACTION_HIGH - ACTION_LOW)
+    return np.clip(scaled, ACTION_LOW, ACTION_HIGH)
 
 
 def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:
-    return np.clip(scale_to_limits(forward(fuse(bank, alpha), obs)), ACTION_LOW, ACTION_HIGH)
+    return scale_to_limits(forward(fuse(bank, alpha), obs))
 
 
 def act(bank: ExpertBank, gating: GatingParams, obs) -> np.ndarray:
@@ -305,28 +310,22 @@ class SingleExpertPolicy:
     params: MlpParams
 
     def action(self, obs) -> np.ndarray:
-        return np.clip(scale_to_limits(forward(self.params, obs)), ACTION_LOW, ACTION_HIGH)
+        return scale_to_limits(forward(self.params, obs))
+
+
+_MLP_KEYS = ("w0", "b0", "w1", "b1", "w2", "b2")  # arrays() order
 
 
 def _mlp_to_dict(p: MlpParams) -> dict:
-    return {
-        "sizes": list(p.sizes),
-        "w0": p.w0.reshape(-1).tolist(), "b0": p.b0.tolist(),
-        "w1": p.w1.reshape(-1).tolist(), "b1": p.b1.tolist(),
-        "w2": p.w2.reshape(-1).tolist(), "b2": p.b2.tolist(),
-    }
+    doc = {key: a.reshape(-1).tolist() for key, a in zip(_MLP_KEYS, p.arrays())}
+    doc["sizes"] = list(p.sizes)
+    return doc
 
 
 def _mlp_from_dict(doc: dict) -> MlpParams:
-    x, h1, h2, y = doc["sizes"]
-    p = MlpParams(
-        np.array(doc["w0"], dtype=float).reshape(x, h1),
-        np.array(doc["b0"], dtype=float),
-        np.array(doc["w1"], dtype=float).reshape(h1, h2),
-        np.array(doc["b1"], dtype=float),
-        np.array(doc["w2"], dtype=float).reshape(h2, y),
-        np.array(doc["b2"], dtype=float),
-    )
+    shapes = MlpParams.shapes(tuple(doc["sizes"]))
+    p = MlpParams(*(np.array(doc[key], dtype=float).reshape(shape)
+                    for key, shape in zip(_MLP_KEYS, shapes)))
     p.validate()
     return p
 

@@ -16,22 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import rect_edges
 from .mapping import OccupancyGrid, P_MAX, P_MIN
 from .planning import plan_path
 from .world import MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec
 
 SCENARIO_SCHEMA = 1
 BUILTIN_NAMES = ("blind-alley", "double-branch", "rooms", "square")
-
-
-def _perimeter(bounds) -> tuple[tuple[float, float, float, float], ...]:
-    x0, y0, x1, y1 = bounds
-    return (
-        (x0, y0, x1, y0),
-        (x1, y0, x1, y1),
-        (x1, y1, x0, y1),
-        (x0, y1, x0, y0),
-    )
 
 
 def blind_alley(seed: int = 0) -> ScenarioSpec:
@@ -41,7 +32,7 @@ def blind_alley(seed: int = 0) -> ScenarioSpec:
     bounds = (0.0, 0.0, 10.0, 8.0)
     # Wall coordinates sit on cell centers (x.x5 at 0.1 m resolution) so that
     # lidar hits from either side rasterize into the same occupied row.
-    walls = _perimeter(bounds) + (
+    walls = tuple(rect_edges(bounds)) + (
         (3.05, 4.95, 6.95, 4.95),   # alley top
         (3.05, 3.05, 6.95, 3.05),   # alley bottom
         (6.95, 3.05, 6.95, 4.95),   # closed end
@@ -72,7 +63,7 @@ def double_branch(seed: int = 0) -> ScenarioSpec:
     bounds = (0.0, 0.0, 12.0, 10.0)
     # Geometry is mirror-symmetric about x = 6 and wall coordinates sit on
     # cell centers; only the obstacle populations differ between branches.
-    walls = _perimeter(bounds) + (
+    walls = tuple(rect_edges(bounds)) + (
         (4.85, 0.0, 4.85, 3.05),     # entry corridor
         (7.15, 0.0, 7.15, 3.05),
         (2.25, 3.05, 4.85, 3.05),    # junction shelf, left
@@ -109,7 +100,7 @@ def rooms(seed: int = 0) -> ScenarioSpec:
         gap_y = rng.uniform(1.5, 7.0)
         wy = rng.uniform(3.0, 7.0)
         gap_x = rng.uniform(1.5, 7.0)
-        walls = _perimeter(bounds) + (
+        walls = tuple(rect_edges(bounds)) + (
             (wx, 0.0, wx, gap_y),
             (wx, gap_y + 1.6, wx, 10.0),
             (0.0, wy, gap_x, wy),
@@ -147,7 +138,7 @@ def square(seed: int = 0) -> ScenarioSpec:
     spec = ScenarioSpec(
         name="square",
         bounds=bounds,
-        static_segments=_perimeter(bounds),
+        static_segments=tuple(rect_edges(bounds)),
         obstacles=tuple(
             ObstacleSpec(radius=0.3, max_speed=2.0 * MAX_FORWARD_SPEED)
             for _ in range(8)
@@ -260,7 +251,7 @@ def _task_box(seed: int, obstacles: tuple[ObstacleSpec, ...], blocks: int, name:
             name=name,
             bounds=bounds,
             static_rects=rects,
-            static_segments=_perimeter(bounds),
+            static_segments=tuple(rect_edges(bounds)),
             obstacles=obstacles,
             robot_start=(0.0, 0.0, 0.0),
             goal=(0.0, 0.0),
@@ -312,36 +303,44 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     }
 
 
+def _require(doc: dict, owner: str, *fields: str) -> None:
+    for field in fields:
+        if field not in doc:
+            raise ValueError(f"{owner} is missing required field {field!r}")
+
+
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ValueError(f"unsupported scenario schema {doc.get('schema')!r}")
-    for field in ("bounds", "robot_start", "goal"):
-        if field not in doc:
-            raise ValueError(f"scenario is missing required field {field!r}")
+    _require(doc, "scenario", "bounds", "robot_start", "goal")
     rects = []
     segments = []
-    for shape in doc.get("static_shapes", []):
+    for i, shape in enumerate(doc.get("static_shapes", [])):
+        owner = f"static shape {i}"
+        _require(shape, owner, "type")
         if shape["type"] == "rect":
+            _require(shape, owner, "rect")
             rects.append(tuple(float(v) for v in shape["rect"]))
         elif shape["type"] == "segment":
+            _require(shape, owner, "a", "b")
             segments.append((*map(float, shape["a"]), *map(float, shape["b"])))
         else:
             raise ValueError(f"unknown static shape type {shape['type']!r}")
-    obstacles = tuple(
-        ObstacleSpec(
+    obstacles = []
+    for i, o in enumerate(doc.get("obstacles", [])):
+        _require(o, f"obstacle {i}", "radius", "max_speed")
+        obstacles.append(ObstacleSpec(
             radius=float(o["radius"]),
             max_speed=float(o["max_speed"]),
             resample_prob=float(o.get("resample_prob", 0.05)),
             region=tuple(o["region"]) if o.get("region") is not None else None,
-        )
-        for o in doc.get("obstacles", [])
-    )
+        ))
     return ScenarioSpec(
         name=doc.get("name", "custom"),
         bounds=tuple(float(v) for v in doc["bounds"]),
         static_rects=tuple(rects),
         static_segments=tuple(segments),
-        obstacles=obstacles,
+        obstacles=tuple(obstacles),
         robot_start=tuple(float(v) for v in doc["robot_start"]),
         goal=tuple(float(v) for v in doc["goal"]),
         robot_radius=float(doc.get("robot_radius", ROBOT_RADIUS)),

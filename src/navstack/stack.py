@@ -29,6 +29,7 @@ from .exploration import (
 )
 from .fileio import json_text
 from .mapping import (
+    DEFAULT_RESOLUTION,
     CellClass,
     OccupancyGrid,
     classify,
@@ -50,10 +51,8 @@ class StackConfig:
     control_hz: float = 30.0
     plan_hz: float = 1.0
     explore_hz: float = 0.2
-    arrival_radius: float = 0.3
     timeout: float = 90.0
     mode: str = "full"
-    resolution: float = 0.1
     gamma: float = 1.0
     entropy_trigger: float = 0.10
     candidate_cap: int = 64
@@ -111,7 +110,7 @@ def run_episode(
     plan_period = max(1, int(round(config.control_hz / config.plan_hz)))
     explore_period = max(1, int(round(config.control_hz / config.explore_hz)))
 
-    grid = OccupancyGrid.for_bounds(spec.bounds, config.resolution)
+    grid = OccupancyGrid.for_bounds(spec.bounds, DEFAULT_RESOLUTION)
     explore_cfg = ExplorationConfig(
         config.gamma, config.entropy_trigger, config.candidate_cap, config.min_cluster_size
     )
@@ -152,7 +151,7 @@ def run_episode(
                 path = None
 
                 decision = should_reselect(
-                    exp_state, snapshot, goal, pose, explore_cfg, config.arrival_radius, frontier
+                    exp_state, snapshot, goal, pose, explore_cfg, sim.ARRIVAL_RADIUS, frontier
                 )
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
@@ -227,7 +226,7 @@ def run_episode(
                 }
                 trace_file.write(json_text(row) + "\n")
 
-            _, event = sim.step(world, action, dt, config.arrival_radius)
+            _, event = sim.step(world, action, dt, sim.ARRIVAL_RADIUS)
             if event == "collision":
                 outcome = "crash"
                 break

@@ -72,34 +72,36 @@ PIPELINE_TASK_SEEDS = {"static": 3, "dynamic": 4, "families": 5}
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector packing
+# Parameter vectors.  A layout is a sequence of MLP ``sizes``; its vector holds
+# the networks back to back, each as its arrays in ``MlpParams.arrays()`` order.
 
 
-def flatten_mlp(p: MlpParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in p.arrays()])
+def pack(mlps) -> np.ndarray:
+    """Flatten networks into one vector."""
+    return np.concatenate([a.reshape(-1) for p in mlps for a in p.arrays()])
 
 
-def mlp_scale_vector(sizes: tuple[int, int, int, int], input_scales: np.ndarray) -> np.ndarray:
+def unpack(vec: np.ndarray, layout) -> list[MlpParams]:
+    """The networks of ``layout`` from a packed vector.  Every array is a
+    copy, so a network can be changed in place without touching ``vec``."""
+    mlps = []
+    off = 0
+    for sizes in layout:
+        arrays = []
+        for shape in MlpParams.shapes(sizes):
+            n = math.prod(shape)
+            arrays.append(vec[off:off + n].reshape(shape).copy())
+            off += n
+        mlps.append(MlpParams(*arrays))
+    if off != len(vec):
+        raise ValueError(f"vector of length {len(vec)} does not match a layout of {off} parameters")
+    return mlps
+
+
+def scale_vector(layout, input_scales: np.ndarray) -> np.ndarray:
     """Per-parameter perturbation unit: the init std of each entry, so CEM
     noise stays proportionate across layers and feature magnitudes."""
-    return np.concatenate([a.reshape(-1) for a in MlpParams.init_stds(sizes, input_scales)])
-
-
-def unflatten_mlp(vec: np.ndarray, sizes: tuple[int, int, int, int]) -> MlpParams:
-    x, h1, h2, y = sizes
-    shapes = ((x, h1), (h1,), (h1, h2), (h2,), (h2, y), (y,))
-    arrays = []
-    off = 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        arrays.append(vec[off:off + n].reshape(shape).copy())
-        off += n
-    return MlpParams(*arrays)
-
-
-def mlp_size(sizes: tuple[int, int, int, int]) -> int:
-    x, h1, h2, y = sizes
-    return x * h1 + h1 + h1 * h2 + h2 + h2 * y + y
+    return pack(MlpParams(*MlpParams.init_stds(sizes, input_scales)) for sizes in layout)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,16 @@ def train_expert(
     """
     profile = PROFILES[profile_name]
     sizes = (obs_config.dim, HIDDEN[0], HIDDEN[1], 3)
+    layout = [sizes]
     master = np.random.Generator(np.random.PCG64(config.seed))
-    mean = flatten_mlp(MlpParams.random(*sizes, rng=master, input_scales=obs_config.feature_scales()))
+    mean = pack([MlpParams.random(*sizes, rng=master, input_scales=obs_config.feature_scales())])
     if config.generations == 0:
-        return unflatten_mlp(mean, sizes)
+        return unpack(mean, layout)[0]
 
     def make_policy(vec: np.ndarray) -> SingleExpertPolicy:
-        return SingleExpertPolicy(obs_config, unflatten_mlp(vec, sizes))
+        return SingleExpertPolicy(obs_config, unpack(vec, layout)[0])
 
-    scales = mlp_scale_vector(sizes, obs_config.feature_scales())
+    scales = scale_vector(layout, obs_config.feature_scales())
     best_vec, best_ret, init_ret, _ = _cem(
         mean,
         scales,
@@ -204,7 +207,7 @@ def train_expert(
             f"({best_ret:.3f} <= {init_ret:.3f})"
         )
     _require_beats_zero(make_policy(best_vec), sizes, scenario_set, profile, obs_config, config)
-    return unflatten_mlp(best_vec, sizes)
+    return unpack(best_vec, layout)[0]
 
 
 def _require_beats_zero(policy, sizes, scenario_set, profile, obs_config, config) -> None:
@@ -275,71 +278,35 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
 # Stage 2: bank + gating + critic co-training
 
 
-@dataclass
-class _FusionLayout:
-    expert_sizes: tuple[int, int, int, int]
-    gating_sizes: tuple[int, int, int, int]
-    critic_sizes: tuple[int, int, int, int]
-
-    @property
-    def expert_len(self) -> int:
-        return mlp_size(self.expert_sizes)
-
-    def split(self, vec: np.ndarray) -> tuple[ExpertBank, GatingParams, CriticParams]:
-        off = 0
-        experts = []
-        for _ in range(NUM_EXPERTS):
-            experts.append(unflatten_mlp(vec[off:off + self.expert_len], self.expert_sizes))
-            off += self.expert_len
-        g_len = mlp_size(self.gating_sizes)
-        gating = GatingParams(unflatten_mlp(vec[off:off + g_len], self.gating_sizes))
-        off += g_len
-        c_len = mlp_size(self.critic_sizes)
-        critic = CriticParams(unflatten_mlp(vec[off:off + c_len], self.critic_sizes))
-        return ExpertBank(tuple(experts)), gating, critic
-
-    def join(self, bank: ExpertBank, gating: GatingParams, critic: CriticParams) -> np.ndarray:
-        parts = [flatten_mlp(e) for e in bank.experts]
-        parts.append(flatten_mlp(gating.params))
-        parts.append(flatten_mlp(critic.params))
-        return np.concatenate(parts)
-
-    def scale_vector(self, input_scales: np.ndarray) -> np.ndarray:
-        expert = mlp_scale_vector(self.expert_sizes, input_scales)
-        return np.concatenate(
-            [expert] * NUM_EXPERTS
-            + [mlp_scale_vector(self.gating_sizes, input_scales)]
-            + [mlp_scale_vector(self.critic_sizes, input_scales)]
-        )
-
-
 def init_fusion_vector(
     expert_a: MlpParams,
     expert_b: MlpParams,
     obs_config: ObservationConfig,
     seed: int,
-) -> tuple[np.ndarray, _FusionLayout]:
-    """Stage-2 start: bank [a, b, a, b], small random gating, random critic."""
+) -> tuple[np.ndarray, list]:
+    """Stage-2 start: bank [a, b, a, b], small random gating, random critic.
+    Returns the vector and its layout: four experts, then gating, then critic."""
     if expert_a.sizes != expert_b.sizes:
         raise ValueError("experts must share one shape")
-    layout = _FusionLayout(
-        expert_sizes=expert_a.sizes,
-        gating_sizes=(obs_config.dim, HIDDEN[0], HIDDEN[1], NUM_EXPERTS),
-        critic_sizes=(obs_config.dim, HIDDEN[0], HIDDEN[1], 1),
-    )
+    gating_sizes = (obs_config.dim, HIDDEN[0], HIDDEN[1], NUM_EXPERTS)
+    critic_sizes = (obs_config.dim, HIDDEN[0], HIDDEN[1], 1)
+    layout = [expert_a.sizes] * NUM_EXPERTS + [gating_sizes, critic_sizes]
     rng = np.random.Generator(np.random.PCG64(seed))
     scales = obs_config.feature_scales()
-    gating = GatingParams(MlpParams.random(*layout.gating_sizes, rng=rng, input_scales=scales))
-    gating.params.w2 *= 0.1  # start near-uniform so the bank average acts first
-    critic = CriticParams(MlpParams.random(*layout.critic_sizes, rng=rng, input_scales=scales))
-    bank = ExpertBank((expert_a.copy(), expert_b.copy(), expert_a.copy(), expert_b.copy()))
-    return layout.join(bank, gating, critic), layout
+    gating = MlpParams.random(*gating_sizes, rng=rng, input_scales=scales)
+    gating.w2 *= 0.1  # start near-uniform so the bank average acts first
+    critic = MlpParams.random(*critic_sizes, rng=rng, input_scales=scales)
+    return pack([expert_a, expert_b, expert_a, expert_b, gating, critic]), layout
 
 
-def _refit_critic_head(critic: CriticParams, obs_matrix: np.ndarray, targets: np.ndarray,
+def _fusion_parts(vec: np.ndarray, layout) -> tuple[ExpertBank, GatingParams, CriticParams]:
+    *experts, gating, critic = unpack(vec, layout)
+    return ExpertBank(tuple(experts)), GatingParams(gating), CriticParams(critic)
+
+
+def _refit_critic_head(p: MlpParams, obs_matrix: np.ndarray, targets: np.ndarray,
                        ridge: float = 1.0) -> None:
-    """Ridge-fit the critic's linear output layer on hidden features."""
-    p = critic.params
+    """Ridge-fit the critic network's linear output layer on hidden features."""
     h = np.tanh(obs_matrix @ p.w0 + p.b0)
     h = np.tanh(h @ p.w1 + p.b1)
     phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
@@ -373,11 +340,10 @@ def cotrain_fusion(
     master = np.random.Generator(np.random.PCG64(config.seed))
     mean, layout = init_fusion_vector(expert_a, expert_b, obs_config, config.seed)
     if config.generations == 0:
-        return layout.split(mean)
+        return _fusion_parts(mean, layout)
 
     def make_policy(vec: np.ndarray) -> PolicyBundle:
-        bank, gating, critic = layout.split(vec)
-        return PolicyBundle(obs_config, bank, gating, critic)
+        return PolicyBundle(obs_config, *_fusion_parts(vec, layout))
 
     buffer_obs: list[np.ndarray] = []
     buffer_g: list[np.ndarray] = []
@@ -394,12 +360,12 @@ def cotrain_fusion(
                 buffer_obs.append(obs_m)
                 buffer_g.append(_discounted_returns(rews))
         if buffer_obs:
-            bank_m, gating_m, critic_m = layout.split(mean)
-            _refit_critic_head(critic_m, np.concatenate(buffer_obs)[-40000:], np.concatenate(buffer_g)[-40000:])
-            mean = layout.join(bank_m, gating_m, critic_m)
+            mlps = unpack(mean, layout)  # the critic is last
+            _refit_critic_head(mlps[-1], np.concatenate(buffer_obs)[-40000:], np.concatenate(buffer_g)[-40000:])
+            mean = pack(mlps)
         return mean
 
-    scales = layout.scale_vector(obs_config.feature_scales())
+    scales = scale_vector(layout, obs_config.feature_scales())
     best_vec, best_ret, init_ret, mean = _cem(
         mean, scales, make_policy, scenario_mix, profile, obs_config, config, master, on_generation,
         _after_update=refit_critic,
@@ -408,8 +374,8 @@ def cotrain_fusion(
         raise TrainingError(
             f"fusion co-training did not improve ({best_ret:.3f} <= {init_ret:.3f})"
         )
-    bank, gating, _ = layout.split(best_vec)
-    _, _, critic = layout.split(mean)  # carries the latest regression fit
+    bank, gating, _ = _fusion_parts(best_vec, layout)
+    _, _, critic = _fusion_parts(mean, layout)  # carries the latest regression fit
     return bank, gating, critic
 
 

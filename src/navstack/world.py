@@ -85,10 +85,6 @@ class WorldState:
         if self.segments is None:
             self.segments = static_segment_array(self.spec)
 
-    @property
-    def obstacle_radii(self) -> np.ndarray:
-        return np.array([o.radius for o in self.spec.obstacles])
-
     def copy(self) -> "WorldState":
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.rng.bit_generator.state

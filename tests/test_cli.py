@@ -218,3 +218,33 @@ def test_scenario_missing_field_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert "scenario is missing required field 'bounds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, field, message", [
+    ("obstacles", "radius", "obstacle 0 is missing required field 'radius'"),
+    ("obstacles", "max_speed", "obstacle 0 is missing required field 'max_speed'"),
+    ("static_shapes", "type", "static shape 0 is missing required field 'type'"),
+    ("static_shapes", "a", "static shape 0 is missing required field 'a'"),
+    ("static_shapes", "b", "static shape 0 is missing required field 'b'"),
+])
+def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, field, message):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario("blind-alley", 0))
+    del doc[where][0][field]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_rect_without_rect_field_names_it(tmp_path, capsys):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario("rooms", 0))
+    index = next(i for i, shape in enumerate(doc["static_shapes"]) if shape["type"] == "rect")
+    del doc["static_shapes"][index]["rect"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert f"static shape {index} is missing required field 'rect'" in capsys.readouterr().err

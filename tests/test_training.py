@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navstack.policy import (
     MlpParams,
@@ -16,11 +18,12 @@ from navstack.training import (
     _require_beats_zero,
     cotrain_fusion,
     evaluate,
-    flatten_mlp,
     init_fusion_vector,
+    pack,
     rollout_lower,
+    scale_vector,
     train_expert,
-    unflatten_mlp,
+    unpack,
 )
 from navstack.scripted import ScriptedGoStraight
 from navstack.world import ScenarioSpec
@@ -48,9 +51,41 @@ class TestPacking:
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(0)
         p = MlpParams.random(13, 6, 5, 3, rng)
-        q = unflatten_mlp(flatten_mlp(p), (13, 6, 5, 3))
+        (q,) = unpack(pack([p]), [(13, 6, 5, 3)])
         for a, b in zip(p.arrays(), q.arrays()):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(st.tuples(*[st.integers(1, 5)] * 4), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_random_layouts(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        mlps = [MlpParams.random(*sizes, rng=rng) for sizes in layout]
+        vec = pack(mlps)
+        assert vec.shape == (sum(sum(a.size for a in p.arrays()) for p in mlps),)
+        back = unpack(vec, layout)
+        assert [q.sizes for q in back] == layout
+        for p, q in zip(mlps, back):
+            for a, b in zip(p.arrays(), q.arrays()):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(b, vec)
+        assert np.array_equal(pack(back), vec)
+
+    def test_unpack_rejects_a_vector_of_another_length(self):
+        vec = pack([MlpParams.zeros(3, 2, 2, 1)])
+        with pytest.raises(ValueError):
+            unpack(vec, [(3, 2, 2, 2)])  # too short: a slice cannot take its shape
+        with pytest.raises(ValueError, match="does not match"):
+            unpack(np.append(vec, 0.0), [(3, 2, 2, 1)])
+
+    def test_scale_vector_is_concatenated_init_stds(self):
+        layout = [(OBS8.dim, 6, 5, 3), (OBS8.dim, 6, 5, 4), (OBS8.dim, 4, 3, 1)]
+        scales = OBS8.feature_scales()
+        expected = np.concatenate([a.reshape(-1) for sizes in layout for a in MlpParams.init_stds(sizes, scales)])
+        assert np.array_equal(scale_vector(layout, scales), expected)
 
     def test_discounted_returns(self):
         g = _discounted_returns(np.array([1.0, 0.0, 2.0]))
@@ -142,8 +177,25 @@ class TestCotrain:
     def test_fusion_vector_layout_round_trip(self):
         a, b = self._experts()
         vec, layout = init_fusion_vector(a, b, OBS8, seed=1)
-        bank, gating, critic = layout.split(vec)
-        assert np.array_equal(layout.join(bank, gating, critic), vec)
+        assert np.array_equal(pack(unpack(vec, layout)), vec)
+
+    def test_fusion_vector_is_bank_then_gating_then_critic(self):
+        a, b = self._experts()
+        vec, layout = init_fusion_vector(a, b, OBS8, seed=1)
+        assert layout == [a.sizes] * 4 + [(OBS8.dim, 64, 64, 4), (OBS8.dim, 64, 64, 1)]
+        *experts, gating, critic = unpack(vec, layout)
+        rng = np.random.Generator(np.random.PCG64(1))
+        scales = OBS8.feature_scales()
+        want_gating = MlpParams.random(OBS8.dim, 64, 64, 4, rng=rng, input_scales=scales)
+        want_gating.w2 *= 0.1
+        want_critic = MlpParams.random(OBS8.dim, 64, 64, 1, rng=rng, input_scales=scales)
+        for got, want in zip([*experts, gating, critic], [a, b, a, b, want_gating, want_critic]):
+            for x, y in zip(got.arrays(), want.arrays()):
+                assert np.array_equal(x, y)
+        # documented order: experts a, b, a, b, then gating, then critic; each w0, b0, w1, b1, w2, b2
+        nets = (a, b, a, b, want_gating, want_critic)
+        explicit = np.concatenate([arr.reshape(-1) for n in nets for arr in (n.w0, n.b0, n.w1, n.b1, n.w2, n.b2)])
+        assert np.array_equal(vec, explicit)
 
 
 class TestDeterminism:
