@@ -20,6 +20,7 @@ from scipy.ndimage import label
 
 from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
 from .planning import distance_field
+from .world import ARRIVAL_RADIUS
 
 _ENTROPY_EPS = 1e-12
 
@@ -146,7 +147,6 @@ def should_reselect(
     goal: tuple[float, float],
     current_pose,
     config: ExplorationConfig = ExplorationConfig(),
-    arrival_radius: float = 0.3,
     frontier: np.ndarray | None = None,
 ) -> str:
     """One of "no", "reselect", "goal_now_known".
@@ -171,7 +171,7 @@ def should_reselect(
             return "reselect"
 
     px, py = grid.cell_center(state.current_point)
-    if math.hypot(current_pose[0] - px, current_pose[1] - py) < arrival_radius:
+    if math.hypot(current_pose[0] - px, current_pose[1] - py) < ARRIVAL_RADIUS:
         return "reselect"
 
     cell = state.current_point

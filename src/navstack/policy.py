@@ -179,7 +179,8 @@ class ExpertBank:
     """Exactly four expert parameter sets with identical shapes."""
 
     experts: tuple[MlpParams, ...]
-    _stacks: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    _terms: tuple[tuple[np.ndarray, tuple[int, ...]], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.experts) != NUM_EXPERTS:
@@ -189,13 +190,17 @@ class ExpertBank:
             if e.sizes != sizes:
                 raise ValueError("experts must share one shape to be fused")
 
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        # (4, ...) tensors, one per parameter array, cached for fusion speed
-        if self._stacks is None:
-            self._stacks = tuple(
-                np.stack([e.arrays()[i] for e in self.experts]) for i in range(6)
+    def fusion_terms(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """One (matrix, shape) pair per parameter array, in ``arrays()``
+        order: row k of the (4, n) matrix is expert k's array, flattened.
+        Cached, since ``fuse`` runs every control tick."""
+        if self._terms is None:
+            shapes = MlpParams.shapes(self.experts[0].sizes)
+            self._terms = tuple(
+                (np.stack([e.arrays()[i] for e in self.experts]).reshape(NUM_EXPERTS, -1), shape)
+                for i, shape in enumerate(shapes)
             )
-        return self._stacks
+        return self._terms
 
 
 @dataclass
@@ -232,8 +237,11 @@ def fuse(bank: ExpertBank, alpha) -> MlpParams:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (NUM_EXPERTS,):
         raise ValueError("alpha must have one weight per expert")
-    fused = tuple(np.tensordot(alpha, stack, axes=1) for stack in bank.stacks())
-    return MlpParams(*fused)
+    # One (1, 4) @ (4, n) product per array: the very dot call that
+    # np.tensordot(alpha, stack, axes=1) makes, so the bits match it.  A
+    # single product over all arrays concatenated would change b2's bits.
+    row = alpha.reshape(1, NUM_EXPERTS)
+    return MlpParams(*(np.dot(row, m).reshape(shape) for m, shape in bank.fusion_terms()))
 
 
 def scale_to_limits(raw: np.ndarray) -> np.ndarray:
@@ -250,7 +258,8 @@ def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:
 def act(bank: ExpertBank, gating: GatingParams, obs) -> np.ndarray:
     """Fused action (v_x, v_y, omega_z), deterministic and always within
     the command limits."""
-    return act_with_alpha(bank, gate(gating, obs), obs)
+    x = _vec(obs)  # one feature vector for the gate and the fused network
+    return act_with_alpha(bank, gate(gating, x), x)
 
 
 def critic_value(critic: CriticParams, obs) -> float:

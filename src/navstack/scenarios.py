@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,6 +310,16 @@ def _require(doc: dict, owner: str, *fields: str) -> None:
             raise ValueError(f"{owner} is missing required field {field!r}")
 
 
+def _numbers(doc: dict, owner: str, field: str, count: int) -> tuple[float, ...]:
+    """``doc[field]`` as ``count`` floats; a ValueError naming the field and
+    its owner otherwise."""
+    value = doc[field]
+    if not (isinstance(value, (list, tuple)) and len(value) == count
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{owner} field {field!r} must hold {count} numbers")
+    return tuple(float(v) for v in value)
+
+
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ValueError(f"unsupported scenario schema {doc.get('schema')!r}")
@@ -320,29 +331,30 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         _require(shape, owner, "type")
         if shape["type"] == "rect":
             _require(shape, owner, "rect")
-            rects.append(tuple(float(v) for v in shape["rect"]))
+            rects.append(_numbers(shape, owner, "rect", 4))
         elif shape["type"] == "segment":
             _require(shape, owner, "a", "b")
-            segments.append((*map(float, shape["a"]), *map(float, shape["b"])))
+            segments.append(_numbers(shape, owner, "a", 2) + _numbers(shape, owner, "b", 2))
         else:
             raise ValueError(f"unknown static shape type {shape['type']!r}")
     obstacles = []
     for i, o in enumerate(doc.get("obstacles", [])):
-        _require(o, f"obstacle {i}", "radius", "max_speed")
+        owner = f"obstacle {i}"
+        _require(o, owner, "radius", "max_speed")
         obstacles.append(ObstacleSpec(
             radius=float(o["radius"]),
             max_speed=float(o["max_speed"]),
             resample_prob=float(o.get("resample_prob", 0.05)),
-            region=tuple(o["region"]) if o.get("region") is not None else None,
+            region=_numbers(o, owner, "region", 4) if o.get("region") is not None else None,
         ))
     return ScenarioSpec(
         name=doc.get("name", "custom"),
-        bounds=tuple(float(v) for v in doc["bounds"]),
+        bounds=_numbers(doc, "scenario", "bounds", 4),
         static_rects=tuple(rects),
         static_segments=tuple(segments),
         obstacles=tuple(obstacles),
-        robot_start=tuple(float(v) for v in doc["robot_start"]),
-        goal=tuple(float(v) for v in doc["goal"]),
+        robot_start=_numbers(doc, "scenario", "robot_start", 3),
+        goal=_numbers(doc, "scenario", "goal", 2),
         robot_radius=float(doc.get("robot_radius", ROBOT_RADIUS)),
         seed=int(doc.get("seed", 0)),
     )

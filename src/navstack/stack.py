@@ -151,7 +151,7 @@ def run_episode(
                 path = None
 
                 decision = should_reselect(
-                    exp_state, snapshot, goal, pose, explore_cfg, sim.ARRIVAL_RADIUS, frontier
+                    exp_state, snapshot, goal, pose, explore_cfg, frontier=frontier
                 )
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
@@ -226,7 +226,7 @@ def run_episode(
                 }
                 trace_file.write(json_text(row) + "\n")
 
-            _, event = sim.step(world, action, dt, sim.ARRIVAL_RADIUS)
+            _, event = sim.step(world, action, dt)
             if event == "collision":
                 outcome = "crash"
                 break

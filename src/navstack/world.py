@@ -8,6 +8,7 @@ reproduce bitwise-identical successor states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,10 +81,13 @@ class WorldState:
     sim_time: float
     rng: np.random.Generator
     segments: np.ndarray = field(repr=False, default=None)  # (m, 4) cached statics
+    radii: np.ndarray = field(repr=False, default=None)     # (k,) cached obstacle radii
 
     def __post_init__(self) -> None:
         if self.segments is None:
             self.segments = static_segment_array(self.spec)
+        if self.radii is None:
+            self.radii = np.array([o.radius for o in self.spec.obstacles])
 
     def copy(self) -> "WorldState":
         rng = np.random.Generator(np.random.PCG64())
@@ -96,6 +100,7 @@ class WorldState:
             sim_time=self.sim_time,
             rng=rng,
             segments=self.segments,
+            radii=self.radii,
         )
 
     def goal_distance(self) -> float:
@@ -191,18 +196,14 @@ def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-def step(
-    world: WorldState,
-    action,
-    dt: float = CONTROL_DT,
-    arrival_radius: float = ARRIVAL_RADIUS,
-) -> tuple[WorldState, str]:
+def step(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState, str]:
     """Advance the world one tick (in place) and report the resulting event.
 
     The action is clamped to the command limits, integrated in the robot
     frame, then rotated into the world frame (explicit Euler).  Obstacles
     take one random-walk step.  Returns (world, event) with event one of
-    "collision", "goal_reached", "none"; collision wins if both hold.
+    "collision", "goal_reached" (within ``ARRIVAL_RADIUS``), "none";
+    collision wins if both hold.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -220,7 +221,7 @@ def step(
 
     if check_collision(world):
         return world, "collision"
-    if world.goal_distance() < arrival_radius:
+    if world.goal_distance() < ARRIVAL_RADIUS:
         return world, "goal_reached"
     return world, "none"
 
@@ -251,32 +252,36 @@ def _advance_obstacles(world: WorldState, dt: float) -> None:
         world.obstacle_heading[i] = math.atan2(hy, hx)
 
 
-def raycast(world: WorldState, beams: int, max_range: float, noise_std: float = 0.0) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _beam_offsets(beams: int) -> np.ndarray:
+    """Beam angles relative to the robot heading; read-only, since every
+    raycast with this beam count shares the array."""
+    offsets = 2.0 * math.pi * np.arange(beams) / beams
+    offsets.flags.writeable = False
+    return offsets
+
+
+def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     """Lidar ranges, beam i pointing at robot heading + 2*pi*i/beams.
 
     Ranges are the nearest hit among static shapes and obstacle discs,
-    clamped to (0, max_range].  Optional Gaussian range noise draws from the
-    world RNG (off by default so replays stay exact).
+    clamped to [1e-6, max_range].  The world RNG is not touched.
     """
     if beams < 1:
         raise ValueError("beams must be >= 1")
     x, y, th = world.robot.pose
     origin = np.array([x, y])
-    angles = th + 2.0 * math.pi * np.arange(beams) / beams
+    angles = th + _beam_offsets(beams)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     t_seg = ray_segment_hits(origin, dirs, world.segments)
-    radii = np.array([o.radius for o in world.spec.obstacles])
-    t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, radii)
-    t = np.full(beams, max_range)
+    t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, world.radii)
+    t = np.full(beams, max_range)  # only falls from here, so no upper clamp is needed
     if t_seg.size:
         t = np.minimum(t, t_seg.min(axis=1))
     if t_disc.size:
         t = np.minimum(t, t_disc.min(axis=1))
-    ranges = np.minimum(t, max_range)
-    if noise_std > 0.0:
-        ranges = ranges + world.rng.normal(0.0, noise_std, beams)
-    return np.clip(ranges, 1e-6, max_range)
+    return np.maximum(t, 1e-6)
 
 
 def check_collision(world: WorldState) -> bool:

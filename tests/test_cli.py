@@ -238,6 +238,43 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, edit, message", [
+    ("blind-alley", lambda d: d.update(bounds=[0.0, 0.0, 10.0]),
+     "scenario field 'bounds' must hold 4 numbers"),
+    ("blind-alley", lambda d: d.update(robot_start=[1.0, "2", 0.0]),
+     "scenario field 'robot_start' must hold 3 numbers"),
+    ("blind-alley", lambda d: d.update(goal=7.0),
+     "scenario field 'goal' must hold 2 numbers"),
+    ("blind-alley", lambda d: d["static_shapes"][0].update(a=[1.0]),
+     "static shape 0 field 'a' must hold 2 numbers"),
+    ("blind-alley", lambda d: d["static_shapes"][0].update(b=[1.0, True]),
+     "static shape 0 field 'b' must hold 2 numbers"),
+    ("blind-alley", lambda d: d["obstacles"][0].update(region=[0.0, 0.0, 5.0, 5.0, 1.0]),
+     "obstacle 0 field 'region' must hold 4 numbers"),
+])
+def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, message):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario(scenario, 0))
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_rect_with_three_numbers_names_it(tmp_path, capsys):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario("rooms", 0))
+    index = next(i for i, shape in enumerate(doc["static_shapes"]) if shape["type"] == "rect")
+    doc["static_shapes"][index]["rect"] = doc["static_shapes"][index]["rect"][:3]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert f"static shape {index} field 'rect' must hold 4 numbers" in capsys.readouterr().err
+
+
 def test_scenario_rect_without_rect_field_names_it(tmp_path, capsys):
     from navstack.scenarios import make_scenario, scenario_to_dict
 

@@ -209,6 +209,73 @@ class TestFuse:
             ExpertBank((random_mlp((21, 6, 5, 3), rng),) * 3)
 
 
+def _fuse_oracle(bank: ExpertBank, alpha) -> MlpParams:
+    """The tensordot fusion that ``fuse`` replaced, kept verbatim."""
+    alpha = np.asarray(alpha, dtype=float)
+    stacks = tuple(np.stack([e.arrays()[i] for e in bank.experts]) for i in range(6))
+    fused = tuple(np.tensordot(alpha, stack, axes=1) for stack in stacks)
+    return MlpParams(*fused)
+
+
+def _assert_same_bits(got: MlpParams, want: MlpParams) -> None:
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def banks_and_alphas(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.tuples(st.integers(1, 160), st.integers(1, 70), st.integers(1, 70), st.integers(1, 4)))
+    rng = np.random.default_rng(seed)
+    bank = make_bank(rng, sizes)
+    kind = draw(st.sampled_from(["one-hot", "near-uniform", "gated"]))
+    alphas = []
+    for _ in range(5):
+        if kind == "one-hot":
+            alpha = np.zeros(4)
+            alpha[rng.integers(4)] = 1.0
+        elif kind == "near-uniform":
+            alpha = softmax(rng.normal(0.0, 1e-6, 4))
+        else:
+            gating = GatingParams(random_mlp((sizes[0], 5, 5, 4), rng))
+            alpha = gate(gating, rng.normal(0.0, 3.0, sizes[0]))
+        alphas.append(alpha)
+    return bank, alphas
+
+
+@settings(max_examples=150, deadline=None)
+@given(banks_and_alphas())
+def test_fuse_matches_tensordot_oracle_bit_for_bit(case):
+    bank, alphas = case
+    for alpha in alphas:
+        _assert_same_bits(fuse(bank, alpha), _fuse_oracle(bank, alpha))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.25])
+def test_fuse_matches_oracle_on_stage2_bank(sigma):
+    """The stage-2 bank [a, b, a, b] at full size, gated as in co-training:
+    the start itself (zero biases) and a CEM candidate around it."""
+    from navstack.training import HIDDEN, _fusion_parts, init_fusion_vector, scale_vector
+
+    cfg = ObservationConfig()
+    rng = np.random.default_rng(23)
+    sizes = (cfg.dim, *HIDDEN, 3)
+    a, b = (MlpParams.random(*sizes, rng=rng, input_scales=cfg.feature_scales()) for _ in range(2))
+    vec, layout = init_fusion_vector(a, b, cfg, seed=5)
+    vec = vec + sigma * rng.normal(0.0, 1.0, vec.size) * scale_vector(layout, cfg.feature_scales())
+    bank, gating, _ = _fusion_parts(vec, layout)
+    if sigma == 0.0:
+        for expert, source in zip(bank.experts, (a, b, a, b)):
+            _assert_same_bits(expert, source)
+    for _ in range(200):
+        x = np.concatenate([rng.uniform(0.1, 6.0, 2 * cfg.beams), rng.normal(0, 3, 2), rng.uniform(-1, 1, 3)])
+        alpha = gate(gating, x)
+        fused, want = fuse(bank, alpha), _fuse_oracle(bank, alpha)
+        _assert_same_bits(fused, want)
+        assert forward(fused, x).tobytes() == forward(want, x).tobytes()
+
+
 class TestAct:
     def test_one_hot_gate_equals_expert(self):
         rng = np.random.default_rng(8)
@@ -229,6 +296,14 @@ class TestAct:
             a = act(bank, gating, random_obs(rng))
             assert np.all(a >= ACTION_LOW)
             assert np.all(a <= ACTION_HIGH)
+
+    def test_observation_and_its_vector_act_alike(self):
+        rng = np.random.default_rng(11)
+        bank = make_bank(rng)
+        gating = GatingParams(random_mlp((21, 6, 5, 4), rng))
+        for _ in range(50):
+            obs = random_obs(rng)
+            assert act(bank, gating, obs).tobytes() == act(bank, gating, obs.vector()).tobytes()
 
     def test_mapping_limits_bulk(self):
         rng = np.random.default_rng(10)

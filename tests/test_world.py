@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from navstack.geometry import ray_disc_hits, ray_segment_hits
 from navstack.world import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -206,6 +209,86 @@ class TestRaycast:
     def test_rejects_zero_beams(self):
         with pytest.raises(ValueError):
             raycast(spawn(empty_room()), 0, 5.0)
+
+
+def _raycast_oracle(world: WorldState, beams: int, max_range: float) -> np.ndarray:
+    """The raycast that rebuilt its constants on every call, kept verbatim
+    (less its range-noise branch, which was off by default)."""
+    x, y, th = world.robot.pose
+    origin = np.array([x, y])
+    angles = th + 2.0 * math.pi * np.arange(beams) / beams
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    t_seg = ray_segment_hits(origin, dirs, world.segments)
+    radii = np.array([o.radius for o in world.spec.obstacles])
+    t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, radii)
+    t = np.full(beams, max_range)
+    if t_seg.size:
+        t = np.minimum(t, t_seg.min(axis=1))
+    if t_disc.size:
+        t = np.minimum(t, t_disc.min(axis=1))
+    ranges = np.minimum(t, max_range)
+    return np.clip(ranges, 1e-6, max_range)
+
+
+_coord = st.floats(0.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def raycast_worlds(draw):
+    """A world with 0-3 rects, 0-4 segments and 0-4 discs placed anywhere,
+    the robot included: it may sit inside a disc or a rect."""
+    rects = tuple(
+        (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        for x0, y0, x1, y1 in draw(st.lists(st.tuples(_coord, _coord, _coord, _coord), max_size=3))
+    )
+    segments = tuple(draw(st.lists(st.tuples(_coord, _coord, _coord, _coord), max_size=4)))
+    discs = draw(st.lists(st.tuples(_coord, _coord, st.floats(0.05, 2.0)), max_size=4))
+    pose = draw(st.tuples(_coord, _coord, st.floats(-10.0, 10.0)))
+    if discs and draw(st.booleans()):
+        cx, cy, r = discs[0]
+        pose = (cx + 0.5 * r, cy, pose[2])  # inside the first disc
+    spec = ScenarioSpec(
+        name="drawn",
+        bounds=(0.0, 0.0, 10.0, 10.0),
+        static_rects=rects,
+        static_segments=segments,
+        obstacles=tuple(ObstacleSpec(radius=r, max_speed=0.0) for _, _, r in discs),
+        robot_start=pose,
+        goal=(5.0, 5.0),
+    )
+    world = WorldState(
+        spec=spec,
+        robot=RobotState(np.array(pose, dtype=float), np.zeros(3)),
+        obstacle_pos=np.array([(cx, cy) for cx, cy, _ in discs], dtype=float).reshape(-1, 2),
+        obstacle_heading=np.zeros(len(discs)),
+        sim_time=0.0,
+        rng=np.random.default_rng(0),
+    )
+    return world, draw(st.integers(1, 90)), draw(st.floats(0.5, 12.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raycast_worlds())
+def test_raycast_matches_oracle_bit_for_bit(case):
+    world, beams, max_range = case
+    want = _raycast_oracle(world, beams, max_range)
+    for w in (world, world.copy()):
+        got = raycast(w, beams, max_range)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_raycast_matches_oracle_on_builtin_scenarios():
+    from navstack.scenarios import make_scenario
+
+    for name in ("double-branch", "blind-alley", "rooms", "square"):
+        world = spawn(make_scenario(name, 3))
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            world.robot.pose[:] = (*rng.uniform(world.spec.bounds[:2], world.spec.bounds[2:]), rng.uniform(-4, 4))
+            assert raycast(world, 72, 6.0).tobytes() == _raycast_oracle(world, 72, 6.0).tobytes()
+            step(world, (0.0, 0.0, 0.0))
 
 
 class TestCollision:
