@@ -25,6 +25,7 @@ from navstack.training import (
     PIPELINE_STAGE2,
     PIPELINE_TASK_SEEDS,
     PIPELINE_TASKS,
+    STAGES,
     cotrain_fusion,
     train_expert,
 )
@@ -52,22 +53,17 @@ def main() -> None:
         episodes_per_eval=args.episodes_per_eval,
         seed=args.seed,
     )
-    for stage, profile, kind in (
-        ("expert-gs", "go-straight", "static"),
-        ("expert-oa", "obstacle-avoidance", "dynamic"),
-    ):
+    experts = {}
+    for stage in ("expert-gs", "expert-oa"):
+        profile, kind = STAGES[stage]
         log_rows = []
-        params = train_expert(
+        experts[stage] = train_expert(
             profile, training_scenarios(kind, args.tasks, PIPELINE_TASK_SEEDS[kind]), cfg1, obs_cfg,
             on_generation=lambda row: (log_rows.append(row), print(f"  {stage} gen {row['generation']:3d} best {row['best_return']:8.2f}"))[0],
         )
-        save_expert(params, profile, obs_cfg, args.out / f"{stage}.json")
+        save_expert(experts[stage], profile, obs_cfg, args.out / f"{stage}.json")
         write_jsonl(args.out / f"{stage}-log.jsonl", log_rows)
         print(f"[{time.time()-t0:6.1f}s] {stage} saved")
-        if stage == "expert-gs":
-            gs = params
-        else:
-            oa = params
 
     # stage 2 keeps its population and seed offsets from stage 1
     cfg2 = replace(
@@ -77,8 +73,10 @@ def main() -> None:
         seed=args.seed + PIPELINE_STAGE2.seed - PIPELINE_STAGE1.seed,
     )
     log_rows = []
+    _, kind = STAGES["fusion"]
     bank, gating, critic = cotrain_fusion(
-        gs, oa, training_scenarios("families", args.tasks, PIPELINE_TASK_SEEDS["families"]), cfg2, obs_cfg,
+        experts["expert-gs"], experts["expert-oa"],
+        training_scenarios(kind, args.tasks, PIPELINE_TASK_SEEDS[kind]), cfg2, obs_cfg,
         on_generation=lambda row: (log_rows.append(row), print(f"  fusion gen {row['generation']:3d} best {row['best_return']:8.2f}"))[0],
     )
     save_bundle(PolicyBundle(obs_cfg, bank, gating, critic), args.out / "fusion-bundle.json")

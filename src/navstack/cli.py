@@ -83,35 +83,18 @@ def _ensure_out(path_str: str) -> Path:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .fileio import write_csv
-    from .rewards import METRICS_CSV_HEADER, metrics_csv_row
-    from .stack import StackConfig, episode_seed, run_episode_job
+    from .rewards import METRICS_CSV_HEADER
+    from .stack import TRACE_FILE, StackConfig, run_suite
 
     spec = _load_scenario_arg(args.scenario, args.seed)
     policy = _load_policy_arg(args.bundle)
     cfg = StackConfig(mode=args.mode, gamma=args.gamma, timeout=args.timeout)
     out = _ensure_out(args.out)
+    # --seed, when given, is already the spec's seed
+    rows, results = run_suite([spec], policy, args.episodes, spec.seed, cfg, trace_dir=out, jobs=args.jobs)
 
-    jobs = []
-    seeds = []
-    files = []
-    for ei in range(args.episodes):
-        sd = episode_seed(args.seed if args.seed is not None else spec.seed, 0, ei)
-        trace_path = out / f"trace-{ei:04d}.jsonl"
-        jobs.append((replace(spec, seed=sd), policy, cfg, None, trace_path))
-        seeds.append(sd)
-        files.append(trace_path)
-    if args.jobs > 1 and len(jobs) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_episode_job, jobs))
-    else:
-        results = [run_episode_job(j) for j in jobs]
-
-    rows = []
     failures = 0
-    for sd, result in zip(seeds, results):
-        rows.append(metrics_csv_row(spec.name, sd, result.metrics))
+    for (_, sd, *_), result in zip(rows, results):
         if result.outcome != "success":
             failures += 1
         if result.outcome == "failed":
@@ -119,7 +102,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         log.info("seed %d: %s in %.1fs", sd, result.outcome, result.sim_time)
     csv_path = out / "metrics.csv"
     write_csv(csv_path, METRICS_CSV_HEADER, rows)
-    files.append(csv_path)
+    files = [out / TRACE_FILE.format(k) for k in range(len(results))] + [csv_path]
     _write_manifest(out, args, files)
     print(f"{args.episodes} episode(s), {args.episodes - failures} succeeded -> {csv_path}")
     return EXIT_OK if failures == 0 else EXIT_EPISODE_FAILURE
@@ -156,7 +139,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_expert,
     )
     from .scenarios import training_scenarios
-    from .training import cotrain_fusion, train_expert
+    from .training import STAGES, cotrain_fusion, train_expert
 
     cfg = _train_config(args)
     obs_cfg = ObservationConfig()
@@ -167,16 +150,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         log_rows.append(row)
         log.info("gen %d best %.3f mean %.3f", row["generation"], row["best_return"], row["mean_return"])
 
-    files: list[Path] = []
-    if args.stage in ("expert-gs", "expert-oa"):
-        profile = "go-straight" if args.stage == "expert-gs" else "obstacle-avoidance"
-        kind = "static" if args.stage == "expert-gs" else "dynamic"
-        tasks = training_scenarios(kind, args.tasks, cfg.seed)
-        params = train_expert(profile, tasks, cfg, obs_cfg, on_generation=on_gen)
-        ckpt = out / f"{args.stage}.json"
-        save_expert(params, profile, obs_cfg, ckpt)
-        files.append(ckpt)
-    else:  # fusion
+    profile, kind = STAGES[args.stage]
+    tasks = training_scenarios(kind, args.tasks, cfg.seed)
+    if args.stage == "fusion":
         if not args.expert_gs or not args.expert_oa:
             raise UsageError("fusion stage requires --expert-gs and --expert-oa checkpoints")
         for p in (args.expert_gs, args.expert_oa):
@@ -186,17 +162,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         oa, _, obs_b = load_expert(args.expert_oa)
         if obs_b != obs_cfg:
             raise UsageError("expert checkpoints disagree on the observation layout")
-        mix = training_scenarios("families", args.tasks, cfg.seed)
-        bank, gating, critic = cotrain_fusion(gs, oa, mix, cfg, obs_cfg, on_generation=on_gen)
+        bank, gating, critic = cotrain_fusion(gs, oa, tasks, cfg, obs_cfg, on_generation=on_gen)
         ckpt = out / "fusion-bundle.json"
         save_bundle(PolicyBundle(obs_cfg, bank, gating, critic), ckpt)
-        files.append(ckpt)
+    else:
+        params = train_expert(profile, tasks, cfg, obs_cfg, on_generation=on_gen)
+        ckpt = out / f"{args.stage}.json"
+        save_expert(params, profile, obs_cfg, ckpt)
 
     log_path = out / "train_log.jsonl"
     write_jsonl(log_path, log_rows)
-    files.append(log_path)
-    _write_manifest(out, args, files)
-    print(f"stage {args.stage} done -> {files[0]}")
+    _write_manifest(out, args, [ckpt, log_path])
+    print(f"stage {args.stage} done -> {ckpt}")
     return EXIT_OK
 
 
@@ -267,6 +244,8 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .training import STAGES
+
     parser = argparse.ArgumentParser(prog="navstack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.set_defaults(func=cmd_simulate)
 
     train_p = sub.add_parser("train", help="train experts or the fusion stage")
-    train_p.add_argument("stage", choices=("expert-gs", "expert-oa", "fusion"))
+    train_p.add_argument("stage", choices=tuple(STAGES))
     train_p.add_argument("--config", default=None, help="JSON with TrainConfig overrides")
     train_p.add_argument("--seed", type=int, default=None)
     train_p.add_argument("--tasks", type=int, default=8, help="scenario count in the training set")

@@ -7,6 +7,7 @@ with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +30,10 @@ def json_text(obj) -> str:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+    if isinstance(obj, (int, np.integer, float, np.floating)):
+        return fmt(obj)
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         items = (f"{json_text(str(k))}: {json_text(v)}" for k, v in sorted(obj.items()))
         return "{" + ", ".join(items) + "}"

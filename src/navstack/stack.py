@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .rewards import Trajectory, episode_metrics, metrics_csv_row
 from .scripted import CompositePolicy, scripted_bundle
 
 MODES = ("full", "lower-only", "upper-with-scripted-lower")
+OUTCOMES = ("success", "crash", "timeout", "failed")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class StackConfig:
 
 @dataclass
 class EpisodeResult:
-    outcome: str            # success | crash | timeout | failed
+    outcome: str            # one of OUTCOMES
     steps: int
     sim_time: float
     metrics: dict
@@ -286,11 +288,7 @@ def episode_seed(base_seed: int, scenario_index: int, episode_index: int) -> int
     return int(ss.generate_state(2, dtype=np.uint64)[0] % (2**63))
 
 
-def run_episode_job(args) -> EpisodeResult:
-    """Top-level entry for process pools; one argument tuple so executor.map
-    keeps submission order (results reduce deterministically)."""
-    spec, policy, config, obs_config, trace_path = args
-    return run_episode(spec, policy, config, obs_config, trace_path)
+TRACE_FILE = "trace-{:04d}.jsonl"  # episode k of a suite, scenario-major
 
 
 def run_suite(
@@ -300,15 +298,39 @@ def run_suite(
     seed: int,
     config: StackConfig = StackConfig(),
     obs_config: ObservationConfig | None = None,
+    trace_dir=None,
+    jobs: int = 1,
 ) -> tuple[list[tuple], list[EpisodeResult]]:
-    """Scenarios x seeds, one metrics row per episode (plus full results)."""
-    rows: list[tuple] = []
-    results: list[EpisodeResult] = []
-    for si, spec in enumerate(specs):
-        for ei in range(episodes):
-            sd = episode_seed(seed, si, ei)
-            ep_spec = replace(spec, seed=sd)
-            res = run_episode(ep_spec, policy, config, obs_config)
-            rows.append(metrics_csv_row(spec.name, sd, res.metrics))
-            results.append(res)
+    """Scenarios x seeds, one metrics row per episode (plus full results).
+
+    With ``trace_dir``, episode k writes ``TRACE_FILE.format(k)`` there.
+    ``jobs > 1`` runs the episodes in a process pool; its map keeps
+    submission order, so the results equal the serial run's.
+    """
+    ep_specs = [replace(spec, seed=episode_seed(seed, si, ei))
+                for si, spec in enumerate(specs) for ei in range(episodes)]
+    n = len(ep_specs)
+    traces = [None] * n if trace_dir is None else [Path(trace_dir) / TRACE_FILE.format(k) for k in range(n)]
+    args = (ep_specs, [policy] * n, [config] * n, [obs_config] * n, traces)
+    if min(jobs, n) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only by a parallel run
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_episode, *args))
+    else:
+        results = list(map(run_episode, *args))
+    rows = [metrics_csv_row(s.name, s.seed, r.metrics) for s, r in zip(ep_specs, results)]
     return rows, results
+
+
+def summarize(results) -> dict:
+    """Outcome rates (summing to 1), mean ARSPS and ANSPS, and the mean
+    arriving time over successes (None without one)."""
+    if not results:
+        raise ValueError("summarize needs at least one episode")
+    out = {f"{k}_rate": sum(r.outcome == k for r in results) / len(results) for k in OUTCOMES}
+    for key in ("arsps", "ansps"):
+        out[f"{key}_mean"] = float(np.mean([r.metrics[key] for r in results]))
+    times = [r.metrics["arriving_time"] for r in results if r.metrics["arriving_time"] is not None]
+    out["arriving_time_mean"] = float(np.mean(times)) if times else None
+    return out

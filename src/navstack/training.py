@@ -28,7 +28,7 @@ from .policy import (
     SingleExpertPolicy,
 )
 from .rewards import PROFILES, RewardProfile, episode_rewards
-from .stack import StackConfig, run_episode, run_suite
+from .stack import StackConfig, run_episode
 
 DISCOUNT = 0.99
 HIDDEN = (64, 64)
@@ -61,6 +61,14 @@ class TrainConfig:
     def n_elite(self) -> int:
         return max(1, int(round(self.population * self.elite_fraction)))
 
+
+# Each training stage: the reward preset it trains under and the
+# ``scenarios.training_scenarios`` kind of its task set.
+STAGES = {
+    "expert-gs": ("go-straight", "static"),
+    "expert-oa": ("obstacle-avoidance", "dynamic"),
+    "fusion": ("fusion", "families"),
+}
 
 # The acceptance training pipeline: stage-1 experts, then stage-2 fusion, each
 # on ``training_scenarios(kind, PIPELINE_TASKS, PIPELINE_TASK_SEEDS[kind])``.
@@ -377,51 +385,3 @@ def cotrain_fusion(
     bank, gating, _ = _fusion_parts(best_vec, layout)
     _, _, critic = _fusion_parts(mean, layout)  # carries the latest regression fit
     return bank, gating, critic
-
-
-# ---------------------------------------------------------------------------
-# Evaluation harness
-
-
-def evaluate(
-    policy,
-    scenario_set,
-    episodes: int,
-    seed: int,
-    mode: str = "lower-only",
-    obs_config: ObservationConfig = ObservationConfig(),
-    time_limit: float = 30.0,
-    bootstrap: int = 1000,
-) -> dict:
-    """Aggregate the five metrics over episodes with 95% bootstrap CIs.
-
-    ``mode`` is a stack mode: "lower-only" steers straight at the goal,
-    "full" runs the whole hierarchical stack.
-    """
-    if episodes == 0:
-        return {"episodes": 0, "empty": True}
-    config = StackConfig(mode=mode, timeout=time_limit)
-    _, results = run_suite(scenario_set, policy, episodes, seed, config, obs_config)
-    per_ep = [r.metrics for r in results]
-    out: dict = {"episodes": len(per_ep), "empty": False}
-    rng = np.random.Generator(np.random.PCG64(seed + 1))
-    for key in ("success", "crash", "timeout"):
-        vals = np.array([float(m[key]) for m in per_ep])
-        out[f"{key}_rate"] = float(vals.mean())
-        out[f"{key}_rate_ci"] = _bootstrap_ci(vals, rng, bootstrap)
-    for key in ("arsps", "ansps"):
-        vals = np.array([m[key] for m in per_ep])
-        out[f"{key}_mean"] = float(vals.mean())
-        out[f"{key}_ci"] = _bootstrap_ci(vals, rng, bootstrap)
-    times = np.array([m["arriving_time"] for m in per_ep if m["arriving_time"] is not None])
-    out["arriving_time_mean"] = float(times.mean()) if times.size else None
-    out["arriving_time_ci"] = _bootstrap_ci(times, rng, bootstrap) if times.size else None
-    return out
-
-
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator, n: int) -> tuple[float, float]:
-    if values.size == 0:
-        return (math.nan, math.nan)
-    idx = rng.integers(0, values.size, size=(n, values.size))
-    means = values[idx].mean(axis=1)
-    return (float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5)))

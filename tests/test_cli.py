@@ -12,6 +12,7 @@ from navstack.policy import (
     MlpParams,
     ObservationConfig,
     PolicyBundle,
+    load_bundle,
     load_expert,
     save_bundle,
 )
@@ -119,6 +120,34 @@ class TestTrain:
         assert len(log_lines) == 3
         bests = [json.loads(l)["best_return"] for l in log_lines]
         assert bests == sorted(bests)
+
+    def test_fusion_stage_trains_on_the_family_mix(self, tmp_path):
+        from navstack.scenarios import training_scenarios
+        from navstack.training import TrainConfig, cotrain_fusion
+
+        # zero-generation experts; one tiny fusion generation, so the task mix is used
+        cfgs = {"zero": {"generations": 0},
+                "fusion": {"generations": 1, "population": 4, "episodes_per_eval": 1, "episode_time_limit": 1.0}}
+        for name, cfg in cfgs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        common = ["--seed", "5", "--tasks", "3"]
+        for stage in ("expert-gs", "expert-oa"):
+            assert main(["train", stage, "--config", str(tmp_path / "zero.json"), *common,
+                         "--out", str(tmp_path / stage)]) == EXIT_OK
+        gs_path, oa_path = tmp_path / "expert-gs" / "expert-gs.json", tmp_path / "expert-oa" / "expert-oa.json"
+        out = tmp_path / "fusion"
+        assert main(["train", "fusion", "--config", str(tmp_path / "fusion.json"), *common,
+                     "--expert-gs", str(gs_path), "--expert-oa", str(oa_path), "--out", str(out)]) == EXIT_OK
+
+        gs, oa = load_expert(gs_path)[0], load_expert(oa_path)[0]
+        bank, gating, critic = cotrain_fusion(gs, oa, training_scenarios("families", 3, 5),
+                                              TrainConfig(**cfgs["fusion"], seed=5))
+        saved = load_bundle(out / "fusion-bundle.json")
+        expected = [*bank.experts, gating.params, critic.params]
+        got = [*saved.bank.experts, saved.gating.params, saved.critic.params]
+        for want, have in zip(expected, got, strict=True):
+            for a, b in zip(want.arrays(), have.arrays(), strict=True):
+                assert np.array_equal(a, b)
 
     def test_fusion_without_expert_checkpoints_is_usage_error(self, tmp_path):
         code = main(["train", "fusion", "--out", str(tmp_path / "f")])

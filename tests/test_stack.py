@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import pytest
 
-from navstack.scenarios import blind_alley
+from navstack.policy import ObservationConfig
+from navstack.scenarios import blind_alley, make_scenario, training_scenarios
 from navstack.scripted import ScriptedGoStraight, scripted_bundle
-from navstack.stack import StackConfig, episode_seed, run_episode, run_suite
+from navstack.stack import TRACE_FILE, StackConfig, episode_seed, run_episode, run_suite, summarize
 from navstack.world import ScenarioSpec
+
+LOWER_ONLY = StackConfig(mode="lower-only", timeout=20.0)
+
+
+class Exploding:
+    def action(self, obs):
+        raise RuntimeError("wiring fault")
 
 
 def open_goal_spec(goal=(7.0, 5.0)):
@@ -57,10 +67,6 @@ class TestRunEpisode:
         assert res.steps == 15
 
     def test_policy_exception_marks_failed(self):
-        class Exploding:
-            def action(self, obs, noise_std=0.0, rng=None):
-                raise RuntimeError("wiring fault")
-
         res = run_episode(open_goal_spec(), Exploding(), StackConfig(timeout=1.0))
         assert res.outcome == "failed"
         assert "wiring fault" in res.error
@@ -127,3 +133,67 @@ class TestRunSuite:
         assert episode_seed(7, 0, 0) == episode_seed(7, 0, 0)
         assert episode_seed(7, 0, 0) != episode_seed(7, 0, 1)
         assert episode_seed(7, 0, 0) != episode_seed(8, 0, 0)
+
+    def test_traces_match_run_episode(self, tmp_path):
+        specs = [open_goal_spec(), make_scenario("square", 1)]
+        cfg = StackConfig(timeout=1.0)
+        (tmp_path / "suite").mkdir()
+        run_suite(specs, scripted_bundle(), 2, seed=4, config=cfg, trace_dir=tmp_path / "suite")
+        for si, spec in enumerate(specs):
+            for ei in range(2):
+                k = 2 * si + ei  # scenario-major
+                alone = tmp_path / f"alone-{k}.jsonl"
+                run_episode(replace(spec, seed=episode_seed(4, si, ei)), scripted_bundle(), cfg, trace_path=alone)
+                assert (tmp_path / "suite" / TRACE_FILE.format(k)).read_bytes() == alone.read_bytes()
+
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        specs = [blind_alley(0), make_scenario("rooms", 2)]
+        cfg = StackConfig(timeout=2.0)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        serial = run_suite(specs, scripted_bundle(), 2, seed=7, config=cfg, trace_dir=tmp_path / "a", jobs=1)
+        par = run_suite(specs, scripted_bundle(), 2, seed=7, config=cfg, trace_dir=tmp_path / "b", jobs=2)
+        assert serial[0] == par[0]
+        assert [r.outcome for r in serial[1]] == [r.outcome for r in par[1]]
+        for k in range(4):
+            name = TRACE_FILE.format(k)
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestSummarize:
+    def test_deterministic(self):
+        cfg = StackConfig(mode="lower-only", timeout=5.0)
+        obs = ObservationConfig(beams=8)
+        tasks = training_scenarios("static", 2, 1)
+        _, a = run_suite(tasks, ScriptedGoStraight(), 2, seed=4, config=cfg, obs_config=obs)
+        _, b = run_suite(tasks, ScriptedGoStraight(), 2, seed=4, config=cfg, obs_config=obs)
+        assert summarize(a) == summarize(b)
+
+    def test_scripted_straight_in_open_room(self):
+        spec = ScenarioSpec(name="open", bounds=(0.0, 0.0, 10.0, 10.0), robot_start=(3.0, 5.0, 0.0),
+                            goal=(6.0, 5.0), seed=0)
+        _, results = run_suite([spec], ScriptedGoStraight(), 5, seed=2, config=LOWER_ONLY,
+                               obs_config=ObservationConfig(beams=8))
+        out = summarize(results)
+        assert out["success_rate"] == 1.0
+        assert out["crash_rate"] == out["timeout_rate"] == out["failed_rate"] == 0.0
+        times = [r.metrics["arriving_time"] for r in results]
+        assert min(times) <= out["arriving_time_mean"] <= max(times)
+
+    def test_raising_policy_is_all_failed(self):
+        _, results = run_suite([open_goal_spec()], Exploding(), 3, seed=1, config=LOWER_ONLY)
+        out = summarize(results)
+        assert out["failed_rate"] == 1.0
+        assert out["success_rate"] == out["crash_rate"] == out["timeout_rate"] == 0.0
+        assert out["arriving_time_mean"] is None
+
+    def test_rates_sum_to_one(self):
+        _, results = run_suite([blind_alley(0)], scripted_bundle(), 2, seed=9, config=StackConfig(timeout=10.0))
+        results.append(run_episode(open_goal_spec(), Exploding(), LOWER_ONLY))
+        out = summarize(results)
+        assert sum(out[f"{k}_rate"] for k in ("success", "crash", "timeout", "failed")) == pytest.approx(1.0)
+        assert out["failed_rate"] == pytest.approx(1 / 3)
+
+    def test_empty_is_an_error(self):
+        with pytest.raises(ValueError):
+            summarize([])

@@ -17,7 +17,6 @@ from navstack.training import (
     _discounted_returns,
     _require_beats_zero,
     cotrain_fusion,
-    evaluate,
     init_fusion_vector,
     pack,
     rollout_lower,
@@ -25,8 +24,6 @@ from navstack.training import (
     train_expert,
     unpack,
 )
-from navstack.scripted import ScriptedGoStraight
-from navstack.world import ScenarioSpec
 
 OBS8 = ObservationConfig(beams=8)
 # A budget this small only clears the improvement gates on a cooperative
@@ -211,29 +208,3 @@ class TestDeterminism:
         bests = [row["best_return"] for row in log]
         assert bests == sorted(bests)
         assert all(row["best_return"] >= row["gen_best_return"] - 1e-12 for row in log)
-
-
-class TestEvaluate:
-    def test_zero_episodes_marker(self):
-        out = evaluate(ScriptedGoStraight(), small_tasks(), 0, seed=1)
-        assert out == {"episodes": 0, "empty": True}
-
-    def test_deterministic(self):
-        a = evaluate(ScriptedGoStraight(), small_tasks(2), 2, seed=4, obs_config=OBS8, time_limit=5.0)
-        b = evaluate(ScriptedGoStraight(), small_tasks(2), 2, seed=4, obs_config=OBS8, time_limit=5.0)
-        assert a == b
-
-    def test_scripted_straight_in_open_room(self):
-        spec = ScenarioSpec(
-            name="open",
-            bounds=(0.0, 0.0, 10.0, 10.0),
-            robot_start=(3.0, 5.0, 0.0),
-            goal=(6.0, 5.0),
-            seed=0,
-        )
-        out = evaluate(ScriptedGoStraight(), [spec], 5, seed=2, obs_config=OBS8, time_limit=20.0)
-        assert out["success_rate"] == 1.0
-        assert out["crash_rate"] == 0.0
-        assert out["arriving_time_mean"] is not None
-        lo, hi = out["ansps_ci"]
-        assert lo <= out["ansps_mean"] <= hi
