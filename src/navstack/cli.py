@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,7 +83,7 @@ def _ensure_out(path_str: str) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .fileio import write_csv
+    from .fileio import json_text, write_csv
     from .rewards import METRICS_CSV_HEADER
     from .stack import TRACE_FILE, StackConfig, run_suite
 
@@ -91,7 +92,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = StackConfig(mode=args.mode, gamma=args.gamma, timeout=args.timeout)
     out = _ensure_out(args.out)
     # --seed, when given, is already the spec's seed
+    start = time.perf_counter()
     rows, results = run_suite([spec], policy, args.episodes, spec.seed, cfg, trace_dir=out, jobs=args.jobs)
+    wall_s = time.perf_counter() - start
+    ticks = sum(r.steps for r in results)
+    # Wall time is not deterministic, so timing.json stays out of the manifest.
+    timing = {"wall_s": wall_s, "ticks": ticks, "ticks_per_s": ticks / wall_s}
+    (out / "timing.json").write_text(json_text(timing) + "\n")
 
     failures = 0
     for (_, sd, *_), result in zip(rows, results):

@@ -18,27 +18,38 @@ def rect_edges(rect: tuple[float, float, float, float]) -> list[tuple[float, flo
     ]
 
 
-def ray_segment_hits(origin: np.ndarray, dirs: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Hit distances for every (ray, segment) pair, inf where there is no hit.
+def segment_terms(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The constants ``ray_segment_hits`` needs of (m, 4) segments (ax, ay,
+    bx, by): the start point (a0, a1) and the direction (e0, e1) = b - a,
+    each a contiguous (m, 1) column."""
+    a0 = segments[:, 0:1].copy()
+    a1 = segments[:, 1:2].copy()
+    return a0, a1, segments[:, 2:3] - a0, segments[:, 3:4] - a1
 
-    origin: (2,) ray origin shared by all rays.
-    dirs: (n, 2) unit direction vectors.
-    segments: (m, 4) rows of (ax, ay, bx, by).
-    Returns (n, m) array of distances t > 0 along each ray.
+
+def ray_segment_hits(ox: float, oy: float, cos: np.ndarray, sin: np.ndarray, terms) -> np.ndarray:
+    """Hit distances for every (segment, ray) pair, inf where there is no hit.
+
+    (ox, oy): ray origin shared by all rays.
+    cos, sin: (n,) components of the unit ray directions.
+    terms: ``segment_terms`` of the m segments.
+    Returns an (m, n) array of distances t > 0 along each ray: the rays run
+    along the last axis, so every broadcast loops over them innermost and
+    the nearest hit per ray is a reduction over axis 0.
     """
-    n = dirs.shape[0]
-    if segments.size == 0:
-        return np.full((n, 0), np.inf)
-    a = segments[:, :2]
-    e = segments[:, 2:4] - a
-    ao = a - origin  # (m, 2)
-    d = dirs[:, None, :]  # (n, 1, 2)
-    denom = d[..., 0] * e[None, :, 1] - d[..., 1] * e[None, :, 0]  # cross(d, e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ao[None, :, 0] * e[None, :, 1] - ao[None, :, 1] * e[None, :, 0]) / denom
-        u = (ao[None, :, 0] * d[..., 1] - ao[None, :, 1] * d[..., 0]) / denom
-    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
-    return np.where(valid, t, np.inf)
+    a0, a1, e0, e1 = terms
+    ao0 = a0 - ox
+    ao1 = a1 - oy
+    denom = cos * e1 - sin * e0  # cross(d, e)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = (ao0 * e1 - ao1 * e0) / denom
+        u = (ao0 * sin - ao1 * cos) / denom
+    valid = np.abs(denom) > 1e-12
+    valid &= t > 1e-9
+    valid &= u >= 0.0
+    valid &= u <= 1.0
+    t[~valid] = np.inf
+    return t
 
 
 def ray_disc_hits(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

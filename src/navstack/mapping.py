@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import write_pgm
+from .world import beam_offsets
 
 P_MIN = 0.02
 P_MAX = 0.98
@@ -137,38 +138,37 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
         return grid
 
     res = grid.resolution
-    angles = th + 2.0 * math.pi * np.arange(n) / n
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    angles = th + beam_offsets(n)
+    cos, sin = np.cos(angles), np.sin(angles)
 
     # Sample along each beam at half-cell spacing; as a traversal this is the
     # cell set the beam sweeps, minus corner-only touches.
     step = 0.5 * res
     n_steps = int(math.ceil(ranges.max() / step)) + 1
     ts = (np.arange(n_steps) + 0.5) * step
-    mask = ts[None, :] < ranges[:, None]
-    px = x + dirs[:, 0:1] * ts[None, :]
-    py = y + dirs[:, 1:2] * ts[None, :]
-    rows = np.floor((py - grid.origin[1]) / res).astype(np.int64)
-    cols = np.floor((px - grid.origin[0]) / res).astype(np.int64)
-    valid = mask & (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
+    mask = ts < ranges[:, None]
+    rows = np.floor((y + sin[:, None] * ts - grid.origin[1]) / res).astype(np.int64)
+    cols = np.floor((x + cos[:, None] * ts - grid.origin[0]) / res).astype(np.int64)
+    # Viewed unsigned, a negative index is huge, so one test per axis
+    # checks both of its bounds.
+    valid = mask & (rows.view(np.uint64) < grid.rows) & (cols.view(np.uint64) < grid.cols)
 
     hit_beams = ranges < max_range
-    hx = x + dirs[hit_beams, 0] * ranges[hit_beams]
-    hy = y + dirs[hit_beams, 1] * ranges[hit_beams]
-    hrows = np.floor((hy - grid.origin[1]) / res).astype(np.int64)
-    hcols = np.floor((hx - grid.origin[0]) / res).astype(np.int64)
-    hvalid = (hrows >= 0) & (hrows < grid.rows) & (hcols >= 0) & (hcols < grid.cols)
+    hit_ranges = ranges[hit_beams]
+    hrows = np.floor((y + sin[hit_beams] * hit_ranges - grid.origin[1]) / res).astype(np.int64)
+    hcols = np.floor((x + cos[hit_beams] * hit_ranges - grid.origin[0]) / res).astype(np.int64)
+    hvalid = (hrows.view(np.uint64) < grid.rows) & (hcols.view(np.uint64) < grid.cols)
 
     # 1 marks a miss, 2 a hit; hits are written last so they win.
     touched = np.zeros(grid.p.size, dtype=np.int8)
-    touched[rows[valid] * grid.cols + cols[valid]] = 1
+    touched[(rows * grid.cols + cols)[valid]] = 1
     touched[cell[0] * grid.cols + cell[1]] = 1
-    touched[hrows[hvalid] * grid.cols + hcols[hvalid]] = 2
+    touched[(hrows * grid.cols + hcols)[hvalid]] = 2
     flat_p = grid.p.reshape(-1)
     for mark, delta in ((1, LOGIT_MISS), (2, LOGIT_HIT)):
         flat = np.flatnonzero(touched == mark)
         if flat.size:
-            flat_p[flat] = np.clip(_sigmoid(_logit(flat_p[flat]) + delta), P_MIN, P_MAX)
+            flat_p[flat] = np.minimum(np.maximum(_sigmoid(_logit(flat_p[flat]) + delta), P_MIN), P_MAX)
     return grid
 
 

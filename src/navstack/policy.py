@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .world import ACTION_HIGH, ACTION_LOW
+from .world import ACTION_HIGH, ACTION_LOW, clamp_action
 
 PARAMS_SCHEMA = 1
 NUM_EXPERTS = 4
@@ -75,15 +75,18 @@ def build_observation(scans, pose, goal_world, velocity, history: int = 3) -> Ob
     if len(scans) < 1:
         raise ValueError("need at least the current scan")
     current = np.asarray(scans[-1], dtype=float)
-    motion = np.zeros_like(current)
+    motion = np.zeros(current.shape)
     for k in range(1, history + 1):
         past = np.asarray(scans[-1 - k], dtype=float) if len(scans) > k else current
-        motion += (current - past) / k
+        term = current - past
+        if k > 1:  # dividing by 1 is exact, so the k = 1 term skips it
+            term /= k
+        motion += term
     return Observation(
         ranges=current,
         motion=motion,
         goal=goal_in_robot_frame(pose, goal_world),
-        velocity=np.asarray(velocity, dtype=float).copy(),
+        velocity=np.array(velocity, dtype=float),
     )
 
 
@@ -244,11 +247,13 @@ def fuse(bank: ExpertBank, alpha) -> MlpParams:
     return MlpParams(*(np.dot(row, m).reshape(shape) for m, shape in bank.fusion_terms()))
 
 
+_ACTION_SPAN = ACTION_HIGH - ACTION_LOW
+
+
 def scale_to_limits(raw: np.ndarray) -> np.ndarray:
     """Map raw network outputs through tanh onto the command limits; the
-    clip keeps rounding from stepping past them."""
-    scaled = ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * (ACTION_HIGH - ACTION_LOW)
-    return np.clip(scaled, ACTION_LOW, ACTION_HIGH)
+    clamp keeps rounding from stepping past them."""
+    return clamp_action(ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * _ACTION_SPAN)
 
 
 def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:

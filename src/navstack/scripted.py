@@ -8,20 +8,24 @@ for the learned critic so exploration scoring has a safety signal.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .policy import Observation
-from .world import ACTION_HIGH, ACTION_LOW
+from .world import beam_offsets, clamp_action
 
 
-def _clip(a: np.ndarray) -> np.ndarray:
-    return np.clip(a, ACTION_LOW, ACTION_HIGH)
-
-
-def _beam_angles(n: int) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(n) / n
+@functools.lru_cache(maxsize=8)
+def _beam_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the n beam angles; read-only, since every action
+    with this beam count shares them."""
+    angles = beam_offsets(n)
+    cos, sin = np.cos(angles), np.sin(angles)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
 
 
 class ScriptedGoStraight:
@@ -42,7 +46,7 @@ class ScriptedGoStraight:
             self.gain * scale * gy / dist,
             self.turn_gain * math.atan2(gy, gx),
         ])
-        return _clip(a)
+        return clamp_action(a)
 
 
 class ScriptedAvoid:
@@ -53,12 +57,12 @@ class ScriptedAvoid:
         self.push = push
 
     def action(self, obs: Observation) -> np.ndarray:
-        angles = _beam_angles(len(obs.ranges))
+        cos, sin = _beam_directions(len(obs.ranges))
         weight = np.maximum(0.0, (self.influence - obs.ranges) / self.influence) ** 2
-        rx = -np.sum(weight * np.cos(angles))
-        ry = -np.sum(weight * np.sin(angles))
+        rx = -(weight * cos).sum()
+        ry = -(weight * sin).sum()
         a = np.array([0.25 + self.push * rx, self.push * ry, 1.5 * ry])
-        return _clip(a)
+        return clamp_action(a)
 
 
 class ScriptedBlend:
@@ -75,22 +79,21 @@ class ScriptedBlend:
         self._avoid = ScriptedAvoid()
 
     def action(self, obs: Observation) -> np.ndarray:
-        min_range = float(np.min(obs.ranges))
+        min_range = float(obs.ranges.min())
         w = min(1.0, max(0.0, (self.caution_range - min_range) / self.caution_range))
         a = (1.0 - w) * self._go.action(obs) + w * self._avoid.action(obs)
-        return _clip(a)
+        return clamp_action(a)
 
     def value(self, obs: Observation) -> float:
         gx, gy = obs.goal
-        angles = _beam_angles(len(obs.ranges))
         if math.hypot(gx, gy) < 1e-9:
-            return float(np.min(obs.ranges))
+            return float(obs.ranges.min())
         heading = math.atan2(gy, gx)
-        delta = np.abs(np.angle(np.exp(1j * (angles - heading))))
+        delta = np.abs(np.angle(np.exp(1j * (beam_offsets(len(obs.ranges)) - heading))))
         cone = obs.ranges[delta <= math.pi / 4]
         if cone.size == 0:
             cone = obs.ranges
-        return float(np.min(cone))
+        return float(cone.min())
 
 
 class CompositePolicy:

@@ -213,7 +213,7 @@ def run_episode(
             action = policy.action(obs)
             poses.append(pose.copy())
             actions.append(np.asarray(action, dtype=float).copy())
-            min_ranges.append(float(np.min(scan)))
+            min_ranges.append(float(scan.min()))
 
             if trace_file:
                 alpha = getattr(policy, "alpha", lambda _o: None)(obs)

@@ -20,6 +20,7 @@ from .geometry import (
     ray_disc_hits,
     ray_segment_hits,
     rect_edges,
+    segment_terms,
 )
 
 # Robot disc and holonomic command limits (v_x, v_y, omega_z).
@@ -72,7 +73,10 @@ class RobotState:
 @dataclass
 class WorldState:
     """Mutable simulation state.  ``step`` advances it in place; use ``copy``
-    to snapshot (the RNG state is cloned, so replays are bitwise stable)."""
+    to snapshot (the RNG state is cloned, so replays are bitwise stable).
+
+    ``segments``, ``radii`` and ``segment_terms`` are built from ``spec``
+    once and shared by every copy, so they are read-only."""
 
     spec: ScenarioSpec
     robot: RobotState
@@ -82,12 +86,17 @@ class WorldState:
     rng: np.random.Generator
     segments: np.ndarray = field(repr=False, default=None)  # (m, 4) cached statics
     radii: np.ndarray = field(repr=False, default=None)     # (k,) cached obstacle radii
+    segment_terms: tuple = field(repr=False, default=None)  # ray_segment_hits constants
 
     def __post_init__(self) -> None:
         if self.segments is None:
             self.segments = static_segment_array(self.spec)
         if self.radii is None:
             self.radii = np.array([o.radius for o in self.spec.obstacles])
+        if self.segment_terms is None:
+            self.segment_terms = segment_terms(self.segments)
+        for a in (self.segments, self.radii, *self.segment_terms):
+            a.flags.writeable = False
 
     def copy(self) -> "WorldState":
         rng = np.random.Generator(np.random.PCG64())
@@ -101,6 +110,7 @@ class WorldState:
             rng=rng,
             segments=self.segments,
             radii=self.radii,
+            segment_terms=self.segment_terms,
         )
 
     def goal_distance(self) -> float:
@@ -192,6 +202,12 @@ def spawn(spec: ScenarioSpec) -> WorldState:
     )
 
 
+def clamp_action(a: np.ndarray) -> np.ndarray:
+    """``a`` clamped to [ACTION_LOW, ACTION_HIGH]: the bits of ``np.clip``,
+    NaN included, without its Python-level wrapper."""
+    return np.minimum(np.maximum(a, ACTION_LOW), ACTION_HIGH)
+
+
 def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
@@ -207,12 +223,13 @@ def step(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a = np.clip(np.asarray(action, dtype=float), ACTION_LOW, ACTION_HIGH)
-    x, y, th = world.robot.pose
+    a = clamp_action(np.asarray(action, dtype=float))
+    vx, vy, omega = a.tolist()
+    x, y, th = world.robot.pose.tolist()
     c, s = math.cos(th), math.sin(th)
-    x += (a[0] * c - a[1] * s) * dt
-    y += (a[0] * s + a[1] * c) * dt
-    th = _wrap_angle(th + a[2] * dt)
+    x += (vx * c - vy * s) * dt
+    y += (vx * s + vy * c) * dt
+    th = _wrap_angle(th + omega * dt)
     world.robot.pose[:] = (x, y, th)
     world.robot.velocity[:] = a
 
@@ -253,9 +270,9 @@ def _advance_obstacles(world: WorldState, dt: float) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _beam_offsets(beams: int) -> np.ndarray:
-    """Beam angles relative to the robot heading; read-only, since every
-    raycast with this beam count shares the array."""
+def beam_offsets(beams: int) -> np.ndarray:
+    """Beam angles relative to the robot heading, beam i at 2*pi*i/beams;
+    read-only, since every scan with this beam count shares the array."""
     offsets = 2.0 * math.pi * np.arange(beams) / beams
     offsets.flags.writeable = False
     return offsets
@@ -269,19 +286,22 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     """
     if beams < 1:
         raise ValueError("beams must be >= 1")
-    x, y, th = world.robot.pose
-    origin = np.array([x, y])
-    angles = th + _beam_offsets(beams)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    x, y, th = world.robot.pose.tolist()
+    angles = th + beam_offsets(beams)
+    cos, sin = np.cos(angles), np.sin(angles)
 
-    t_seg = ray_segment_hits(origin, dirs, world.segments)
-    t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, world.radii)
     t = np.full(beams, max_range)  # only falls from here, so no upper clamp is needed
-    if t_seg.size:
-        t = np.minimum(t, t_seg.min(axis=1))
-    if t_disc.size:
-        t = np.minimum(t, t_disc.min(axis=1))
-    return np.maximum(t, 1e-6)
+    if world.segments.size:
+        np.minimum(t, ray_segment_hits(x, y, cos, sin, world.segment_terms).min(axis=0), out=t)
+    if world.obstacle_pos.size:
+        # The disc kernel's (n, 2) @ (2, k) product is kept as it was: a
+        # product of another shape may round differently.
+        dirs = np.empty((beams, 2))
+        dirs[:, 0] = cos
+        dirs[:, 1] = sin
+        t_disc = ray_disc_hits(np.array([x, y]), dirs, world.obstacle_pos, world.radii)
+        np.minimum(t, t_disc.min(axis=1), out=t)
+    return np.maximum(t, 1e-6, out=t)
 
 
 def check_collision(world: WorldState) -> bool:

@@ -58,9 +58,21 @@ class TestSimulate:
         fa, fb = _dir_files(a), _dir_files(b)
         assert set(fa) == set(fb)
         for name in fa:
-            if name == "manifest.json":
-                continue  # embeds the differing --out argument
+            if name in ("manifest.json", "timing.json"):
+                continue  # the manifest embeds the differing --out argument; timing is wall time
             assert fa[name] == fb[name], name
+
+    def test_timing_json_counts_ticks_and_stays_out_of_the_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        main(["simulate", "--scenario", "blind-alley", "--bundle", "scripted",
+              "--seed", "4", "--episodes", "2", "--timeout", "5", "--out", str(out)])
+        timing = json.loads((out / "timing.json").read_text())
+        assert set(timing) == {"wall_s", "ticks", "ticks_per_s"}
+        steps = [int(row.split(",")[-1]) for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert timing["ticks"] == sum(steps) > 0
+        assert timing["wall_s"] > 0
+        assert timing["ticks_per_s"] == pytest.approx(timing["ticks"] / timing["wall_s"])
+        assert "timing.json" not in json.loads((out / "manifest.json").read_text())["artifacts"]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         args = ["simulate", "--scenario", "blind-alley", "--bundle", "scripted",

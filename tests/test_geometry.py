@@ -9,6 +9,7 @@ from navstack.geometry import (
     ray_disc_hits,
     ray_segment_hits,
     rect_edges,
+    segment_terms,
     supercover_cells,
 )
 
@@ -21,19 +22,26 @@ def test_rect_edges_close_the_loop():
 
 
 def test_ray_segment_perpendicular_hit():
-    origin = np.zeros(2)
-    dirs = np.array([[1.0, 0.0]])
     segs = np.array([[2.0, -1.0, 2.0, 1.0]])
-    t = ray_segment_hits(origin, dirs, segs)
+    t = ray_segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segment_terms(segs))
     assert t.shape == (1, 1)
     assert t[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ray_segment_miss_behind():
-    origin = np.zeros(2)
-    dirs = np.array([[1.0, 0.0]])
     segs = np.array([[-2.0, -1.0, -2.0, 1.0]])
-    assert np.isinf(ray_segment_hits(origin, dirs, segs)).all()
+    assert np.isinf(ray_segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segment_terms(segs))).all()
+
+
+def test_ray_segment_hits_is_segments_by_rays():
+    # Three rays (+x, +y, -x) against a wall at x = 2 and a floor at y = 3.
+    segs = np.array([[2.0, -1.0, 2.0, 1.0], [-5.0, 3.0, 5.0, 3.0]])
+    t = ray_segment_hits(0.0, 0.0, np.array([1.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0]), segment_terms(segs))
+    assert t.shape == (2, 3)
+    assert t[0, 0] == pytest.approx(2.0) and np.isinf(t[0, 1:]).all()
+    assert t[1, 1] == pytest.approx(3.0) and np.isinf(t[1, [0, 2]]).all()
+    empty = ray_segment_hits(0.0, 0.0, np.ones(3), np.zeros(3), segment_terms(np.zeros((0, 4))))
+    assert empty.shape == (0, 3)
 
 
 def test_ray_disc_front_and_inside():

@@ -216,6 +216,23 @@ def test_integrate_scan_matches_oracle(case):
     _assert_scans_match_oracle(p0, scans, max_range)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.booleans(), st.integers(0, 2**31 - 1),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-10.0, 10.0),
+                          st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40)),
+                min_size=1, max_size=25))
+def test_probabilities_stay_within_clamp(rows, cols, start_fresh, seed, scans):
+    """However many scans land on a cell, from any pose and with any finite
+    ranges, its probability stays in [P_MIN, P_MAX]."""
+    rng = np.random.default_rng(seed)
+    p0 = np.full((rows, cols), 0.5) if start_fresh else rng.uniform(P_MIN, P_MAX, (rows, cols))
+    g = OccupancyGrid(0.1, (0.0, 0.0), p0)
+    for fx, fy, th, ranges in scans:
+        pose = (min(fx, 0.999) * cols * 0.1, min(fy, 0.999) * rows * 0.1, th)
+        integrate_scan(g, pose, np.array(ranges), max_range=3.0)
+        assert np.all(g.p >= P_MIN) and np.all(g.p <= P_MAX)
+
+
 def _frontier_oracle(grid):
     out = []
     rows, cols = grid.p.shape

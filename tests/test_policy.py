@@ -92,6 +92,72 @@ class TestBuildObservation:
             build_observation([], (0, 0, 0), (1, 0), (0, 0, 0))
 
 
+def _build_observation_oracle(scans, pose, goal_world, velocity, history: int = 3) -> Observation:
+    """The observation built from a zero vector with one division per
+    motion term, kept verbatim."""
+    if len(scans) < 1:
+        raise ValueError("need at least the current scan")
+    current = np.asarray(scans[-1], dtype=float)
+    motion = np.zeros_like(current)
+    for k in range(1, history + 1):
+        past = np.asarray(scans[-1 - k], dtype=float) if len(scans) > k else current
+        motion += (current - past) / k
+    return Observation(
+        ranges=current,
+        motion=motion,
+        goal=goal_in_robot_frame(pose, goal_world),
+        velocity=np.asarray(velocity, dtype=float).copy(),
+    )
+
+
+# Every float64: NaN, +-inf, -0.0, subnormals and huge values included.
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_finite = st.floats(-20.0, 20.0)
+
+
+@st.composite
+def _scan_histories(draw):
+    beams = draw(st.integers(1, 10))
+    history = draw(st.integers(0, 5))
+    count = draw(st.integers(1, history + 2))  # fewer scans than history + 1 pads with the current one
+    values = st.one_of(_any_float, st.sampled_from([0.0, -0.0, 1.0]))
+    scans = [np.array(draw(st.lists(values, min_size=beams, max_size=beams))) for _ in range(count)]
+    pose = draw(st.tuples(_finite, _finite, _finite))
+    goal = draw(st.tuples(_finite, _finite))
+    velocity = draw(st.lists(_any_float, min_size=3, max_size=3))
+    return scans, pose, goal, velocity, history
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_histories())
+def test_build_observation_matches_oracle_bit_for_bit(case):
+    scans, pose, goal, velocity, history = case
+    with np.errstate(invalid="ignore"):  # inf - inf in the motion terms
+        got = build_observation(scans, pose, goal, velocity, history)
+        want = _build_observation_oracle(scans, pose, goal, velocity, history)
+    for field in ("ranges", "motion", "goal", "velocity"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def _scale_to_limits_oracle(raw: np.ndarray) -> np.ndarray:
+    """The mapping with the np.clip wrapper, kept verbatim."""
+    scaled = ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * (ACTION_HIGH - ACTION_LOW)
+    return np.clip(scaled, ACTION_LOW, ACTION_HIGH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(_any_float, st.sampled_from([0.0, -0.0, 40.0, -40.0])),
+                         min_size=3, max_size=3), min_size=1, max_size=4),
+       st.booleans())
+def test_scale_to_limits_matches_oracle_bit_for_bit(rows, flat):
+    raw = np.array(rows[0] if flat else rows)
+    got, want = scale_to_limits(raw), _scale_to_limits_oracle(raw)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
 def test_motion_zero_for_any_constant_history(seed, history):

@@ -1,4 +1,8 @@
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navstack.policy import Observation
 from navstack.scripted import (
@@ -66,3 +70,79 @@ def test_composite_routes_action_and_value():
     assert comp.value(o) == 42.0
     assert np.array_equal(comp.action(o), scripted_bundle().action(o))
     assert comp.alpha(o) is None
+
+
+# The scripted actions and value as they were written with np.clip, np.sum
+# and beam angles rebuilt on every call, kept verbatim (``_beam_angles``
+# inlined); the new code must match them bit for bit.
+
+
+def _beam_angles_oracle(n):
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def _go_action_oracle(go, o):
+    gx, gy = o.goal
+    dist = math.hypot(gx, gy)
+    if dist < 1e-9:
+        return np.zeros(3)
+    scale = min(1.0, dist)  # slow into the goal
+    a = np.array([
+        go.gain * scale * gx / dist,
+        go.gain * scale * gy / dist,
+        go.turn_gain * math.atan2(gy, gx),
+    ])
+    return np.clip(a, ACTION_LOW, ACTION_HIGH)
+
+
+def _avoid_action_oracle(avoid, o):
+    angles = _beam_angles_oracle(len(o.ranges))
+    weight = np.maximum(0.0, (avoid.influence - o.ranges) / avoid.influence) ** 2
+    rx = -np.sum(weight * np.cos(angles))
+    ry = -np.sum(weight * np.sin(angles))
+    a = np.array([0.25 + avoid.push * rx, avoid.push * ry, 1.5 * ry])
+    return np.clip(a, ACTION_LOW, ACTION_HIGH)
+
+
+def _blend_action_oracle(blend, o):
+    min_range = float(np.min(o.ranges))
+    w = min(1.0, max(0.0, (blend.caution_range - min_range) / blend.caution_range))
+    a = (1.0 - w) * _go_action_oracle(blend._go, o) + w * _avoid_action_oracle(blend._avoid, o)
+    return np.clip(a, ACTION_LOW, ACTION_HIGH)
+
+
+def _blend_value_oracle(blend, o):
+    gx, gy = o.goal
+    angles = _beam_angles_oracle(len(o.ranges))
+    if math.hypot(gx, gy) < 1e-9:
+        return float(np.min(o.ranges))
+    heading = math.atan2(gy, gx)
+    delta = np.abs(np.angle(np.exp(1j * (angles - heading))))
+    cone = o.ranges[delta <= math.pi / 4]
+    if cone.size == 0:
+        cone = o.ranges
+    return float(np.min(cone))
+
+
+_ranges = st.lists(
+    st.one_of(st.floats(0.0, 8.0), st.sampled_from([0.0, -0.0, 1e-6, 1.2, np.inf, np.nan])),
+    min_size=1, max_size=80,
+)
+_goal = st.one_of(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                  st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1e-10, 0.0), (0.0, -3.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranges, _goal, st.floats(0.2, 3.0), st.floats(0.1, 3.0))
+def test_scripted_policies_match_oracles_bit_for_bit(ranges, goal, caution, influence):
+    o = obs(ranges, goal)
+    blend = ScriptedBlend(caution_range=caution)
+    avoid = ScriptedAvoid(influence=influence)
+    pairs = [
+        (avoid.action(o), _avoid_action_oracle(avoid, o)),
+        (blend.action(o), _blend_action_oracle(blend, o)),
+        (ScriptedGoStraight().action(o), _go_action_oracle(ScriptedGoStraight(), o)),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.float64(blend.value(o)).tobytes() == np.float64(_blend_value_oracle(blend, o)).tobytes()

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navstack.geometry import ray_disc_hits, ray_segment_hits
+from navstack.geometry import ray_disc_hits
 from navstack.world import (
     ACTION_HIGH,
     ACTION_LOW,
+    ARRIVAL_RADIUS,
+    CONTROL_DT,
     ObstacleSpec,
     RobotState,
     ScenarioSpec,
     WorldState,
+    _advance_obstacles,
+    _wrap_angle,
     check_collision,
     raycast,
     spawn,
@@ -211,15 +215,34 @@ class TestRaycast:
             raycast(spawn(empty_room()), 0, 5.0)
 
 
+def _ray_segment_hits_oracle(origin: np.ndarray, dirs: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """The segment kernel that took the segments themselves and returned
+    (rays, segments), kept verbatim."""
+    n = dirs.shape[0]
+    if segments.size == 0:
+        return np.full((n, 0), np.inf)
+    a = segments[:, :2]
+    e = segments[:, 2:4] - a
+    ao = a - origin  # (m, 2)
+    d = dirs[:, None, :]  # (n, 1, 2)
+    denom = d[..., 0] * e[None, :, 1] - d[..., 1] * e[None, :, 0]  # cross(d, e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ao[None, :, 0] * e[None, :, 1] - ao[None, :, 1] * e[None, :, 0]) / denom
+        u = (ao[None, :, 0] * d[..., 1] - ao[None, :, 1] * d[..., 0]) / denom
+    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
+    return np.where(valid, t, np.inf)
+
+
 def _raycast_oracle(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     """The raycast that rebuilt its constants on every call, kept verbatim
-    (less its range-noise branch, which was off by default)."""
+    (less its range-noise branch, which was off by default); its segment
+    kernel is the old one above."""
     x, y, th = world.robot.pose
     origin = np.array([x, y])
     angles = th + 2.0 * math.pi * np.arange(beams) / beams
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    t_seg = ray_segment_hits(origin, dirs, world.segments)
+    t_seg = _ray_segment_hits_oracle(origin, dirs, world.segments)
     radii = np.array([o.radius for o in world.spec.obstacles])
     t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, radii)
     t = np.full(beams, max_range)
@@ -395,3 +418,102 @@ class TestDeterminism:
             moved = np.linalg.norm(w.obstacle_pos - prev, axis=1)
             assert np.all(moved <= 1.2 * dt + 1e-9)
             prev = w.obstacle_pos.copy()
+
+
+def _step_oracle(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState, str]:
+    """The step with the np.clip clamp and numpy-scalar arithmetic, kept
+    verbatim."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    a = np.clip(np.asarray(action, dtype=float), ACTION_LOW, ACTION_HIGH)
+    x, y, th = world.robot.pose
+    c, s = math.cos(th), math.sin(th)
+    x += (a[0] * c - a[1] * s) * dt
+    y += (a[0] * s + a[1] * c) * dt
+    th = _wrap_angle(th + a[2] * dt)
+    world.robot.pose[:] = (x, y, th)
+    world.robot.velocity[:] = a
+
+    _advance_obstacles(world, dt)
+    world.sim_time += dt
+
+    if check_collision(world):
+        return world, "collision"
+    if world.goal_distance() < ARRIVAL_RADIUS:
+        return world, "goal_reached"
+    return world, "none"
+
+
+def _assert_same_world(a: WorldState, b: WorldState) -> None:
+    for name in ("pose", "velocity"):
+        assert getattr(a.robot, name).tobytes() == getattr(b.robot, name).tobytes(), name
+    assert a.obstacle_pos.tobytes() == b.obstacle_pos.tobytes()
+    assert a.obstacle_heading.tobytes() == b.obstacle_heading.tobytes()
+    assert a.sim_time == b.sim_time
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def _replay_spec(seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="replay",
+        bounds=(0.0, 0.0, 10.0, 10.0),
+        static_rects=((1.0, 1.0, 2.0, 2.5),),
+        static_segments=((7.0, 1.0, 9.0, 1.5),),
+        obstacles=(ObstacleSpec(radius=0.3, max_speed=1.5), ObstacleSpec(radius=0.6, max_speed=0.8, resample_prob=0.5)),
+        robot_start=(5.0, 5.0, 0.0),
+        goal=(9.0, 9.0),
+        seed=seed,
+    )
+
+
+# Actions with NaN, +-inf, -0.0 and values past the limits, so the clamp's
+# every branch is taken.
+_actions = st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5])),
+    min_size=3, max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(_actions, min_size=1, max_size=12))
+def test_step_matches_oracle_bit_for_bit(seed, actions):
+    a = spawn(_replay_spec(seed))
+    b = a.copy()
+    for action in actions:
+        assert step(a, action)[1] == _step_oracle(b, action)[1]
+        _assert_same_world(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["double-branch", "blind-alley", "rooms", "square"]), st.integers(0, 10_000),
+       st.integers(0, 20), st.lists(st.tuples(st.floats(-1.0, 1.5), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+                                    min_size=1, max_size=40))
+def test_bitwise_world_replay(name, seed, warmup, actions):
+    """A copy taken after any prefix replays the original bit for bit:
+    poses, obstacle states, RNG state and raycasts."""
+    from navstack.scenarios import make_scenario
+
+    world = spawn(make_scenario(name, seed))
+    for action in actions[:warmup]:
+        step(world, action)
+    replica = world.copy()
+    for action in actions:
+        event_a, event_b = step(world, action)[1], step(replica, action)[1]
+        assert event_a == event_b
+        _assert_same_world(world, replica)
+        assert raycast(world, 72, 6.0).tobytes() == raycast(replica, 72, 6.0).tobytes()
+
+
+def test_shared_world_arrays_are_read_only():
+    world = spawn(_replay_spec(3))
+    replica = world.copy()
+    shared = (world.segments, world.radii, *world.segment_terms)
+    assert replica.segments is world.segments and replica.radii is world.radii
+    assert all(x is y for x, y in zip(replica.segment_terms, world.segment_terms))
+    for arr in shared:
+        assert arr.size > 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    before = raycast(replica, 72, 6.0)
+    step(world, (1.0, 0.0, 0.5))
+    assert raycast(replica, 72, 6.0).tobytes() == before.tobytes()
