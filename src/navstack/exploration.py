@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import label
 
 from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
 from .planning import distance_field
@@ -58,7 +57,30 @@ class ScoredCandidate:
         return self.d1 + self.d2
 
 
-def cluster_representatives(frontiers, grid_shape, cap: int, min_size: int = 1) -> list[tuple[int, int]]:
+def _clusters(cells) -> list[list[tuple[int, int]]]:
+    """The 8-connected components of a set of cells, in the row-major order
+    of their first cells."""
+    todo = set(cells)
+    out = []
+    for first in sorted(todo):
+        if first not in todo:
+            continue
+        todo.remove(first)
+        members = [first]
+        stack = [first]
+        while stack:
+            r, c = stack.pop()
+            for cell in ((r - 1, c - 1), (r - 1, c), (r - 1, c + 1), (r, c - 1),
+                         (r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
+                if cell in todo:
+                    todo.remove(cell)
+                    members.append(cell)
+                    stack.append(cell)
+        out.append(members)
+    return out
+
+
+def cluster_representatives(frontiers, cap: int, min_size: int = 1) -> list[tuple[int, int]]:
     """One representative cell per 8-connected frontier cluster.
 
     The representative is the member nearest the cluster centroid (ties to
@@ -66,23 +88,17 @@ def cluster_representatives(frontiers, grid_shape, cap: int, min_size: int = 1) 
     as raster noise and skipped; when more than ``cap`` clusters remain the
     largest win, ties again row-major.
     """
-    if not frontiers:
-        return []
-    mask = np.zeros(grid_shape, dtype=bool)
-    rows = np.array([c[0] for c in frontiers])
-    cols = np.array([c[1] for c in frontiers])
-    mask[rows, cols] = True
-    labels, count = label(mask, structure=np.ones((3, 3), dtype=int))
     reps: list[tuple[int, tuple[int, int]]] = []
-    for k in range(1, count + 1):
-        members = np.argwhere(labels == k)
-        if len(members) < min_size:
+    for cluster in _clusters((int(r), int(c)) for r, c in frontiers):
+        if len(cluster) < min_size:
             continue
+        members = np.array(cluster)
+        # Sums of small integers are exact in any order, so the centroid's
+        # bits do not depend on the order of the members.
         centroid = members.mean(axis=0)
         d2 = np.sum((members - centroid) ** 2, axis=1)
         order = np.lexsort((members[:, 1], members[:, 0], d2))
-        rep = tuple(int(v) for v in members[order[0]])
-        reps.append((len(members), rep))
+        reps.append((len(members), cluster[order[0]]))
     reps.sort(key=lambda t: (-t[0], t[1]))
     return [rep for _, rep in reps[:cap]]
 
@@ -103,7 +119,7 @@ def score_candidates(
     ``dist_field`` may carry a precomputed Dijkstra flood from the robot
     cell; otherwise one is computed here.
     """
-    reps = cluster_representatives(frontiers, grid.p.shape, config.candidate_cap, config.min_cluster_size)
+    reps = cluster_representatives(frontiers, config.candidate_cap, config.min_cluster_size)
     if not reps:
         return []
     if dist_field is None:

@@ -53,23 +53,30 @@ def ray_segment_hits(ox: float, oy: float, cos: np.ndarray, sin: np.ndarray, ter
 
 
 def ray_disc_hits(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Hit distances for every (ray, disc) pair, inf where there is no hit.
+    """Hit distances for every (disc, ray) pair, inf where there is no hit.
 
-    A ray starting inside a disc reports the exit distance, which keeps
-    distances strictly positive.
+    origin: (2,) ray origin shared by all rays.
+    dirs: (n, 2) unit ray directions.
+    centers, radii: (k, 2) and (k,) discs.
+    Returns a (k, n) array, the rays along the last axis as in
+    ``ray_segment_hits``, so the nearest hit per ray is a reduction over
+    axis 0.  A ray starting inside a disc reports the exit distance, which
+    keeps distances strictly positive.
     """
-    n = dirs.shape[0]
-    if centers.size == 0:
-        return np.full((n, 0), np.inf)
     oc = centers - origin  # (k, 2)
-    b = dirs @ oc.T  # (n, k) projection of center offset onto each ray
-    c = np.sum(oc * oc, axis=1) - radii * radii  # (k,)
-    disc = b * b - c[None, :]
+    # The (n, 2) @ (2, k) product, transposed after: a product of another
+    # shape may round differently.
+    b = np.ascontiguousarray((dirs @ oc.T).T)  # projection of each center offset onto each ray
+    c = (np.sum(oc * oc, axis=1) - radii * radii)[:, None]  # (k, 1)
+    disc = b * b - c
     sq = np.sqrt(np.maximum(disc, 0.0))
-    t1 = b - sq
-    t2 = b + sq
-    t = np.where(t1 > 1e-9, t1, np.where(t2 > 1e-9, t2, np.inf))
-    return np.where(disc >= 0.0, t, np.inf)
+    t = b + sq  # the exit, where the entry lies behind the origin
+    t[~(t > 1e-9)] = np.inf
+    t1 = b - sq  # the entry
+    ahead = t1 > 1e-9
+    t[ahead] = t1[ahead]
+    t[~(disc >= 0.0)] = np.inf
+    return t
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

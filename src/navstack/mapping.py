@@ -172,19 +172,44 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     return grid
 
 
+def _or_shifted(dst: np.ndarray, src: np.ndarray, dr: int, dc: int) -> None:
+    """dst[i, j] |= src[i + dr, j + dc] wherever both cells lie in the grid."""
+    rows, cols = src.shape
+    if abs(dr) >= rows or abs(dc) >= cols:
+        return  # no overlap; the slice bounds below would go negative and wrap
+    dst[max(-dr, 0):rows - max(dr, 0), max(-dc, 0):cols - max(dc, 0)] |= \
+        src[max(dr, 0):rows - max(-dr, 0), max(dc, 0):cols - max(-dc, 0)]
+
+
+def dilate(mask: np.ndarray, half_widths) -> np.ndarray:
+    """Binary dilation of a 2-D bool ``mask``, as
+    ``scipy.ndimage.binary_dilation`` computes it with its default zero
+    border, by a structure of odd height whose row ``k`` is the column
+    interval [-half_widths[k], half_widths[k]] about the centre column.
+
+    Row by row: the mask is first widened along the columns to every
+    half-width (two shifted ORs per unit of width), then each structure row
+    ORs in its widened mask, shifted by the row's offset from the centre.
+    """
+    n = len(half_widths) // 2
+    widened = [mask]
+    for w in range(1, max(half_widths) + 1):
+        wide = widened[-1].copy()
+        _or_shifted(wide, mask, 0, w)
+        _or_shifted(wide, mask, 0, -w)
+        widened.append(wide)
+    out = widened[half_widths[n]].copy()
+    for k, w in enumerate(half_widths):
+        if k != n:
+            _or_shifted(out, widened[w], n - k, 0)  # the structure reflected, as scipy does
+    return out
+
+
 def frontier_mask(grid: OccupancyGrid) -> np.ndarray:
     """True at free cells with at least one unknown cell in their
-    8-neighborhood."""
-    unk = unknown_mask(grid)
-    near_unknown = np.zeros_like(unk)
-    rows, cols = unk.shape
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            src = unk[max(dr, 0):rows + min(dr, 0), max(dc, 0):cols + min(dc, 0)]
-            near_unknown[max(-dr, 0):rows + min(-dr, 0), max(-dc, 0):cols + min(-dc, 0)] |= src
-    return free_mask(grid) & near_unknown
+    8-neighborhood (the 3 x 3 dilation may include the cell itself: a free
+    cell is never unknown)."""
+    return free_mask(grid) & dilate(unknown_mask(grid), (1, 1, 1))
 
 
 def frontier_cells(grid: OccupancyGrid, mask: np.ndarray | None = None) -> list[tuple[int, int]]:

@@ -9,16 +9,16 @@ heuristic (admissible and consistent for unit/sqrt(2) steps): exact optima.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .geometry import supercover_cells
-from .mapping import OccupancyGrid, occupied_mask, unknown_mask
+from .mapping import OccupancyGrid, dilate, occupied_mask, unknown_mask
 from .world import ROBOT_RADIUS
 
 SQRT2 = math.sqrt(2.0)
@@ -49,13 +49,15 @@ def _disk_structure(radius_cells: float) -> np.ndarray:
     return (d[:, None] ** 2 + d[None, :] ** 2) <= radius_cells ** 2 + 1e-9
 
 
+@functools.lru_cache(maxsize=8)
+def _disk_half_widths(radius_cells: float) -> tuple[int, ...]:
+    """Each row of the disk is a centred column interval; its half-widths."""
+    return tuple(int(k) // 2 for k in _disk_structure(radius_cells).sum(axis=1))
+
+
 def inflate_occupied(grid: OccupancyGrid, robot_radius: float = ROBOT_RADIUS) -> np.ndarray:
     """Occupied cells grown by a circular kernel of the robot radius."""
-    occ = occupied_mask(grid)
-    structure = _disk_structure(robot_radius / grid.resolution)
-    if structure.shape == (1, 1):
-        return occ
-    return binary_dilation(occ, structure=structure)
+    return dilate(occupied_mask(grid), _disk_half_widths(robot_radius / grid.resolution))
 
 
 def blocked_mask(

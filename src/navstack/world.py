@@ -230,6 +230,16 @@ def step(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState,
     x += (vx * c - vy * s) * dt
     y += (vx * s + vy * c) * dt
     th = _wrap_angle(th + omega * dt)
+    if x != x or y != y or th != th:
+        # Given two NaN operands, CPython's float ops return one or the
+        # other depending on whether the interpreter has specialised the
+        # op yet, so a NaN result is redone in numpy scalars, which always
+        # pick the same one.
+        x, y, th = world.robot.pose
+        c, s = math.cos(th), math.sin(th)
+        x += (a[0] * c - a[1] * s) * dt
+        y += (a[0] * s + a[1] * c) * dt
+        th = _wrap_angle(th + a[2] * dt)
     world.robot.pose[:] = (x, y, th)
     world.robot.velocity[:] = a
 
@@ -294,13 +304,11 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     if world.segments.size:
         np.minimum(t, ray_segment_hits(x, y, cos, sin, world.segment_terms).min(axis=0), out=t)
     if world.obstacle_pos.size:
-        # The disc kernel's (n, 2) @ (2, k) product is kept as it was: a
-        # product of another shape may round differently.
         dirs = np.empty((beams, 2))
         dirs[:, 0] = cos
         dirs[:, 1] = sin
         t_disc = ray_disc_hits(np.array([x, y]), dirs, world.obstacle_pos, world.radii)
-        np.minimum(t, t_disc.min(axis=1), out=t)
+        np.minimum(t, t_disc.min(axis=0), out=t)
     return np.maximum(t, 1e-6, out=t)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import label
 
 from navstack.exploration import (
     ExplorationConfig,
@@ -161,19 +162,78 @@ def test_affine_rescaling_invariance(seed, a_d, b_d, a_v, b_v):
 class TestClustering:
     def test_one_rep_per_component(self):
         cells = [(5, 5), (5, 6), (6, 5), (20, 20), (20, 21)]
-        reps = cluster_representatives(cells, (40, 40), cap=10)
+        reps = cluster_representatives(cells, cap=10)
         assert len(reps) == 2
         assert reps[0] in {(5, 5), (5, 6), (6, 5)}  # larger cluster first
 
     def test_cap_keeps_largest(self):
         cells = [(0, 0), (0, 1), (0, 2), (10, 10), (30, 30)]
-        reps = cluster_representatives(cells, (40, 40), cap=1)
+        reps = cluster_representatives(cells, cap=1)
         assert reps == [(0, 1)]  # centroid-nearest of the 3-cell cluster
 
     def test_min_size_filters_specks(self):
         cells = [(0, 0), (10, 10), (10, 11), (10, 12)]
-        reps = cluster_representatives(cells, (40, 40), cap=10, min_size=3)
+        reps = cluster_representatives(cells, cap=10, min_size=3)
         assert reps == [(10, 11)]
+
+
+    def test_diagonal_steps_join_one_cluster(self):
+        cells = [(0, 0), (1, 1), (2, 2), (3, 1), (10, 0), (9, 1)]
+        assert cluster_representatives(cells, cap=10) == [(1, 1), (9, 1)]
+
+    def test_no_cells_no_clusters(self):
+        assert cluster_representatives([], cap=10) == []
+
+
+def _cluster_representatives_oracle(frontiers, grid_shape, cap: int, min_size: int = 1):
+    """The scipy-labelled clustering that ``cluster_representatives``
+    replaced, kept verbatim."""
+    if not frontiers:
+        return []
+    mask = np.zeros(grid_shape, dtype=bool)
+    rows = np.array([c[0] for c in frontiers])
+    cols = np.array([c[1] for c in frontiers])
+    mask[rows, cols] = True
+    labels, count = label(mask, structure=np.ones((3, 3), dtype=int))
+    reps: list[tuple[int, tuple[int, int]]] = []
+    for k in range(1, count + 1):
+        members = np.argwhere(labels == k)
+        if len(members) < min_size:
+            continue
+        centroid = members.mean(axis=0)
+        d2 = np.sum((members - centroid) ** 2, axis=1)
+        order = np.lexsort((members[:, 1], members[:, 0], d2))
+        rep = tuple(int(v) for v in members[order[0]])
+        reps.append((len(members), rep))
+    reps.sort(key=lambda t: (-t[0], t[1]))
+    return [rep for _, rep in reps[:cap]]
+
+
+@st.composite
+def frontier_sets(draw):
+    """Row-major cells of a random mask on a grid of 1-30 rows and columns;
+    a diagonal-only fill gives clusters joined only through corners."""
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["random", "diagonal", "full"]))
+    if fill == "random":
+        mask = rng.random(shape) < rng.random()
+    elif fill == "diagonal":
+        r, c = np.indices(shape)
+        mask = ((r + c) % 2 == 0) & (rng.random(shape) < 0.8)  # a checkerboard with holes
+    else:
+        mask = np.ones(shape, dtype=bool)
+    return shape, [tuple(rc) for rc in np.argwhere(mask)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_sets(), st.integers(1, 70), st.integers(1, 6))
+@example(((3, 3), [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]), 1, 1)  # one X joined at corners
+def test_cluster_representatives_matches_scipy_label(case, cap, min_size):
+    shape, cells = case
+    got = cluster_representatives(cells, cap, min_size)
+    assert got == _cluster_representatives_oracle(cells, shape, cap, min_size)
+    assert all(type(v) is int for rep in got for v in rep)
 
 
 class TestTriggers:

@@ -56,6 +56,17 @@ def test_ray_disc_front_and_inside():
     assert t_in[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ray_disc_hits_is_discs_by_rays():
+    # Three rays (+x, +y, -x) against a disc on the x axis and one on the y axis.
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    t = ray_disc_hits(np.zeros(2), dirs, np.array([[3.0, 0.0], [0.0, 5.0]]), np.array([0.5, 1.0]))
+    assert t.shape == (2, 3)
+    assert t[0, 0] == pytest.approx(2.5) and np.isinf(t[0, 1:]).all()
+    assert t[1, 1] == pytest.approx(4.0) and np.isinf(t[1, [0, 2]]).all()
+    empty = ray_disc_hits(np.zeros(2), dirs, np.zeros((0, 2)), np.zeros(0))
+    assert empty.shape == (0, 3)
+
+
 def test_point_distances():
     assert point_segment_distance(0, 1, -1, 0, 1, 0) == pytest.approx(1.0)
     assert point_segment_distance(5, 0, -1, 0, 1, 0) == pytest.approx(4.0)

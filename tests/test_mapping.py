@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import binary_dilation
 
 from navstack.mapping import (
     CellClass,
@@ -16,6 +17,8 @@ from navstack.mapping import (
     P_MIN,
     classify,
     classify_p,
+    dilate,
+    free_mask,
     frontier_cells,
     frontier_mask,
     integrate_scan,
@@ -305,6 +308,65 @@ def test_frontier_cells_are_free_with_unknown_neighbor(seed):
         assert classify(g, (r, c)) is CellClass.FREE
         neighborhood = unk[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
         assert neighborhood.any()
+
+
+@st.composite
+def bool_masks(draw, max_side=20):
+    """Bool masks of 1 to ``max_side`` rows and columns: a random fill,
+    empty or full."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill != "random":
+        return np.full(shape, fill == "full")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < rng.random()
+
+
+def _interval_structure(half_widths) -> np.ndarray:
+    n = max(half_widths)
+    structure = np.zeros((len(half_widths), 2 * n + 1), dtype=bool)
+    for k, w in enumerate(half_widths):
+        structure[k, n - w:n + w + 1] = True
+    return structure
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_masks(), st.lists(st.integers(0, 6), min_size=1, max_size=15).filter(lambda hw: len(hw) % 2 == 1))
+def test_dilate_matches_scipy(mask, half_widths):
+    # Structures as high or wide as the grid and beyond, lopsided ones too.
+    got = dilate(mask, half_widths)
+    want = binary_dilation(mask, structure=_interval_structure(half_widths))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_dilate_does_not_write_its_input():
+    mask = np.eye(5, dtype=bool)
+    dilate(mask, (1, 2, 1))
+    assert np.array_equal(mask, np.eye(5, dtype=bool))
+
+
+def _frontier_mask_oracle(grid: OccupancyGrid) -> np.ndarray:
+    """The eight-offset frontier loop that ``dilate`` replaced, kept verbatim."""
+    unk = unknown_mask(grid)
+    near_unknown = np.zeros_like(unk)
+    rows, cols = unk.shape
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            src = unk[max(dr, 0):rows + min(dr, 0), max(dc, 0):cols + min(dc, 0)]
+            near_unknown[max(-dr, 0):rows + min(-dr, 0), max(-dc, 0):cols + min(-dc, 0)] |= src
+    return free_mask(grid) & near_unknown
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 12), st.integers(1, 12)), st.integers(0, 2**32 - 1))
+def test_frontier_mask_matches_oracle(shape, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.choice([P_MIN, 0.3, 0.48, 0.5, 0.52, 0.7, P_MAX], size=shape)
+    g = OccupancyGrid(0.1, (0.0, 0.0), p)
+    assert np.array_equal(frontier_mask(g), _frontier_mask_oracle(g))
 
 
 class TestPgmRoundTrip:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import binary_dilation
 
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN
 from navstack.planning import (
@@ -12,6 +13,7 @@ from navstack.planning import (
     GridPath,
     ROBOT_RADIUS,
     SQRT2,
+    _disk_structure,
     _snap_start,
     blocked_mask,
     distance_field,
@@ -40,6 +42,35 @@ def random_grid(seed, rows=50, cols=50, p_occ=0.18, p_unk=0.08):
     p[draw < p_occ] = P_MAX
     p[(draw >= p_occ) & (draw < p_occ + p_unk)] = 0.5
     return OccupancyGrid(RES, (0.0, 0.0), p)
+
+
+def _inflate_occupied_oracle(grid, robot_radius):
+    """The scipy dilation that ``inflate_occupied`` made before ``dilate``."""
+    occ = grid.p > 0.52
+    structure = _disk_structure(robot_radius / grid.resolution)
+    if structure.shape == (1, 1):
+        return occ
+    return binary_dilation(occ, structure=structure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "empty", "full"]),
+    st.one_of(st.floats(0.0, 0.099), st.floats(0.0, 0.8), st.sampled_from([0.1, 0.12, 0.2, 0.3, 0.5])),
+)
+@example((17, 3), 0, "random", 0.3)  # fewer columns than the disk
+@example((3, 17), 0, "random", 0.5)  # fewer rows than the disk
+@example((1, 1), 0, "full", 0.3)
+@example((1, 1), 0, "empty", 0.05)   # a radius under one cell: a (1, 1) structure
+def test_inflate_occupied_matches_scipy(shape, seed, fill, robot_radius):
+    rng = np.random.default_rng(seed)
+    occupied = rng.random(shape) < rng.random() if fill == "random" else np.full(shape, fill == "full")
+    g = grid_from_mask(occupied, rows=shape[0], cols=shape[1])
+    got = inflate_occupied(g, robot_radius)
+    want = _inflate_occupied_oracle(g, robot_radius)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def oracle_blocked(grid, robot_radius=0.3):

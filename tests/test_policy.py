@@ -318,6 +318,26 @@ def test_fuse_matches_tensordot_oracle_bit_for_bit(case):
         _assert_same_bits(fuse(bank, alpha), _fuse_oracle(bank, alpha))
 
 
+@settings(max_examples=200, deadline=None)
+@given(banks_and_alphas(), st.sampled_from(["distinct", "a-b-a-b", "equal"]))
+def test_fused_parameters_lie_in_the_experts_hull(case, pattern):
+    """Every fused entry lies within the experts' entrywise [min, max], up
+    to 8 ulps of the largest expert entry's magnitude: the gate's weights
+    sum to 1 only up to rounding, and so does the dot.  Repeated experts
+    (the stage-2 bank is [a, b, a, b]) make the hull an interval of width 0,
+    where that rounding shows (3 ulps at most in 3000 random banks)."""
+    bank, alphas = case
+    e = bank.experts
+    bank = ExpertBank({"distinct": e, "a-b-a-b": (e[0], e[1], e[0], e[1]), "equal": (e[0],) * 4}[pattern])
+    for alpha in alphas:
+        fused = fuse(bank, alpha)
+        for i, arr in enumerate(fused.arrays()):
+            stack = np.stack([x.arrays()[i] for x in bank.experts])
+            tol = 8 * np.spacing(np.abs(stack).max(axis=0))
+            assert np.all(arr >= stack.min(axis=0) - tol)
+            assert np.all(arr <= stack.max(axis=0) + tol)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.25])
 def test_fuse_matches_oracle_on_stage2_bank(sigma):
     """The stage-2 bank [a, b, a, b] at full size, gated as in co-training:

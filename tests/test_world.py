@@ -233,10 +233,59 @@ def _ray_segment_hits_oracle(origin: np.ndarray, dirs: np.ndarray, segments: np.
     return np.where(valid, t, np.inf)
 
 
+def _ray_disc_hits_oracle(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The disc kernel that returned (rays, discs), kept verbatim."""
+    n = dirs.shape[0]
+    if centers.size == 0:
+        return np.full((n, 0), np.inf)
+    oc = centers - origin  # (k, 2)
+    b = dirs @ oc.T  # (n, k) projection of center offset onto each ray
+    c = np.sum(oc * oc, axis=1) - radii * radii  # (k,)
+    disc = b * b - c[None, :]
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t1 = b - sq
+    t2 = b + sq
+    t = np.where(t1 > 1e-9, t1, np.where(t2 > 1e-9, t2, np.inf))
+    return np.where(disc >= 0.0, t, np.inf)
+
+
+_disc_coord = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1e-10, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_disc_coord, _disc_coord),
+    st.floats(-10.0, 10.0),
+    st.integers(1, 80),
+    st.lists(st.tuples(_disc_coord, _disc_coord, st.one_of(st.floats(0.0, 5.0), st.just(1e300))), max_size=8),
+    st.booleans(),
+)
+def test_ray_disc_hits_matches_oracle_bit_for_bit(origin, heading, beams, discs, inside):
+    """Transposed, the kernel gives the old (rays, discs) bits, and the
+    per-ray minimum over axis 0 equals the old one over axis 1; origins
+    inside a disc, huge and zero radii included."""
+    origin = np.array(origin)
+    if discs and inside:
+        discs[0] = (origin[0] + 0.25 * discs[0][2], origin[1], discs[0][2])
+    angles = heading + 2.0 * np.pi * np.arange(beams) / beams
+    dirs = np.empty((beams, 2))
+    dirs[:, 0] = np.cos(angles)
+    dirs[:, 1] = np.sin(angles)
+    centers = np.array([d[:2] for d in discs], dtype=float).reshape(-1, 2)
+    radii = np.array([d[2] for d in discs], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ray_disc_hits(origin, dirs, centers, radii)
+        want = _ray_disc_hits_oracle(origin, dirs, centers, radii)
+    assert got.shape == (len(discs), beams)
+    assert got.T.tobytes() == want.tobytes()
+    if discs:
+        assert got.min(axis=0).tobytes() == want.min(axis=1).tobytes()
+
+
 def _raycast_oracle(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     """The raycast that rebuilt its constants on every call, kept verbatim
     (less its range-noise branch, which was off by default); its segment
-    kernel is the old one above."""
+    and disc kernels are the old ones above."""
     x, y, th = world.robot.pose
     origin = np.array([x, y])
     angles = th + 2.0 * math.pi * np.arange(beams) / beams
@@ -244,7 +293,7 @@ def _raycast_oracle(world: WorldState, beams: int, max_range: float) -> np.ndarr
 
     t_seg = _ray_segment_hits_oracle(origin, dirs, world.segments)
     radii = np.array([o.radius for o in world.spec.obstacles])
-    t_disc = ray_disc_hits(origin, dirs, world.obstacle_pos, radii)
+    t_disc = _ray_disc_hits_oracle(origin, dirs, world.obstacle_pos, radii)
     t = np.full(beams, max_range)
     if t_seg.size:
         t = np.minimum(t, t_seg.min(axis=1))
@@ -482,6 +531,21 @@ def test_step_matches_oracle_bit_for_bit(seed, actions):
     for action in actions:
         assert step(a, action)[1] == _step_oracle(b, action)[1]
         _assert_same_world(a, b)
+
+
+def test_step_nan_pose_bits_do_not_drift():
+    """A NaN pose meeting a NaN action of the other sign: the pose takes
+    the same NaN on every call, also after the interpreter has specialised
+    step's float ops (after 8 calls), and the same NaN as the oracle."""
+    negative_nan = -math.nan
+    payload_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
+    for _ in range(20):
+        a = spawn(_replay_spec(1))
+        b = a.copy()
+        for action in ([1.0, negative_nan, 0.0], [1.5, 0.5, payload_nan], [1.5, 0.5, -1.5]):
+            step(a, action)
+            _step_oracle(b, action)
+            _assert_same_world(a, b)
 
 
 @settings(max_examples=40, deadline=None)
