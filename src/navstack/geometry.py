@@ -27,15 +27,19 @@ def segment_terms(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return a0, a1, segments[:, 2:3] - a0, segments[:, 3:4] - a1
 
 
-def ray_segment_hits(ox: float, oy: float, cos: np.ndarray, sin: np.ndarray, terms) -> np.ndarray:
-    """Hit distances for every (segment, ray) pair, inf where there is no hit.
+def ray_segment_hits(
+    ox: float, oy: float, cos: np.ndarray, sin: np.ndarray, terms
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hit distances for every (segment, ray) pair and where they are hits.
 
     (ox, oy): ray origin shared by all rays.
     cos, sin: (n,) components of the unit ray directions.
     terms: ``segment_terms`` of the m segments.
-    Returns an (m, n) array of distances t > 0 along each ray: the rays run
-    along the last axis, so every broadcast loops over them innermost and
-    the nearest hit per ray is a reduction over axis 0.
+    Returns (t, valid), two (m, n) arrays: t holds distances along each ray,
+    which are hits with t > 0 only where ``valid`` holds (elsewhere they
+    are meaningless).  The rays run along the last axis, so every broadcast
+    loops over them innermost and the nearest hit per ray is a reduction
+    over axis 0 ``where=valid``.
     """
     a0, a1, e0, e1 = terms
     ao0 = a0 - ox
@@ -48,8 +52,7 @@ def ray_segment_hits(ox: float, oy: float, cos: np.ndarray, sin: np.ndarray, ter
     valid &= t > 1e-9
     valid &= u >= 0.0
     valid &= u <= 1.0
-    t[~valid] = np.inf
-    return t
+    return t, valid
 
 
 def ray_disc_hits(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

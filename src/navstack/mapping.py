@@ -213,13 +213,14 @@ def frontier_mask(grid: OccupancyGrid) -> np.ndarray:
 
 
 def frontier_cells(grid: OccupancyGrid, mask: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """The frontier cells (see ``frontier_mask``) in row-major order.
+    """The frontier cells (see ``frontier_mask``) in row-major order, as
+    tuples of Python ints.
 
     ``mask`` may carry this grid's ``frontier_mask``, built once per
     snapshot for every frontier test on it."""
     if mask is None:
         mask = frontier_mask(grid)
-    return [tuple(rc) for rc in np.argwhere(mask)]
+    return list(map(tuple, np.argwhere(mask).tolist()))
 
 
 def map_entropy(grid: OccupancyGrid) -> float:

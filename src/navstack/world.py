@@ -76,7 +76,11 @@ class WorldState:
     to snapshot (the RNG state is cloned, so replays are bitwise stable).
 
     ``segments``, ``radii`` and ``segment_terms`` are built from ``spec``
-    once and shared by every copy, so they are read-only."""
+    once and shared by every copy, so they are read-only.
+
+    ``clearance`` is (x, y, d): the static clearance d of the last point
+    (x, y) that ``check_collision`` measured in full, or None.  It depends
+    only on ``spec``, so copies share it."""
 
     spec: ScenarioSpec
     robot: RobotState
@@ -87,6 +91,7 @@ class WorldState:
     segments: np.ndarray = field(repr=False, default=None)  # (m, 4) cached statics
     radii: np.ndarray = field(repr=False, default=None)     # (k,) cached obstacle radii
     segment_terms: tuple = field(repr=False, default=None)  # ray_segment_hits constants
+    clearance: tuple | None = field(repr=False, default=None)  # (x, y, d), see check_collision
 
     def __post_init__(self) -> None:
         if self.segments is None:
@@ -111,6 +116,7 @@ class WorldState:
             segments=self.segments,
             radii=self.radii,
             segment_terms=self.segment_terms,
+            clearance=self.clearance,
         )
 
     def goal_distance(self) -> float:
@@ -257,26 +263,31 @@ def _advance_obstacles(world: WorldState, dt: float) -> None:
     n = world.obstacle_pos.shape[0]
     if n == 0:
         return
-    specs = world.spec.obstacles
     rng = world.rng
-    resample = rng.random(n)
-    for i, ob in enumerate(specs):
+    resample = rng.random(n).tolist()
+    positions = world.obstacle_pos.tolist()
+    headings = world.obstacle_heading.tolist()
+    bounds = world.spec.bounds
+    for i, ob in enumerate(world.spec.obstacles):
         if resample[i] < ob.resample_prob:
-            world.obstacle_heading[i] = rng.uniform(0.0, 2.0 * math.pi)
-        h = world.obstacle_heading[i]
-        px = world.obstacle_pos[i, 0] + ob.max_speed * math.cos(h) * dt
-        py = world.obstacle_pos[i, 1] + ob.max_speed * math.sin(h) * dt
-        region = ob.region if ob.region is not None else world.spec.bounds
-        x0, y0, x1, y1 = region
+            headings[i] = rng.uniform(0.0, 2.0 * math.pi)
+        h = headings[i]
         hx, hy = math.cos(h), math.sin(h)
-        if px < x0 + ob.radius or px > x1 - ob.radius:
+        px, py = positions[i]
+        px += ob.max_speed * hx * dt
+        py += ob.max_speed * hy * dt
+        x0, y0, x1, y1 = ob.region if ob.region is not None else bounds
+        r = ob.radius
+        if px < x0 + r or px > x1 - r:
             hx = -hx
-            px = min(max(px, x0 + ob.radius), x1 - ob.radius)
-        if py < y0 + ob.radius or py > y1 - ob.radius:
+            px = min(max(px, x0 + r), x1 - r)
+        if py < y0 + r or py > y1 - r:
             hy = -hy
-            py = min(max(py, y0 + ob.radius), y1 - ob.radius)
-        world.obstacle_pos[i] = (px, py)
-        world.obstacle_heading[i] = math.atan2(hy, hx)
+            py = min(max(py, y0 + r), y1 - r)
+        positions[i] = (px, py)
+        headings[i] = math.atan2(hy, hx)
+    world.obstacle_pos[:] = positions
+    world.obstacle_heading[:] = headings
 
 
 @functools.lru_cache(maxsize=8)
@@ -300,9 +311,12 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
     angles = th + beam_offsets(beams)
     cos, sin = np.cos(angles), np.sin(angles)
 
-    t = np.full(beams, max_range)  # only falls from here, so no upper clamp is needed
     if world.segments.size:
-        np.minimum(t, ray_segment_hits(x, y, cos, sin, world.segment_terms).min(axis=0), out=t)
+        t_seg, valid = ray_segment_hits(x, y, cos, sin, world.segment_terms)
+        t = t_seg.min(axis=0, initial=max_range, where=valid)
+    else:
+        t = np.full(beams, max_range)
+    # t only falls from max_range, so no upper clamp is needed
     if world.obstacle_pos.size:
         dirs = np.empty((beams, 2))
         dirs[:, 0] = cos
@@ -313,17 +327,27 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
 
 
 def check_collision(world: WorldState) -> bool:
-    """True iff the robot disc intersects any static shape or obstacle disc."""
-    x, y, _ = world.robot.pose
+    """True iff the robot disc intersects any static shape or obstacle disc.
+
+    Static shapes never move, and the distance to them changes by at most
+    the distance the robot moves, so the static walk is skipped while the
+    stored ``world.clearance`` bound, less that distance, still exceeds the
+    robot radius by 1e-9, far above the rounding of the distances at
+    coordinates up to about 1e5 m.  A NaN anywhere in that test fails it
+    and walks in full.  A bound is stored
+    only for a pose that does not collide: a colliding pose's bound could
+    never skip, and the older one still may."""
+    x, y, _ = world.robot.pose.tolist()
     rr = world.spec.robot_radius
-    for r in world.spec.static_rects:
-        if point_rect_distance(x, y, r) < rr:
+    bound = world.clearance
+    d = None
+    if bound is None or not bound[2] - math.hypot(x - bound[0], y - bound[1]) > rr + 1e-9:
+        d = point_static_clearance(world.spec, x, y)
+        if d < rr:
             return True
-    for ax, ay, bx, by in world.spec.static_segments:
-        if point_segment_distance(x, y, ax, ay, bx, by) < rr:
+    for (px, py), r in zip(world.obstacle_pos.tolist(), world.radii.tolist()):
+        if math.hypot(x - px, y - py) < rr + r:
             return True
-    for i, ob in enumerate(world.spec.obstacles):
-        px, py = world.obstacle_pos[i]
-        if math.hypot(x - px, y - py) < rr + ob.radius:
-            return True
+    if d is not None:
+        world.clearance = (x, y, d)
     return False

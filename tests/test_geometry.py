@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navstack.geometry import (
     point_rect_distance,
@@ -21,27 +23,81 @@ def test_rect_edges_close_the_loop():
     assert edges[-1][2:] == (0.0, 0.0)
 
 
+def _segment_hits(ox, oy, cos, sin, segs):
+    """``ray_segment_hits`` with inf where it reports no hit."""
+    t, valid = ray_segment_hits(ox, oy, cos, sin, segment_terms(segs))
+    assert valid.shape == t.shape and valid.dtype == bool
+    return np.where(valid, t, np.inf)
+
+
 def test_ray_segment_perpendicular_hit():
     segs = np.array([[2.0, -1.0, 2.0, 1.0]])
-    t = ray_segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segment_terms(segs))
+    t = _segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segs)
     assert t.shape == (1, 1)
     assert t[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ray_segment_miss_behind():
     segs = np.array([[-2.0, -1.0, -2.0, 1.0]])
-    assert np.isinf(ray_segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segment_terms(segs))).all()
+    assert np.isinf(_segment_hits(0.0, 0.0, np.array([1.0]), np.array([0.0]), segs)).all()
 
 
 def test_ray_segment_hits_is_segments_by_rays():
     # Three rays (+x, +y, -x) against a wall at x = 2 and a floor at y = 3.
     segs = np.array([[2.0, -1.0, 2.0, 1.0], [-5.0, 3.0, 5.0, 3.0]])
-    t = ray_segment_hits(0.0, 0.0, np.array([1.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0]), segment_terms(segs))
+    t = _segment_hits(0.0, 0.0, np.array([1.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0]), segs)
     assert t.shape == (2, 3)
     assert t[0, 0] == pytest.approx(2.0) and np.isinf(t[0, 1:]).all()
     assert t[1, 1] == pytest.approx(3.0) and np.isinf(t[1, [0, 2]]).all()
-    empty = ray_segment_hits(0.0, 0.0, np.ones(3), np.zeros(3), segment_terms(np.zeros((0, 4))))
+    empty = _segment_hits(0.0, 0.0, np.ones(3), np.zeros(3), np.zeros((0, 4)))
     assert empty.shape == (0, 3)
+
+
+def _ray_segment_hits_oracle(ox, oy, cos, sin, terms):
+    """The kernel that wrote inf where there is no hit, kept verbatim."""
+    a0, a1, e0, e1 = terms
+    ao0 = a0 - ox
+    ao1 = a1 - oy
+    denom = cos * e1 - sin * e0  # cross(d, e)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = (ao0 * e1 - ao1 * e0) / denom
+        u = (ao0 * sin - ao1 * cos) / denom
+    valid = np.abs(denom) > 1e-12
+    valid &= t > 1e-9
+    valid &= u >= 0.0
+    valid &= u <= 1.0
+    t[~valid] = np.inf
+    return t
+
+
+_seg_coord = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1e-10, 2.0, 1e300, -1e300, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_seg_coord, _seg_coord),
+    st.floats(-10.0, 10.0),
+    st.integers(1, 80),
+    st.lists(st.tuples(_seg_coord, _seg_coord, _seg_coord, _seg_coord), max_size=8),
+    st.booleans(),
+)
+def test_ray_segment_hits_matches_oracle_bit_for_bit(origin, heading, beams, segs, degenerate):
+    """inf written where ``valid`` is false gives the old array's bits, and
+    the masked minimum over axis 0 from a range of 6 equals the old plain
+    minimum clamped to it; zero-length, parallel, NaN and huge segments
+    included."""
+    if segs and degenerate:
+        segs[0] = segs[0][:2] * 2  # zero length
+    angles = heading + 2.0 * np.pi * np.arange(beams) / beams
+    cos, sin = np.cos(angles), np.sin(angles)
+    terms = segment_terms(np.array(segs, dtype=float).reshape(-1, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, valid = ray_segment_hits(origin[0], origin[1], cos, sin, terms)
+        want = _ray_segment_hits_oracle(origin[0], origin[1], cos, sin, terms)
+    assert t.shape == valid.shape == (len(segs), beams)
+    assert np.where(valid, t, np.inf).tobytes() == want.tobytes()
+    got_min = t.min(axis=0, initial=6.0, where=valid)
+    assert got_min.tobytes() == np.minimum(np.full(beams, 6.0), want.min(axis=0, initial=np.inf)).tobytes()
 
 
 def test_ray_disc_front_and_inside():

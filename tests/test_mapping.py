@@ -271,7 +271,9 @@ class TestFrontiers:
             rng = np.random.default_rng(seed)
             g = OccupancyGrid(0.1, (0.0, 0.0), rng.uniform(0.0, 1.0, (50, 50)))
             oracle = _frontier_oracle(g)
-            assert frontier_cells(g) == oracle
+            cells = frontier_cells(g)
+            assert cells == oracle
+            assert all(type(v) is int for rc in cells for v in rc)
             assert frontier_cells(g, frontier_mask(g)) == oracle
 
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navstack.geometry import ray_disc_hits
+from navstack import world as world_module
+from navstack.geometry import point_rect_distance, point_segment_distance, ray_disc_hits
 from navstack.world import (
     ACTION_HIGH,
     ACTION_LOW,
     ARRIVAL_RADIUS,
     CONTROL_DT,
+    ROBOT_RADIUS,
     ObstacleSpec,
     RobotState,
     ScenarioSpec,
@@ -581,3 +583,256 @@ def test_shared_world_arrays_are_read_only():
     before = raycast(replica, 72, 6.0)
     step(world, (1.0, 0.0, 0.5))
     assert raycast(replica, 72, 6.0).tobytes() == before.tobytes()
+
+
+def _check_collision_oracle(world: WorldState) -> bool:
+    """The check that walked every static shape on every call, kept
+    verbatim."""
+    x, y, _ = world.robot.pose
+    rr = world.spec.robot_radius
+    for r in world.spec.static_rects:
+        if point_rect_distance(x, y, r) < rr:
+            return True
+    for ax, ay, bx, by in world.spec.static_segments:
+        if point_segment_distance(x, y, ax, ay, bx, by) < rr:
+            return True
+    for i, ob in enumerate(world.spec.obstacles):
+        px, py = world.obstacle_pos[i]
+        if math.hypot(x - px, y - py) < rr + ob.radius:
+            return True
+    return False
+
+
+_pose_coord = st.one_of(
+    st.floats(-1.0, 11.0), st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e300])
+)
+_moves = st.lists(
+    st.one_of(
+        st.tuples(st.just("jump"), _pose_coord, _pose_coord),
+        st.tuples(st.just("nudge"), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        st.tuples(st.just("toward"), st.integers(0, 7), st.floats(0.0, 1.2)),
+        st.tuples(st.just("walkers"), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        st.tuples(st.just("copy"), st.booleans(), st.just(0)),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _nearest_static_point(spec: ScenarioSpec, k: int, x: float, y: float):
+    """The point of static shape k (mod the shape count) nearest to (x, y),
+    or None without shapes: moving towards it makes the clearance bound tight."""
+    shapes = [("rect", r) for r in spec.static_rects] + [("seg", s) for s in spec.static_segments]
+    if not shapes:
+        return None
+    kind, (x0, y0, x1, y1) = shapes[k % len(shapes)]
+    if kind == "rect":
+        return min(max(x, x0), x1), min(max(y, y0), y1)
+    ex, ey = x1 - x0, y1 - y0
+    ll = ex * ex + ey * ey
+    u = 0.0 if ll <= 0.0 else min(1.0, max(0.0, ((x - x0) * ex + (y - y0) * ey) / ll))
+    return x0 + u * ex, y0 + u * ey
+
+
+@settings(max_examples=300, deadline=None)
+@given(raycast_worlds(), _moves)
+def test_check_collision_matches_oracle(case, moves):
+    """Poses set directly between calls (jumps anywhere, NaN and inf
+    included; small nudges; moves towards a static shape, where the
+    clearance bound is tight), walkers moved under a stored bound, and
+    copies that share it: every verdict equals the full walk's."""
+    world = case[0]
+    for kind, a, b in moves:
+        x, y, th = world.robot.pose.tolist()
+        if kind == "jump":
+            world.robot.pose[:] = (a, b, th)
+        elif kind == "nudge":
+            world.robot.pose[:] = (x + a, y + b, th)
+        elif kind == "toward":
+            target = _nearest_static_point(world.spec, a, x, y)
+            if target is not None and x == x and y == y:
+                world.robot.pose[:] = (x + b * (target[0] - x), y + b * (target[1] - y), th)
+        elif kind == "walkers":
+            world.obstacle_pos += (a, b)
+        else:
+            replica = world.copy()
+            assert replica.clearance is world.clearance
+            if a:
+                world = replica
+        with np.errstate(invalid="ignore", over="ignore"):  # the oracle's numpy scalars meet inf and NaN
+            want = _check_collision_oracle(world)
+        assert check_collision(world) == want
+        assert check_collision(world) == want  # may skip on the bound just stored
+
+
+def _wall_world(pose=(2.0, 5.0), rects=((6.0, 0.0, 6.4, 10.0),), segments=((1.0, 1.0, 7.0, 4.0),)) -> WorldState:
+    spec = ScenarioSpec(
+        name="wall",
+        bounds=(0.0, 0.0, 10.0, 10.0),
+        static_rects=rects,
+        static_segments=segments,
+        obstacles=(ObstacleSpec(radius=0.5, max_speed=0.0),),
+        robot_start=(*pose, 0.0),
+        goal=(1.0, 9.0),
+    )
+    return WorldState(
+        spec=spec,
+        robot=RobotState(np.array([*pose, 0.0]), np.zeros(3)),
+        obstacle_pos=np.array([[2.0, 8.0]]),
+        obstacle_heading=np.zeros(1),
+        sim_time=0.0,
+        rng=np.random.default_rng(0),
+    )
+
+
+def _count_static_walks(monkeypatch) -> list:
+    calls = []
+    full_walk = world_module.point_static_clearance
+
+    def counted(spec, x, y):
+        calls.append((x, y))
+        return full_walk(spec, x, y)
+
+    monkeypatch.setattr(world_module, "point_static_clearance", counted)
+    return calls
+
+
+def test_clearance_bound_skips_the_static_walk(monkeypatch):
+    calls = _count_static_walks(monkeypatch)
+    world = _wall_world()
+    assert world.clearance is None
+    assert not check_collision(world)
+    assert len(calls) == 1
+    d = world_module.point_static_clearance(world.spec, 2.0, 5.0)
+    assert world.clearance == (2.0, 5.0, d)
+    world.robot.pose[:2] = (2.1, 5.05)
+    assert not check_collision(world)
+    assert len(calls) == 2  # the explicit call above; the check skipped
+    assert world.clearance == (2.0, 5.0, d)
+
+
+@pytest.mark.parametrize("bound", [None, (math.nan, 5.0, 3.0), (2.0, 5.0, math.nan), (math.inf, 5.0, math.inf)])
+def test_nan_or_missing_bound_walks_in_full(monkeypatch, bound):
+    """A missing bound, or one whose test reads NaN, never skips: the robot
+    sits inside the rect and the full walk reports it."""
+    calls = _count_static_walks(monkeypatch)
+    world = _wall_world(pose=(6.2, 5.0))
+    world.clearance = bound
+    assert check_collision(world)
+    assert calls == [(6.2, 5.0)]
+
+
+def test_nan_pose_then_pose_inside_a_rect_collides():
+    """A NaN pose measures an infinite clearance (every distance is NaN and
+    ignored); the next, finite pose must not skip on that bound."""
+    world = _wall_world()
+    world.robot.pose[:2] = (math.nan, math.nan)
+    assert not check_collision(world) and not _check_collision_oracle(world)
+    assert world.clearance[2] == math.inf
+    world.robot.pose[:2] = (6.2, 5.0)
+    assert _check_collision_oracle(world)
+    assert check_collision(world)
+    assert check_collision(world.copy())
+
+
+def test_bound_margin_covers_rounding():
+    """A step straight towards a slanted segment: the bound less the step,
+    d0 - h, rounds to just above the robot radius, while the full walk at
+    the new pose rounds to just below it.  Only the margin keeps the check
+    from skipping into a missed collision."""
+    x0, y0 = 4.866700956202363, 5.199488797179862
+    x1, y1 = 5.638992205183848, 3.654906299216892
+    seg = (1.0, 1.0, 7.0, 4.0)
+    rr = ROBOT_RADIUS
+    d0 = point_segment_distance(x0, y0, *seg)
+    assert d0 - math.hypot(x1 - x0, y1 - y0) > rr
+    assert point_segment_distance(x1, y1, *seg) < rr
+    world = _wall_world(pose=(x0, y0), rects=(), segments=(seg,))
+    assert not check_collision(world)
+    assert world.clearance == (x0, y0, d0)
+    world.robot.pose[:2] = (x1, y1)
+    assert _check_collision_oracle(world)
+    assert check_collision(world)
+
+
+def test_colliding_pose_keeps_the_older_bound():
+    """A colliding pose's bound could never skip, so neither a static nor a
+    walker collision replaces the stored one."""
+    world = _wall_world()
+    assert not check_collision(world)
+    bound = world.clearance
+    for pose in ((6.2, 5.0), (2.0, 7.6)):  # inside the rect; touching the walker
+        world.robot.pose[:2] = pose
+        assert check_collision(world)
+        assert world.clearance is bound
+    world.robot.pose[:2] = (2.2, 5.0)
+    assert not check_collision(world)
+    assert world.clearance is bound  # skipped on the kept bound
+
+
+def _advance_obstacles_oracle(world: WorldState, dt: float) -> None:
+    """The walker step that read and wrote the arrays element by element,
+    kept verbatim."""
+    n = world.obstacle_pos.shape[0]
+    if n == 0:
+        return
+    specs = world.spec.obstacles
+    rng = world.rng
+    resample = rng.random(n)
+    for i, ob in enumerate(specs):
+        if resample[i] < ob.resample_prob:
+            world.obstacle_heading[i] = rng.uniform(0.0, 2.0 * math.pi)
+        h = world.obstacle_heading[i]
+        px = world.obstacle_pos[i, 0] + ob.max_speed * math.cos(h) * dt
+        py = world.obstacle_pos[i, 1] + ob.max_speed * math.sin(h) * dt
+        region = ob.region if ob.region is not None else world.spec.bounds
+        x0, y0, x1, y1 = region
+        hx, hy = math.cos(h), math.sin(h)
+        if px < x0 + ob.radius or px > x1 - ob.radius:
+            hx = -hx
+            px = min(max(px, x0 + ob.radius), x1 - ob.radius)
+        if py < y0 + ob.radius or py > y1 - ob.radius:
+            hy = -hy
+            py = min(max(py, y0 + ob.radius), y1 - ob.radius)
+        world.obstacle_pos[i] = (px, py)
+        world.obstacle_heading[i] = math.atan2(hy, hx)
+
+
+@st.composite
+def walker_worlds(draw):
+    """0-5 walkers with their own speeds (NaN included: a scenario file may
+    hold one), resample odds and regions (some narrower than a step, so
+    both walls reflect), placed anywhere."""
+    obstacles, positions = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        radius = draw(st.floats(0.05, 1.0))
+        region = None
+        if draw(st.booleans()):
+            x0, y0 = draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
+            region = (x0, y0, x0 + draw(st.floats(0.0, 3.0)), y0 + draw(st.floats(0.0, 3.0)))
+        obstacles.append(ObstacleSpec(
+            radius=radius, max_speed=draw(st.one_of(st.floats(0.0, 20.0), st.just(math.nan))),
+            resample_prob=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])), region=region,
+        ))
+        positions.append((draw(_coord), draw(_coord)))
+    spec = ScenarioSpec(name="walkers", bounds=(0.0, 0.0, 10.0, 10.0), obstacles=tuple(obstacles))
+    return WorldState(
+        spec=spec,
+        robot=RobotState(np.array([5.0, 5.0, 0.0]), np.zeros(3)),
+        obstacle_pos=np.array(positions, dtype=float).reshape(-1, 2),
+        obstacle_heading=np.array([draw(st.floats(-10.0, 10.0)) for _ in obstacles]),
+        sim_time=0.0,
+        rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(walker_worlds(), st.integers(1, 40), st.sampled_from([CONTROL_DT, 0.1, 1.0]))
+def test_advance_obstacles_matches_oracle_bit_for_bit(world, steps, dt):
+    """Positions, headings and the RNG state, after every step."""
+    replica = world.copy()
+    for _ in range(steps):
+        _advance_obstacles(world, dt)
+        _advance_obstacles_oracle(replica, dt)
+        assert world.obstacle_pos.tobytes() == replica.obstacle_pos.tobytes()
+        assert world.obstacle_heading.tobytes() == replica.obstacle_heading.tobytes()
+        assert world.rng.bit_generator.state == replica.rng.bit_generator.state
