@@ -25,8 +25,8 @@ def main() -> None:
     ap.add_argument("--bundle", default="scripted")
     ap.add_argument("--episodes", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--timeout", type=float, default=90.0)
-    ap.add_argument("--gamma", type=float, default=1.0)
+    ap.add_argument("--timeout", type=float, default=StackConfig.timeout)
+    ap.add_argument("--gamma", type=float, default=StackConfig.gamma)
     ap.add_argument("--out", type=Path, default=Path("runs/benchmark"))
     args = ap.parse_args()
     if args.episodes < 1:

@@ -232,7 +232,7 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
     cfg = StackConfig(
         mode="upper-with-scripted-lower",
         gamma=args.gamma,
-        timeout=args.steps / 30.0,
+        timeout=args.steps / StackConfig.control_hz,
     )
     out = _ensure_out(args.out)
     result = run_episode(spec, policy, cfg, collect_candidates=True)
@@ -251,6 +251,7 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .stack import MODES, StackConfig
     from .training import STAGES
 
     parser = argparse.ArgumentParser(prog="navstack", description=__doc__)
@@ -261,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--bundle", default="scripted", help="bundle JSON path or 'scripted'")
     sim_p.add_argument("--seed", type=int, default=None)
     sim_p.add_argument("--episodes", type=int, default=1)
-    sim_p.add_argument("--mode", default="full", choices=("full", "lower-only", "upper-with-scripted-lower"))
-    sim_p.add_argument("--gamma", type=float, default=1.0)
-    sim_p.add_argument("--timeout", type=float, default=90.0)
+    sim_p.add_argument("--mode", default=StackConfig.mode, choices=MODES)
+    sim_p.add_argument("--gamma", type=float, default=StackConfig.gamma)
+    sim_p.add_argument("--timeout", type=float, default=StackConfig.timeout)
     sim_p.add_argument("--jobs", type=int, default=1, help="parallel episode workers")
     sim_p.add_argument("--out", required=True)
     sim_p.set_defaults(func=cmd_simulate)
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     dbg_p.add_argument("--scenario", required=True)
     dbg_p.add_argument("--bundle", default="scripted")
     dbg_p.add_argument("--steps", type=int, default=300, help="control ticks to run")
-    dbg_p.add_argument("--gamma", type=float, default=1.0)
+    dbg_p.add_argument("--gamma", type=float, default=StackConfig.gamma)
     dbg_p.add_argument("--seed", type=int, default=None)
     dbg_p.add_argument("--out", required=True)
     dbg_p.set_defaults(func=cmd_frontier_debug)

@@ -22,20 +22,9 @@ from .planning import distance_field
 from .world import ARRIVAL_RADIUS
 
 _ENTROPY_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ExplorationConfig:
-    gamma: float = 1.0            # weight of the safety factor
-    entropy_trigger: float = 0.10  # relative map-entropy change that forces re-selection
-    candidate_cap: int = 64        # max frontier clusters scored per cycle
-    min_cluster_size: int = 1      # clusters below this are noise, not candidates
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.entropy_trigger <= 0:
-            raise ValueError("entropy_trigger must be > 0")
+ENTROPY_TRIGGER = 0.10  # relative map-entropy change that forces re-selection
+CANDIDATE_CAP = 64      # max frontier clusters scored per cycle
+MIN_CLUSTER_SIZE = 3    # smaller clusters are single-cell raster speckle along walls
 
 
 @dataclass
@@ -80,7 +69,7 @@ def _clusters(cells) -> list[list[tuple[int, int]]]:
     return out
 
 
-def cluster_representatives(frontiers, cap: int, min_size: int = 1) -> list[tuple[int, int]]:
+def cluster_representatives(frontiers, cap: int, min_size: int) -> list[tuple[int, int]]:
     """One representative cell per 8-connected frontier cluster.
 
     The representative is the member nearest the cluster centroid (ties to
@@ -109,17 +98,18 @@ def score_candidates(
     goal: tuple[float, float],
     current_pose,
     critic,
-    config: ExplorationConfig = ExplorationConfig(),
     dist_field: np.ndarray | None = None,
 ) -> list[ScoredCandidate]:
-    """Score one representative per frontier cluster; drop unreachable ones.
+    """Score one representative per frontier cluster of at least
+    ``MIN_CLUSTER_SIZE`` cells (the ``CANDIDATE_CAP`` largest); drop
+    unreachable ones.
 
     ``critic`` is a callable mapping a candidate's world point to its safety
     value (the episode harness binds the live observation and network).
     ``dist_field`` may carry a precomputed Dijkstra flood from the robot
     cell; otherwise one is computed here.
     """
-    reps = cluster_representatives(frontiers, config.candidate_cap, config.min_cluster_size)
+    reps = cluster_representatives(frontiers, CANDIDATE_CAP, MIN_CLUSTER_SIZE)
     if not reps:
         return []
     if dist_field is None:
@@ -147,12 +137,13 @@ def _normalized_scores(scored, gamma: float) -> list[float]:
     return list(dn + vn)
 
 
-def select_exploration_point(scored, config: ExplorationConfig = ExplorationConfig()) -> tuple[int, int]:
-    """Argmin of the combined normalized score; ties break to the smaller
-    distance factor, then to the row-major smallest cell."""
+def select_exploration_point(scored, gamma: float) -> tuple[int, int]:
+    """Argmin of the combined normalized score, ``gamma`` weighting the
+    safety factor; ties break to the smaller distance factor, then to the
+    row-major smallest cell."""
     if not scored:
         raise ValueError("cannot select from an empty candidate list")
-    totals = _normalized_scores(scored, config.gamma)
+    totals = _normalized_scores(scored, gamma)
     best = min(range(len(scored)), key=lambda i: (totals[i], scored[i].d, scored[i].cell))
     return scored[best].cell
 
@@ -162,7 +153,6 @@ def should_reselect(
     grid: OccupancyGrid,
     goal: tuple[float, float],
     current_pose,
-    config: ExplorationConfig = ExplorationConfig(),
     frontier: np.ndarray | None = None,
 ) -> str:
     """One of "no", "reselect", "goal_now_known".
@@ -183,7 +173,7 @@ def should_reselect(
     h_ref = state.entropy_at_selection
     if math.isfinite(h_ref):
         rel = abs(h_now - h_ref) / max(h_ref, _ENTROPY_EPS)
-        if rel > config.entropy_trigger:
+        if rel > ENTROPY_TRIGGER:
             return "reselect"
 
     px, py = grid.cell_center(state.current_point)
@@ -200,12 +190,12 @@ def should_reselect(
     return "no"
 
 
-def candidate_csv_rows(scored, config: ExplorationConfig) -> list[tuple]:
+def candidate_csv_rows(scored, gamma: float) -> list[tuple]:
     """Debug table: one row per candidate with both factors and the final
     normalized score."""
     if not scored:
         return []
-    totals = _normalized_scores(scored, config.gamma)
+    totals = _normalized_scores(scored, gamma)
     return [
         (s.cell[0], s.cell[1], s.d1, s.d2, s.d, s.v, t)
         for s, t in zip(scored, totals)

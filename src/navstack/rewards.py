@@ -16,7 +16,6 @@ import numpy as np
 
 RISK_BAND = 0.6      # clearance below this starts accruing risk
 MIN_RANGE_CLAMP = 0.05
-DEFAULT_TIMEOUT = 90.0
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import rect_edges
-from .mapping import OccupancyGrid, P_MAX, P_MIN
+from .mapping import DEFAULT_RESOLUTION, OccupancyGrid, P_MAX, P_MIN
 from .planning import plan_path
-from .world import MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec
+from .world import DEFAULT_RESAMPLE_PROB, MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec
 
 SCENARIO_SCHEMA = 1
 BUILTIN_NAMES = ("blind-alley", "double-branch", "rooms", "square")
@@ -165,7 +165,7 @@ def make_scenario(name: str, seed: int = 0) -> ScenarioSpec:
     return _BUILTINS[name](seed)
 
 
-def ground_truth_grid(spec: ScenarioSpec, resolution: float = 0.1) -> OccupancyGrid:
+def ground_truth_grid(spec: ScenarioSpec, resolution: float = DEFAULT_RESOLUTION) -> OccupancyGrid:
     """Rasterize the static geometry into a fully known grid (occupied cells
     at P_MAX, the rest at P_MIN).  Used for reachability checks and tests."""
     grid = OccupancyGrid.for_bounds(spec.bounds, resolution)
@@ -310,13 +310,31 @@ def _require(doc: dict, owner: str, *fields: str) -> None:
             raise ValueError(f"{owner} is missing required field {field!r}")
 
 
+def _finite(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(doc: dict, owner: str, field: str, default=None):
+    """``doc[field]`` (``default`` when absent) if it is one finite number;
+    a ValueError naming the field and its owner otherwise.  JSON's NaN and
+    Infinity load as floats, so they are caught here."""
+    value = doc.get(field, default)
+    if not _finite(value):
+        raise ValueError(f"{owner} field {field!r} must be a finite number, got {value!r}")
+    return value
+
+
 def _numbers(doc: dict, owner: str, field: str, count: int) -> tuple[float, ...]:
-    """``doc[field]`` as ``count`` floats; a ValueError naming the field and
-    its owner otherwise."""
+    """``doc[field]`` as ``count`` finite floats; a ValueError naming the
+    field and its owner otherwise."""
     value = doc[field]
-    if not (isinstance(value, (list, tuple)) and len(value) == count
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)):
-        raise ValueError(f"{owner} field {field!r} must hold {count} numbers")
+    if not (isinstance(value, (list, tuple)) and len(value) == count and all(map(_finite, value))):
+        raise ValueError(f"{owner} field {field!r} must hold {count} numbers, all finite, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -342,9 +360,9 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         owner = f"obstacle {i}"
         _require(o, owner, "radius", "max_speed")
         obstacles.append(ObstacleSpec(
-            radius=float(o["radius"]),
-            max_speed=float(o["max_speed"]),
-            resample_prob=float(o.get("resample_prob", 0.05)),
+            radius=float(_number(o, owner, "radius")),
+            max_speed=float(_number(o, owner, "max_speed")),
+            resample_prob=float(_number(o, owner, "resample_prob", DEFAULT_RESAMPLE_PROB)),
             region=_numbers(o, owner, "region", 4) if o.get("region") is not None else None,
         ))
     return ScenarioSpec(
@@ -355,8 +373,8 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         obstacles=tuple(obstacles),
         robot_start=_numbers(doc, "scenario", "robot_start", 3),
         goal=_numbers(doc, "scenario", "goal", 2),
-        robot_radius=float(doc.get("robot_radius", ROBOT_RADIUS)),
-        seed=int(doc.get("seed", 0)),
+        robot_radius=float(_number(doc, "scenario", "robot_radius", ROBOT_RADIUS)),
+        seed=int(_number(doc, "scenario", "seed", 0)),
     )
 
 

@@ -16,12 +16,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import world as sim
 from .exploration import (
-    ExplorationConfig,
     ExplorationState,
     candidate_csv_rows,
     score_candidates,
@@ -50,21 +50,23 @@ OUTCOMES = ("success", "crash", "timeout", "failed")
 
 @dataclass(frozen=True)
 class StackConfig:
-    control_hz: float = 30.0
-    plan_hz: float = 1.0
-    explore_hz: float = 0.2
+    """What a caller chooses for an episode: its length in simulated
+    seconds, the stack mode, and the weight of the safety factor in
+    exploration scoring.  The cadences are fixed rates, readable here."""
+
+    control_hz: ClassVar[float] = sim.CONTROL_HZ
+    plan_hz: ClassVar[float] = 1.0
+    explore_hz: ClassVar[float] = 0.2
+
     timeout: float = 90.0
     mode: str = "full"
     gamma: float = 1.0
-    entropy_trigger: float = 0.10
-    candidate_cap: int = 64
-    min_cluster_size: int = 3  # suppress single-cell raster speckle along walls
 
     def __post_init__(self) -> None:
-        if not (self.control_hz >= self.plan_hz >= self.explore_hz > 0):
-            raise ValueError("need control_hz >= plan_hz >= explore_hz > 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.gamma < 0:
+            raise ValueError("gamma must be >= 0")
 
 
 @dataclass
@@ -107,15 +109,11 @@ def run_episode(
 
     world = sim.spawn(spec)
     upper = config.mode != "lower-only"
-    dt = 1.0 / config.control_hz
     max_ticks = int(round(config.timeout * config.control_hz))
-    plan_period = max(1, int(round(config.control_hz / config.plan_hz)))
-    explore_period = max(1, int(round(config.control_hz / config.explore_hz)))
+    plan_period = round(config.control_hz / config.plan_hz)
+    explore_period = round(config.control_hz / config.explore_hz)
 
     grid = OccupancyGrid.for_bounds(spec.bounds, DEFAULT_RESOLUTION)
-    explore_cfg = ExplorationConfig(
-        config.gamma, config.entropy_trigger, config.candidate_cap, config.min_cluster_size
-    )
     exp_state = ExplorationState()
     scans: deque = deque(maxlen=obs_config.history + 1)
 
@@ -144,24 +142,21 @@ def run_episode(
             pose = world.robot.pose
 
             if upper and tick % plan_period == 0:
-                snapshot = grid.copy()
-                occ_inflated = inflate_occupied(snapshot, spec.robot_radius)
-                blocked = blocked_mask(snapshot, spec.robot_radius, occ_inflated)
-                frontier = frontier_mask(snapshot)
-                robot_cell = snapshot.world_to_cell(pose[0], pose[1])
-                goal_cell = snapshot.world_to_cell(*goal)
+                occ_inflated = inflate_occupied(grid, spec.robot_radius)
+                blocked = blocked_mask(grid, spec.robot_radius, occ_inflated)
+                frontier = frontier_mask(grid)
+                robot_cell = grid.world_to_cell(pose[0], pose[1])
+                goal_cell = grid.world_to_cell(*goal)
                 path = None
 
-                decision = should_reselect(
-                    exp_state, snapshot, goal, pose, explore_cfg, frontier=frontier
-                )
+                decision = should_reselect(exp_state, grid, goal, pose, frontier=frontier)
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
                     goal_known_time = world.sim_time if goal_known_time is None else goal_known_time
                 if not goal_mode and exp_state.goal_known:
-                    if classify(snapshot, goal_cell) == CellClass.FREE:
+                    if classify(grid, goal_cell) == CellClass.FREE:
                         # A found path is the real plan for this tick too.
-                        path = plan_path(snapshot, robot_cell, goal_cell, spec.robot_radius, blocked)
+                        path = plan_path(grid, robot_cell, goal_cell, spec.robot_radius, blocked)
                         goal_mode = path is not None
 
                 if not goal_mode:
@@ -171,40 +166,38 @@ def run_episode(
                     if scheduled or decision == "reselect" or exp_state.current_point is None:
                         if decision == "reselect" and not scheduled:
                             cadence["explore_triggered"] += 1
-                        frontiers = frontier_cells(snapshot, frontier)
-                        dist = distance_field(snapshot, robot_cell, spec.robot_radius, blocked)
+                        frontiers = frontier_cells(grid, frontier)
+                        dist = distance_field(grid, robot_cell, spec.robot_radius, blocked)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
                         critic = _candidate_critic(policy, obs_now, pose)
-                        scored = score_candidates(
-                            frontiers, snapshot, goal, pose, critic, explore_cfg, dist
-                        )
+                        scored = score_candidates(frontiers, grid, goal, pose, critic, dist)
                         if collect_candidates:
-                            scored_tables.append((tick, candidate_csv_rows(scored, explore_cfg)))
+                            scored_tables.append((tick, candidate_csv_rows(scored, config.gamma)))
                         if scored:
-                            cell = select_exploration_point(scored, explore_cfg)
+                            cell = select_exploration_point(scored, config.gamma)
                             exp_state.current_point = cell
-                            exp_state.entropy_at_selection = map_entropy(snapshot)
-                            selections.append((world.sim_time, cell, snapshot.cell_center(cell)))
+                            exp_state.entropy_at_selection = map_entropy(grid)
+                            selections.append((world.sim_time, cell, grid.cell_center(cell)))
                             fallback_held = False
                         elif exp_state.current_point is not None and not fallback_held:
                             fallback_held = True  # hold the stale point one cycle
                         elif frontiers:
                             cell = min(
                                 frontiers,
-                                key=lambda rc: _euclid(snapshot.cell_center(rc), (pose[0], pose[1])),
+                                key=lambda rc: _euclid(grid.cell_center(rc), (pose[0], pose[1])),
                             )
                             exp_state.current_point = cell
-                            exp_state.entropy_at_selection = map_entropy(snapshot)
-                            selections.append((world.sim_time, cell, snapshot.cell_center(cell)))
+                            exp_state.entropy_at_selection = map_entropy(grid)
+                            selections.append((world.sim_time, cell, grid.cell_center(cell)))
                             fallback_held = False
 
                 target = goal_cell if goal_mode else exp_state.current_point
                 if target is not None:
                     if path is None:
-                        path = plan_path(snapshot, robot_cell, target, spec.robot_radius, blocked)
+                        path = plan_path(grid, robot_cell, target, spec.robot_radius, blocked)
                     cadence["plan"] += 1
                     if path is not None:
-                        waypoint = extract_waypoint(path, snapshot, pose, spec.robot_radius, occ_inflated)
+                        waypoint = extract_waypoint(path, grid, pose, spec.robot_radius, occ_inflated)
                     elif not goal_mode:
                         exp_state.current_point = None  # force re-selection next cycle
 
@@ -228,7 +221,7 @@ def run_episode(
                 }
                 trace_file.write(json_text(row) + "\n")
 
-            _, event = sim.step(world, action, dt)
+            _, event = sim.step(world, action, sim.CONTROL_DT)
             if event == "collision":
                 outcome = "crash"
                 break

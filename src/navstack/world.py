@@ -26,7 +26,8 @@ from .geometry import (
 # Robot disc and holonomic command limits (v_x, v_y, omega_z).
 ROBOT_RADIUS = 0.3
 ARRIVAL_RADIUS = 0.3
-CONTROL_DT = 1.0 / 30.0
+CONTROL_HZ = 30.0  # the control tick rate; every rollout and episode steps at it
+CONTROL_DT = 1.0 / CONTROL_HZ
 ACTION_LOW = np.array([-0.5, -0.5, -1.5])
 ACTION_HIGH = np.array([1.0, 0.5, 1.5])
 MAX_FORWARD_SPEED = float(ACTION_HIGH[0])
@@ -149,9 +150,21 @@ def spawn(spec: ScenarioSpec) -> WorldState:
     """Build the initial world for a scenario.
 
     Raises ValueError when the start or goal is invalid (outside bounds, or
-    inside a static shape inflated by the robot radius),
-    or when an obstacle cannot be placed collision-free.
+    inside a static shape inflated by the robot radius), when a radius,
+    speed, resample probability or region is not finite (a NaN fails every
+    comparison, so it would slip past the collision checks), or when an
+    obstacle cannot be placed collision-free.
     """
+    if not math.isfinite(spec.robot_radius):
+        raise ValueError(f"robot_radius must be finite, got {spec.robot_radius}")
+    for i, ob in enumerate(spec.obstacles):
+        fields = {"radius": (ob.radius,), "max_speed": (ob.max_speed,),
+                  "resample_prob": (ob.resample_prob,), "region": ob.region or ()}
+        for name, values in fields.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"obstacle {i} {name} must be finite, got {getattr(ob, name)}")
+        if ob.max_speed < 0:
+            raise ValueError("obstacle max_speed must be >= 0")
     sx, sy, sth = spec.robot_start
     gx, gy = spec.goal
     if not _inside_bounds(spec.bounds, sx, sy):
@@ -162,9 +175,6 @@ def spawn(spec: ScenarioSpec) -> WorldState:
         raise ValueError("robot_start intersects an inflated static shape")
     if point_static_clearance(spec, gx, gy) < spec.robot_radius:
         raise ValueError("goal intersects an inflated static shape")
-    for ob in spec.obstacles:
-        if ob.max_speed < 0:
-            raise ValueError("obstacle max_speed must be >= 0")
 
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     positions = np.zeros((len(spec.obstacles), 2))

@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import binomtest
 
 from navstack.exploration import (
-    ExplorationConfig,
+    ENTROPY_TRIGGER,
     ExplorationState,
     ScoredCandidate,
     select_exploration_point,
@@ -347,8 +347,7 @@ def test_criterion_06_selection_heuristic():
             v = base_v if mode == 2 else float(rng.uniform(-3, 3))
             scored.append(ScoredCandidate(cell, d1, d2, v))
         for gamma in (0.0, 1.0):
-            cfg = ExplorationConfig(gamma=gamma)
-            assert select_exploration_point(scored, cfg) == _selection_oracle(scored, gamma)
+            assert select_exploration_point(scored, gamma) == _selection_oracle(scored, gamma)
             checked += 1
     report("criterion 6 (selection heuristic)", checked == 2000,
            "1000 candidate sets x {gamma=0, gamma=1}, exact argmin incl. degenerate")
@@ -359,7 +358,7 @@ def test_criterion_06_selection_heuristic():
 
 
 def test_criterion_07_blind_alley_escape():
-    cfg = StackConfig(timeout=90.0)
+    cfg = StackConfig()
     successes = 0
     for seed in range(100):
         res = run_episode(blind_alley(seed), scripted_bundle(), cfg)
@@ -501,9 +500,9 @@ def test_criterion_11_entropy_trigger_boundary():
     h1 = map_entropy(g)
     results = {}
     for sign in (+1, -1):
-        ratio = 0.10 * (1 + sign * 1e-6)
+        ratio = ENTROPY_TRIGGER * (1 + sign * 1e-6)
         state = ExplorationState((10, 10), h1 / (1 + ratio), False)
-        results[sign] = should_reselect(state, g, goal, pose, ExplorationConfig(entropy_trigger=0.10))
+        results[sign] = should_reselect(state, g, goal, pose)
     ok = results[+1] == "reselect" and results[-1] == "no"
     report("criterion 11 (entropy trigger boundary)", ok,
            f"threshold+1e-6 -> {results[+1]}, threshold-1e-6 -> {results[-1]}")

@@ -292,6 +292,12 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
      "static shape 0 field 'b' must hold 2 numbers"),
     ("blind-alley", lambda d: d["obstacles"][0].update(region=[0.0, 0.0, 5.0, 5.0, 1.0]),
      "obstacle 0 field 'region' must hold 4 numbers"),
+    ("double-branch", lambda d: d["obstacles"][0].update(max_speed=float("nan")),
+     "obstacle 0 field 'max_speed' must be a finite number"),
+    ("blind-alley", lambda d: d.update(robot_radius=float("inf")),
+     "scenario field 'robot_radius' must be a finite number"),
+    ("rooms", lambda d: d["static_shapes"][2].update(rect=[1.0, 1.0, float("-inf"), 2.0]),
+     "static shape 2 field 'rect' must hold 4 numbers"),
 ])
 def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, message):
     from navstack.scenarios import make_scenario, scenario_to_dict

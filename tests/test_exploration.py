@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.ndimage import label
 
 from navstack.exploration import (
-    ExplorationConfig,
+    ENTROPY_TRIGGER,
+    MIN_CLUSTER_SIZE,
     ExplorationState,
     ScoredCandidate,
     candidate_csv_rows,
@@ -38,6 +39,14 @@ def selection_oracle(scored, gamma):
     return scored[best].cell
 
 
+def run_on(cell):
+    """A row of at least ``MIN_CLUSTER_SIZE`` frontier cells centred on
+    ``cell``, so that ``cell`` is its representative."""
+    r, c = cell
+    half = MIN_CLUSTER_SIZE // 2
+    return [(r, c + k) for k in range(-half, half + 1)]
+
+
 def make_scored(rng, n):
     cells = set()
     while len(cells) < n:
@@ -56,7 +65,7 @@ class TestScoreCandidates:
         cell = (20, 29)
         goal = g.cell_center(cell)
         pose = (*g.cell_center((20, 5)), 0.0)
-        scored = score_candidates([cell], g, goal, pose, lambda p: 0.0)
+        scored = score_candidates(run_on(cell), g, goal, pose, lambda p: 0.0)
         assert len(scored) == 1
         assert scored[0].d1 == pytest.approx(0.0, abs=1e-12)
         straight = abs(29 - 5) * RES
@@ -71,7 +80,7 @@ class TestScoreCandidates:
         walled_c = (20, 30)
         g.p[26, 10] = 0.5
         g.p[20, 31] = 0.5
-        scored = score_candidates([open_c, walled_c], g, goal, pose, lambda p: 0.0)
+        scored = score_candidates(run_on(open_c) + run_on(walled_c), g, goal, pose, lambda p: 0.0)
         by_cell = {s.cell: s for s in scored}
         assert by_cell[walled_c].d2 > by_cell[open_c].d2
 
@@ -80,7 +89,7 @@ class TestScoreCandidates:
         g.p[9:12, 9:12] = P_MAX
         g.p[10, 10] = P_MIN  # sealed pocket
         pose = (*g.cell_center((30, 30)), 0.0)
-        scored = score_candidates([(10, 10)], g, (1.0, 1.0), pose, lambda p: 0.0)
+        scored = score_candidates(run_on((10, 10)), g, (1.0, 1.0), pose, lambda p: 0.0)
         assert scored == []
 
     def test_critic_pure(self):
@@ -92,18 +101,17 @@ class TestScoreCandidates:
 
         g = open_grid()
         pose = (*g.cell_center((5, 5)), 0.0)
-        s1 = score_candidates([(20, 20)], g, (1.0, 1.0), pose, critic)
-        s2 = score_candidates([(20, 20)], g, (1.0, 1.0), pose, critic)
+        s1 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), pose, critic)
+        s2 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), pose, critic)
         assert s1[0].v == s2[0].v
 
 
 class TestSelect:
     def test_gamma_zero_is_pure_distance_argmin(self):
         rng = np.random.default_rng(0)
-        cfg = ExplorationConfig(gamma=0.0)
         for _ in range(50):
             scored = make_scored(rng, 6)
-            cell = select_exploration_point(scored, cfg)
+            cell = select_exploration_point(scored, 0.0)
             best = min(scored, key=lambda s: (s.d, s.cell))
             assert cell == best.cell
 
@@ -113,27 +121,25 @@ class TestSelect:
             ScoredCandidate((0, 1), 1.0, 4.0, v=0.9),
             ScoredCandidate((0, 2), 4.0, 1.0, v=0.4),
         ]
-        assert select_exploration_point(scored, ExplorationConfig(gamma=2.0)) == (0, 1)
+        assert select_exploration_point(scored, 2.0) == (0, 1)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(7)
-        cfg = ExplorationConfig(gamma=1.0)
         for _ in range(200):
             scored = make_scored(rng, int(rng.integers(1, 8)))
-            assert select_exploration_point(scored, cfg) == selection_oracle(scored, 1.0)
+            assert select_exploration_point(scored, 1.0) == selection_oracle(scored, 1.0)
 
     def test_selection_in_candidate_list_and_deterministic(self):
         rng = np.random.default_rng(3)
         scored = make_scored(rng, 5)
-        cfg = ExplorationConfig(gamma=0.7)
-        a = select_exploration_point(scored, cfg)
-        b = select_exploration_point(scored, cfg)
+        a = select_exploration_point(scored, 0.7)
+        b = select_exploration_point(scored, 0.7)
         assert a == b
         assert a in [s.cell for s in scored]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_exploration_point([], ExplorationConfig())
+            select_exploration_point([], 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,26 +155,25 @@ def test_affine_rescaling_invariance(seed, a_d, b_d, a_v, b_v):
     # values) cannot change the argmin thanks to the min-max normalization
     rng = np.random.default_rng(seed)
     scored = make_scored(rng, 5)
-    cfg = ExplorationConfig(gamma=1.0)
-    base = select_exploration_point(scored, cfg)
+    base = select_exploration_point(scored, 1.0)
     ratio = a_v  # same positive scale on v
     scaled = [
         ScoredCandidate(s.cell, a_d * s.d1 + b_d / 2, a_d * s.d2 + b_d / 2, ratio * s.v + b_v)
         for s in scored
     ]
-    assert select_exploration_point(scaled, cfg) == base
+    assert select_exploration_point(scaled, 1.0) == base
 
 
 class TestClustering:
     def test_one_rep_per_component(self):
         cells = [(5, 5), (5, 6), (6, 5), (20, 20), (20, 21)]
-        reps = cluster_representatives(cells, cap=10)
+        reps = cluster_representatives(cells, cap=10, min_size=1)
         assert len(reps) == 2
         assert reps[0] in {(5, 5), (5, 6), (6, 5)}  # larger cluster first
 
     def test_cap_keeps_largest(self):
         cells = [(0, 0), (0, 1), (0, 2), (10, 10), (30, 30)]
-        reps = cluster_representatives(cells, cap=1)
+        reps = cluster_representatives(cells, cap=1, min_size=1)
         assert reps == [(0, 1)]  # centroid-nearest of the 3-cell cluster
 
     def test_min_size_filters_specks(self):
@@ -179,10 +184,10 @@ class TestClustering:
 
     def test_diagonal_steps_join_one_cluster(self):
         cells = [(0, 0), (1, 1), (2, 2), (3, 1), (10, 0), (9, 1)]
-        assert cluster_representatives(cells, cap=10) == [(1, 1), (9, 1)]
+        assert cluster_representatives(cells, cap=10, min_size=1) == [(1, 1), (9, 1)]
 
     def test_no_cells_no_clusters(self):
-        assert cluster_representatives([], cap=10) == []
+        assert cluster_representatives([], cap=10, min_size=1) == []
 
 
 def _cluster_representatives_oracle(frontiers, grid_shape, cap: int, min_size: int = 1):
@@ -312,18 +317,16 @@ class TestTriggers:
         h1 = map_entropy(g)
         pose = (*g.cell_center((30, 5)), 0.0)
         for sign, expected in ((+1, "reselect"), (-1, "no")):
-            trigger = 0.10
-            ratio = trigger * (1 + sign * 1e-6)
+            ratio = ENTROPY_TRIGGER * (1 + sign * 1e-6)
             st_ = ExplorationState((10, 10), h1 / (1 + ratio), False)
-            got = should_reselect(st_, g, goal, pose, ExplorationConfig(entropy_trigger=trigger))
+            got = should_reselect(st_, g, goal, pose)
             assert got == expected, sign
 
 
 def test_candidate_rows_align_with_selection():
     rng = np.random.default_rng(1)
     scored = make_scored(rng, 6)
-    cfg = ExplorationConfig(gamma=0.0)
-    rows = candidate_csv_rows(scored, cfg)
+    rows = candidate_csv_rows(scored, 0.0)
     assert len(rows) == 6
     scores = [r[-1] for r in rows]
     d_totals = [r[4] for r in rows]

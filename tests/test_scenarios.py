@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,25 @@ class TestSerialization:
         doc["schema"] = 99
         with pytest.raises(ValueError):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["obstacles"][0].update(max_speed=math.nan), "obstacle 0 field 'max_speed'"),
+        (lambda d: d["obstacles"][0].update(radius=math.inf), "obstacle 0 field 'radius'"),
+        (lambda d: d["obstacles"][1].update(resample_prob=-math.inf), "obstacle 1 field 'resample_prob'"),
+        (lambda d: d["obstacles"][0].update(region=[0.6, math.nan, 2.4, 2.4]), "obstacle 0 field 'region'"),
+        (lambda d: d.update(robot_radius=math.nan), "scenario field 'robot_radius'"),
+        (lambda d: d.update(seed=math.inf), "scenario field 'seed'"),
+        (lambda d: d["obstacles"][0].update(radius=10**400), "obstacle 0 field 'radius'"),
+        (lambda d: d.update(goal=[math.nan, 4.0]), "scenario field 'goal'"),
+        (lambda d: d["static_shapes"][0].update(a=[0.0, math.inf]), "static shape 0 field 'a'"),
+    ])
+    def test_non_finite_number_names_its_field(self, tmp_path, edit, field):
+        doc = scenario_to_dict(blind_alley(0))
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json loads back
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_scenario(path)
 
     def test_bad_shape_type_rejected(self):
         doc = scenario_to_dict(blind_alley(0))

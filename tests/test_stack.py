@@ -1,12 +1,17 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.ndimage import label
 
+from navstack import exploration
+from navstack.exploration import MIN_CLUSTER_SIZE
+from navstack.mapping import DEFAULT_RESOLUTION, OccupancyGrid
 from navstack.policy import ObservationConfig
 from navstack.scenarios import blind_alley, make_scenario, training_scenarios
 from navstack.scripted import ScriptedGoStraight, scripted_bundle
 from navstack.stack import TRACE_FILE, StackConfig, episode_seed, run_episode, run_suite, summarize
-from navstack.world import ScenarioSpec
+from navstack.world import CONTROL_DT, ScenarioSpec
 
 LOWER_ONLY = StackConfig(mode="lower-only", timeout=20.0)
 
@@ -36,9 +41,9 @@ def open_goal_spec(goal=(7.0, 5.0)):
 class TestConfig:
     def test_cadence_ordering_enforced(self):
         with pytest.raises(ValueError):
-            StackConfig(control_hz=1.0, plan_hz=10.0)
-        with pytest.raises(ValueError):
             StackConfig(mode="warp")
+        with pytest.raises(ValueError, match="gamma"):
+            StackConfig(gamma=-0.5)
 
 
 class TestRunEpisode:
@@ -47,7 +52,7 @@ class TestRunEpisode:
         assert res.outcome == "success"
         assert res.exploration_selections == []
         assert res.goal_known_time is not None
-        assert res.goal_known_time <= 1.0 / 30.0 + 1e-9
+        assert res.goal_known_time <= CONTROL_DT + 1e-9
 
     def test_cadence_counts(self):
         res = run_episode(blind_alley(2), scripted_bundle(), StackConfig(timeout=10.0))
@@ -72,7 +77,7 @@ class TestRunEpisode:
         assert "wiring fault" in res.error
 
     def test_selections_stop_after_goal_known(self):
-        res = run_episode(blind_alley(4), scripted_bundle(), StackConfig(timeout=90.0))
+        res = run_episode(blind_alley(4), scripted_bundle(), StackConfig())
         assert res.outcome == "success"
         assert res.goal_known_time is not None
         assert res.exploration_selections  # the alley forces exploration first
@@ -92,9 +97,35 @@ class TestRunEpisode:
 
     def test_upper_with_scripted_lower_mode(self):
         res = run_episode(
-            blind_alley(1), scripted_bundle(), StackConfig(mode="upper-with-scripted-lower", timeout=90.0)
+            blind_alley(1), scripted_bundle(), StackConfig(mode="upper-with-scripted-lower")
         )
         assert res.outcome == "success"
+
+    def test_scoring_skips_frontier_clusters_below_min_size(self, monkeypatch):
+        calls = []
+        original = exploration.cluster_representatives
+
+        def recording(frontiers, cap, min_size):
+            reps = original(frontiers, cap, min_size)
+            calls.append((frontiers, reps))
+            return reps
+
+        monkeypatch.setattr(exploration, "cluster_representatives", recording)
+        spec = blind_alley(1)
+        res = run_episode(spec, scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
+        assert len(calls) == len(res.scored_tables) > 0  # one clustering per scoring cycle
+        shape = OccupancyGrid.for_bounds(spec.bounds, DEFAULT_RESOLUTION).p.shape
+        speckles = 0
+        for (cells, reps), (_tick, rows) in zip(calls, res.scored_tables):
+            mask = np.zeros(shape, dtype=bool)
+            mask[tuple(np.array(cells).T)] = True
+            labels, _ = label(mask, structure=np.ones((3, 3), dtype=int))
+            sizes = np.bincount(labels.ravel())
+            speckles += int(np.sum(sizes[1:] < MIN_CLUSTER_SIZE))
+            assert {(row[0], row[1]) for row in rows} <= set(reps)
+            for r, c in reps:
+                assert sizes[labels[r, c]] >= MIN_CLUSTER_SIZE
+        assert speckles > 0  # the map did grow clusters the stack must skip
 
     def test_trace_written(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -101,6 +101,22 @@ class TestSpawn:
         with pytest.raises(ValueError):
             spawn(ScenarioSpec(name="bad", bounds=(0, 0, 4, 4), robot_start=(5, 1, 0), goal=(1, 1)))
 
+    @pytest.mark.parametrize("field", ["radius", "max_speed", "resample_prob", "region", "robot_radius"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, field, bad):
+        # a NaN fails every comparison: such a walker would leave the scan
+        # and the collision check after one step, such a robot never collide
+        ob = {"radius": 0.3, "max_speed": 0.5, "region": (0.0, 0.0, 10.0, 10.0)}
+        if field == "region":
+            ob["region"] = (0.0, 0.0, bad, 10.0)
+        elif field != "robot_radius":
+            ob[field] = bad
+        spec = ScenarioSpec(name="bad", bounds=(0.0, 0.0, 10.0, 10.0), obstacles=(ObstacleSpec(**ob),),
+                            robot_start=(5.0, 5.0, 0.0), goal=(9.0, 9.0),
+                            robot_radius=bad if field == "robot_radius" else ROBOT_RADIUS)
+        with pytest.raises(ValueError, match=field):
+            spawn(spec)
+
     def test_obstacles_placed_clear(self):
         spec = ScenarioSpec(
             name="obs",
@@ -122,27 +138,27 @@ class TestStep:
     def test_zero_action_identity(self):
         w = spawn(empty_room())
         pose0 = w.robot.pose.copy()
-        _, event = step(w, (0.0, 0.0, 0.0), 1.0 / 30.0)
+        _, event = step(w, (0.0, 0.0, 0.0), CONTROL_DT)
         assert np.array_equal(w.robot.pose, pose0)
-        assert w.sim_time == 1.0 / 30.0
+        assert w.sim_time == CONTROL_DT
         assert event == "none"
 
     def test_straight_line_integration(self):
         w = spawn(empty_room())
         for _ in range(30):
-            step(w, (1.0, 0.0, 0.0), 1.0 / 30.0)
+            step(w, (1.0, 0.0, 0.0), CONTROL_DT)
         assert w.robot.pose[0] == pytest.approx(6.0, abs=1e-9)
         assert w.robot.pose[1] == pytest.approx(5.0, abs=1e-9)
 
     def test_action_clamped(self):
         w = spawn(empty_room())
-        step(w, (5.0, -5.0, 9.0), 1.0 / 30.0)
+        step(w, (5.0, -5.0, 9.0), CONTROL_DT)
         assert np.all(w.robot.velocity <= ACTION_HIGH + 1e-12)
         assert np.all(w.robot.velocity >= ACTION_LOW - 1e-12)
 
     def test_wall_collision_on_first_penetrating_step(self):
         spec = walled_room()
-        dt = 1.0 / 30.0
+        dt = CONTROL_DT
         # analytic first-penetration step for constant +x drive at top speed
         rr = spec.robot_radius
         wall_x = spec.static_rects[0][0]
@@ -160,7 +176,7 @@ class TestStep:
         w = spawn(empty_room(goal=(5.5, 5.0)))
         event = "none"
         for _ in range(60):
-            _, event = step(w, (1.0, 0.0, 0.0), 1.0 / 30.0)
+            _, event = step(w, (1.0, 0.0, 0.0), CONTROL_DT)
             if event != "none":
                 break
         assert event == "goal_reached"
@@ -445,8 +461,8 @@ class TestDeterminism:
         b = a.copy()
         actions = np.random.default_rng(1).uniform(-1, 1, (1000, 3))
         for act in actions:
-            step(a, act, 1.0 / 30.0)
-            step(b, act, 1.0 / 30.0)
+            step(a, act, CONTROL_DT)
+            step(b, act, CONTROL_DT)
             assert np.array_equal(a.robot.pose, b.robot.pose)
             assert np.array_equal(a.obstacle_pos, b.obstacle_pos)
             assert np.array_equal(a.obstacle_heading, b.obstacle_heading)
@@ -463,7 +479,7 @@ class TestDeterminism:
         )
         w = spawn(spec)
         prev = w.obstacle_pos.copy()
-        dt = 1.0 / 30.0
+        dt = CONTROL_DT
         for _ in range(1000):
             step(w, (0.0, 0.0, 0.0), dt)
             moved = np.linalg.norm(w.obstacle_pos - prev, axis=1)
