@@ -12,7 +12,10 @@ each side's median and quartiles over the seeds, the pairs the change won
 (by the metric's ``better`` direction; a tie wins nothing), and the change of
 the median against the parent's median and quartile distance.  Digests and
 failed runs are listed per side, so a reader sees at once whether the
-outputs stayed byte-identical.  Writes ``BENCH_<tag>.json`` (or ``--out``).
+outputs stayed byte-identical.  Each ``--traced NAME`` adds a per-layer
+metric from the ``<workload>-seed<n>-trace1.json`` records of both sides,
+for every workload and seed traced on both.  Writes ``BENCH_<tag>.json``
+(or ``--out``).
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_records(directory: Path) -> dict[tuple[str, int], dict]:
-    """Untraced records by (workload, seed)."""
+def load_records(directory: Path, trace: int = 0) -> dict[tuple[str, int], dict]:
+    """Records of one ``--trace`` setting by (workload, seed)."""
     records = {}
-    for path in sorted(directory.glob("*-trace0.json")):
+    for path in sorted(directory.glob(f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
         meta = record["meta"]
         records[(meta["workload"], int(meta["seed"]))] = record
@@ -85,6 +88,19 @@ def fold(parent: dict, change: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def fold_traced(parent: dict, change: dict, names: list[str]) -> dict:
+    """``{workload: {seed: {name: {"parent": value, "change": value}}}}``
+    for the traced pairs."""
+    out: dict = {}
+    for workload, seed in sorted(set(parent) & set(change)):
+        out.setdefault(workload, {})[str(seed)] = {
+            name: {side: records[(workload, seed)]["metrics"][name]["value"]
+                   for side, records in (("parent", parent), ("change", change))}
+            for name in names
+        }
+    return out
+
+
 def side_meta(records: dict) -> dict:
     """Versions and settings the records share (or each distinct value)."""
     keys = ("git_commit", "python", "numpy", "scipy", "blas", "blas_threads", "nproc", "seconds", "tiny")
@@ -102,6 +118,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     ap.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json in the repo root)")
+    ap.add_argument("--traced", action="append", default=[], metavar="NAME",
+                    help="a per-layer metric to add from the traced records (repeatable)")
     args = ap.parse_args(argv)
 
     metrics = json.loads(args.benchmark.read_text())["end_to_end"]
@@ -116,6 +134,8 @@ def main(argv=None) -> int:
         "change": side_meta(change),
         "workloads": workloads,
     }
+    if args.traced:
+        doc["traced"] = fold_traced(load_records(args.parent, 1), load_records(args.change, 1), args.traced)
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
@@ -129,6 +149,10 @@ def main(argv=None) -> int:
                   f"parent IQR {pct(m['parent_iqr_frac']).lstrip('+')}")
         print(f"{workload:>12} digests {'equal' if w['digests']['equal'] else 'DIFFER'}; "
               f"failed runs {w['failed_runs']['parent']} -> {w['failed_runs']['change']}")
+    for workload, seeds in doc.get("traced", {}).items():
+        for seed, values in seeds.items():
+            for name, v in values.items():
+                print(f"{workload:>12} seed {seed} traced {name}: {v['parent']:.6g} -> {v['change']:.6g}")
     print(f"wrote {out}")
     return 0
 

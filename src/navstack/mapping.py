@@ -64,9 +64,6 @@ class OccupancyGrid:
     def cols(self) -> int:
         return self.p.shape[1]
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.resolution, self.origin, self.p.copy())
-
     def in_grid(self, cell: tuple[int, int]) -> bool:
         r, c = cell
         return 0 <= r < self.rows and 0 <= c < self.cols
@@ -117,16 +114,39 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _floor_cells(start: float, origin: float, res: float, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """floor((start + dirs * t - origin) / res) as int64, computed in
+    ``dirs``, which is overwritten."""
+    dirs *= t
+    dirs += start
+    dirs -= origin
+    dirs /= res
+    return np.floor(dirs, out=dirs).astype(np.int64)
+
+
+def _flat_in_grid(grid: OccupancyGrid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices of the (rows, cols) cells that lie in the grid."""
+    # Viewed unsigned, a negative index is huge, so one test per axis
+    # checks both of its bounds.
+    valid = (rows.view(np.uint64) < grid.rows) & (cols.view(np.uint64) < grid.cols)
+    return (rows * grid.cols + cols)[valid]
+
+
 def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> OccupancyGrid:
     """Fold one lidar scan (beam i at heading + 2*pi*i/n) into the grid.
 
     Cells traversed by a beam move toward free; the terminal cell moves
     toward occupied when the beam actually hit something (range < max_range).
     Each scan applies at most one update per cell and the hit update wins
-    over the miss update: touched cells are marked in one grid-sized array
-    (miss, then hit over it) and each class is updated once, in row-major
-    order.  Beams leaving the grid are truncated at the border.  Returns the
-    grid for chaining; the update is in place.
+    over the miss update.  Beams leaving the grid are truncated at the
+    border.  Every range must be finite.  Returns the grid for chaining; the
+    update is in place.
+
+    Each beam is sampled only out to its own range.  Both classes read their
+    cells before either is written, misses are written first and hits last,
+    so a cell in both classes ends with its hit update, and every copy of a
+    cell repeated within a class writes the same value.  A miss leaves a
+    cell at exactly ``P_MIN`` where it is, so those cells are skipped.
     """
     x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
     ranges = np.asarray(ranges, dtype=float)
@@ -134,41 +154,45 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     cell = grid.world_to_cell(x, y)
     if not grid.in_grid(cell):
         raise ValueError("scan pose lies outside the grid extent")
+    if not np.isfinite(ranges).all():
+        raise ValueError("scan ranges must be finite")
     if n == 0:
         return grid
 
     res = grid.resolution
+    ox, oy = grid.origin
     angles = th + beam_offsets(n)
     cos, sin = np.cos(angles), np.sin(angles)
 
     # Sample along each beam at half-cell spacing; as a traversal this is the
-    # cell set the beam sweeps, minus corner-only touches.
+    # cell set the beam sweeps, minus corner-only touches.  Beam i takes the
+    # counts[i] samples ts[:counts[i]], the ones short of its range.
     step = 0.5 * res
-    n_steps = int(math.ceil(ranges.max() / step)) + 1
-    ts = (np.arange(n_steps) + 0.5) * step
-    mask = ts < ranges[:, None]
-    rows = np.floor((y + sin[:, None] * ts - grid.origin[1]) / res).astype(np.int64)
-    cols = np.floor((x + cos[:, None] * ts - grid.origin[0]) / res).astype(np.int64)
-    # Viewed unsigned, a negative index is huge, so one test per axis
-    # checks both of its bounds.
-    valid = mask & (rows.view(np.uint64) < grid.rows) & (cols.view(np.uint64) < grid.cols)
-
+    ts = (np.arange(int(math.ceil(ranges.max() / step)) + 1) + 0.5) * step
+    counts = np.searchsorted(ts, ranges, side="left")
+    ends = np.cumsum(counts)
+    k = np.arange(ends[-1])
+    k -= np.repeat(ends - counts, counts)
+    t = ts[k]
+    miss = np.append(
+        _flat_in_grid(grid, _floor_cells(y, oy, res, np.repeat(sin, counts), t),
+                      _floor_cells(x, ox, res, np.repeat(cos, counts), t)),
+        cell[0] * grid.cols + cell[1],
+    )
     hit_beams = ranges < max_range
     hit_ranges = ranges[hit_beams]
-    hrows = np.floor((y + sin[hit_beams] * hit_ranges - grid.origin[1]) / res).astype(np.int64)
-    hcols = np.floor((x + cos[hit_beams] * hit_ranges - grid.origin[0]) / res).astype(np.int64)
-    hvalid = (hrows.view(np.uint64) < grid.rows) & (hcols.view(np.uint64) < grid.cols)
+    hit = _flat_in_grid(grid, _floor_cells(y, oy, res, sin[hit_beams], hit_ranges),
+                        _floor_cells(x, ox, res, cos[hit_beams], hit_ranges))
 
-    # 1 marks a miss, 2 a hit; hits are written last so they win.
-    touched = np.zeros(grid.p.size, dtype=np.int8)
-    touched[(rows * grid.cols + cols)[valid]] = 1
-    touched[cell[0] * grid.cols + cell[1]] = 1
-    touched[(hrows * grid.cols + hcols)[hvalid]] = 2
     flat_p = grid.p.reshape(-1)
-    for mark, delta in ((1, LOGIT_MISS), (2, LOGIT_HIT)):
-        flat = np.flatnonzero(touched == mark)
-        if flat.size:
-            flat_p[flat] = np.minimum(np.maximum(_sigmoid(_logit(flat_p[flat]) + delta), P_MIN), P_MAX)
+    hit_p = flat_p[hit]  # read before the miss write, which may cover hit cells
+    miss_p = flat_p[miss]
+    moving = miss_p != P_MIN
+    miss = miss[moving]
+    if miss.size:
+        flat_p[miss] = np.minimum(np.maximum(_sigmoid(_logit(miss_p[moving]) + LOGIT_MISS), P_MIN), P_MAX)
+    if hit.size:
+        flat_p[hit] = np.minimum(np.maximum(_sigmoid(_logit(hit_p) + LOGIT_HIT), P_MIN), P_MAX)
     return grid
 
 

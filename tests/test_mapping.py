@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,12 +44,6 @@ class TestGridBasics:
         cell = g.world_to_cell(0.55, 1.25)
         assert cell == (12, 5)
         assert g.cell_center(cell) == (pytest.approx(0.55), pytest.approx(1.25))
-
-    def test_copy_is_independent(self):
-        g = fresh()
-        h = g.copy()
-        h.p[0, 0] = 0.9
-        assert g.p[0, 0] == 0.5
 
 
 class TestClassify:
@@ -122,6 +117,15 @@ class TestIntegrateScan:
         with pytest.raises(ValueError):
             integrate_scan(g, (50.0, 50.0, 0.0), np.array([1.0]), max_range=2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_range_rejected(self, bad):
+        g = fresh()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warnings on the way to the error
+            with pytest.raises(ValueError, match="must be finite"):
+                integrate_scan(g, (1.0, 1.0, 0.0), np.array([0.5, bad, 1.0]), max_range=2.0)
+        assert np.all(g.p == 0.5)
+
 
 def _integrate_scan_oracle(grid, pose, ranges, max_range):
     """Reference scan update: the cell sets deduplicated with np.unique and
@@ -170,8 +174,9 @@ def _assert_scans_match_oracle(p0, scans, max_range, resolution=0.1):
     g = OccupancyGrid(resolution, (0.0, 0.0), p0.copy())
     ref = OccupancyGrid(resolution, (0.0, 0.0), p0.copy())
     for pose, ranges in scans:
-        integrate_scan(g, pose, ranges, max_range)
-        _integrate_scan_oracle(ref, pose, ranges, max_range)
+        with np.errstate(divide="ignore"):  # log(0) at cells that start at 0.0 or 1.0
+            integrate_scan(g, pose, ranges, max_range)
+            _integrate_scan_oracle(ref, pose, ranges, max_range)
         assert g.p.tobytes() == ref.p.tobytes()
     return g
 
@@ -195,20 +200,34 @@ class TestIntegrateScanOracle:
         _assert_scans_match_oracle(np.full((6, 9), 0.5), scans, 6.0)
 
 
+# Start values the update must treat exactly: the two clamp bounds (a miss
+# leaves P_MIN and a hit leaves P_MAX where they are), unknown, and the two
+# ends of [0, 1], which lie outside the clamp and must still move onto it.
+_EXACT_P = [P_MIN, P_MAX, 0.5, 0.0, 1.0]
+
+
 @st.composite
 def _scan_sequences(draw):
     rows = draw(st.integers(1, 25))
     cols = draw(st.integers(1, 25))
     max_range = draw(st.sampled_from([0.5, 1.5, 4.0]))
-    p0 = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).uniform(P_MIN, P_MAX, (rows, cols))
-    special = st.sampled_from([0.001, 0.04, max_range, 2.0 * max_range])  # own cell, max range, past the border
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    p0 = rng.uniform(P_MIN, P_MAX, (rows, cols))
+    exact = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    p0[exact] = rng.choice(_EXACT_P, size=int(exact.sum()))
+    step = 0.5 * 0.1
+    special = st.one_of(
+        st.sampled_from([0.0, 0.001, 0.04, max_range, 2.0 * max_range]),  # no samples, own cell, max range, past the border
+        st.integers(0, int(2.0 * max_range / step)).map(lambda k: (k + 0.5) * step),  # exactly on a sample
+    )
     scans = []
     for _ in range(draw(st.integers(1, 6))):
         pose = ((draw(st.integers(0, cols - 1)) + draw(st.floats(0.05, 0.95))) * 0.1,
                 (draw(st.integers(0, rows - 1)) + draw(st.floats(0.05, 0.95))) * 0.1,
                 draw(st.floats(-math.pi, math.pi)))
         ranges = draw(st.lists(st.one_of(st.floats(0.0, max_range), special), min_size=1, max_size=48))
-        scans.append((pose, np.array(ranges)))
+        # Repeating a scan from one pose drives its cells onto the clamps.
+        scans += [(pose, np.array(ranges))] * draw(st.sampled_from([1, 1, 4, 12]))
     return p0, scans, max_range
 
 
