@@ -81,13 +81,13 @@ def cluster_representatives(frontiers, cap: int, min_size: int) -> list[tuple[in
     for cluster in _clusters((int(r), int(c)) for r, c in frontiers):
         if len(cluster) < min_size:
             continue
-        members = np.array(cluster)
+        n = len(cluster)
         # Sums of small integers are exact in any order, so the centroid's
         # bits do not depend on the order of the members.
-        centroid = members.mean(axis=0)
-        d2 = np.sum((members - centroid) ** 2, axis=1)
-        order = np.lexsort((members[:, 1], members[:, 0], d2))
-        reps.append((len(members), cluster[order[0]]))
+        cr = sum(r for r, _ in cluster) / n
+        cc = sum(c for _, c in cluster) / n
+        _, r, c = min(((r - cr) * (r - cr) + (c - cc) * (c - cc), r, c) for r, c in cluster)
+        reps.append((n, (r, c)))
     reps.sort(key=lambda t: (-t[0], t[1]))
     return [rep for _, rep in reps[:cap]]
 

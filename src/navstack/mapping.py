@@ -139,8 +139,8 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     toward occupied when the beam actually hit something (range < max_range).
     Each scan applies at most one update per cell and the hit update wins
     over the miss update.  Beams leaving the grid are truncated at the
-    border.  Every range must be finite.  Returns the grid for chaining; the
-    update is in place.
+    border.  The pose and every range must be finite.  Returns the grid for
+    chaining; the update is in place.
 
     Each beam is sampled only out to its own range.  Both classes read their
     cells before either is written, misses are written first and hits last,
@@ -149,6 +149,8 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     cell at exactly ``P_MIN`` where it is, so those cells are skipped.
     """
     x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
+        raise ValueError("scan pose must be finite")
     ranges = np.asarray(ranges, dtype=float)
     n = ranges.shape[0]
     cell = grid.world_to_cell(x, y)

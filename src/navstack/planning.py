@@ -2,9 +2,10 @@
 
 Planning runs 8-connected over free cells after inflating occupied cells by
 the robot radius; unknown cells block planning but not line of sight (a
-frontier target is by definition bordered by unknown space).  One heap
-search is the Dijkstra flood and, with a target, A* under the octile
-heuristic (admissible and consistent for unit/sqrt(2) steps): exact optima.
+frontier target is by definition bordered by unknown space).  Both searches
+are exact: A* under the octile heuristic (admissible and consistent for
+unit/sqrt(2) steps) plans one path, and a heap-free Dijkstra flood with one
+FIFO queue per step cost prices every cell from the start.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import heapq
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,29 +88,27 @@ def _snap_start(blocked: np.ndarray, start: tuple[int, int], window: int = 3) ->
     return min(near)[1:] if near else None
 
 
-def _search(
-    blocked: np.ndarray,
-    start: tuple[int, int],
-    target: tuple[int, int] | None = None,
-) -> tuple[list[float], list[int]]:
-    """Flat ``dist`` (in cells) and ``parent`` lists over the grid padded by
-    one blocked cell, so a neighbor is one fixed offset away with no bounds
-    test.  A target makes it A* that stops when the target is popped.  Closed
-    cells still relax: under A* a rounding-level gain can move their parent."""
+def _open_cells(blocked: np.ndarray) -> list[bool]:
+    """Flat open flags of the grid padded by one blocked cell, so a neighbor
+    is one fixed offset away with no bounds test."""
+    return (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
+
+
+def _search(blocked: np.ndarray, start: tuple[int, int], target: tuple[int, int]) -> list[int]:
+    """A* from start to target: the flat ``parent`` list over the padded
+    grid (see ``_open_cells``).  It stops when the target is popped.  Closed
+    cells still relax: a rounding-level gain can move their parent."""
     rows, cols = blocked.shape
     width = cols + 2
-    is_open = (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
+    is_open = _open_cells(blocked)
     size = len(is_open)
-    if target is None:
-        goal, h = -1, [0.0] * size
-    else:
-        tr, tc = target[0] + 1, target[1] + 1
-        goal = tr * width + tc
-        rgap = np.abs(np.arange(rows + 2) - tr)[:, None]
-        cgap = np.abs(np.arange(width) - tc)
-        lo = np.minimum(rgap, cgap)
-        # octile (hi - lo) + lo * sqrt(2), in an array: A* reads too few cells for a list
-        h = array("d", (np.maximum(rgap, cgap) - lo + lo * SQRT2).tobytes())
+    tr, tc = target[0] + 1, target[1] + 1
+    goal = tr * width + tc
+    rgap = np.abs(np.arange(rows + 2) - tr)[:, None]
+    cgap = np.abs(np.arange(width) - tc)
+    lo = np.minimum(rgap, cgap)
+    # octile (hi - lo) + lo * sqrt(2), in an array: A* reads too few cells for a list
+    h = array("d", (np.maximum(rgap, cgap) - lo + lo * SQRT2).tobytes())
     steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
     dist = [math.inf] * size
     parent = [-1] * size
@@ -135,7 +135,7 @@ def _search(
                     parent[j] = i
                     counter += 1
                     push(heap, (nd + h[j], counter, j))
-    return dist, parent
+    return parent
 
 
 def plan_path(
@@ -161,7 +161,7 @@ def plan_path(
     if start == target:
         return GridPath([start], 0.0)
 
-    parent = _search(blocked, start, target)[1]
+    parent = _search(blocked, start, target)
     width = blocked.shape[1] + 2
     i = parent[(target[0] + 1) * width + target[1] + 1]
     if i < 0:
@@ -185,8 +185,17 @@ def distance_field(
 ) -> np.ndarray:
     """Dijkstra flood from start: meters to every cell, inf where unreachable.
 
-    The same search, costs and blocking rules as plan_path, so values match
-    planned path lengths; one flood prices every frontier candidate at once.
+    The same costs and blocking rules as plan_path, so values match planned
+    path lengths; one flood prices every frontier candidate at once.
+
+    Straight steps (+1) and diagonal steps (+sqrt 2) each feed their own
+    FIFO queue.  Each queue is filled in nondecreasing key order, so the
+    smallest key is at the front of one of the two (Orlin et al. 2010), and
+    every step pops the smaller front.  A popped entry whose key is no
+    longer its cell's distance is stale and skipped.
+    Each distance is the least solution of d[j] = min_i fl(d[i] + c_ij), so
+    a heap gives the same bits; the merge rule only makes each cell expand
+    once.
     """
     if blocked is None:
         blocked = blocked_mask(grid, robot_radius)
@@ -194,7 +203,35 @@ def distance_field(
     snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
     if snapped is None:
         return np.full((rows, cols), np.inf)
-    dist = _search(blocked, snapped)[0]
+    width = cols + 2
+    is_open = _open_cells(blocked)
+    dist = [math.inf] * len(is_open)
+    source = (snapped[0] + 1) * width + snapped[1] + 1
+    dist[source] = 0.0
+    straight_steps = (-width, -1, 1, width)
+    diagonal_steps = (-width - 1, -width + 1, width - 1, width + 1)
+    straight, diagonal = deque([(0.0, source)]), deque()
+    pop_straight, pop_diagonal = straight.popleft, diagonal.popleft
+    push_straight, push_diagonal = straight.append, diagonal.append
+    while straight or diagonal:
+        if not straight or (diagonal and diagonal[0][0] < straight[0][0]):
+            d, i = pop_diagonal()
+        else:
+            d, i = pop_straight()
+        if d != dist[i]:
+            continue
+        nd = d + 1.0
+        for offset in straight_steps:
+            j = i + offset
+            if is_open[j] and nd < dist[j]:
+                dist[j] = nd
+                push_straight((nd, j))
+        nd = d + SQRT2
+        for offset in diagonal_steps:
+            j = i + offset
+            if is_open[j] and nd < dist[j]:
+                dist[j] = nd
+                push_diagonal((nd, j))
     field = np.fromiter(dist, float, len(dist)).reshape(rows + 2, cols + 2)[1:-1, 1:-1]
     return field * grid.resolution
 

@@ -126,6 +126,18 @@ class TestIntegrateScan:
                 integrate_scan(g, (1.0, 1.0, 0.0), np.array([0.5, bad, 1.0]), max_range=2.0)
         assert np.all(g.p == 0.5)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_rejected(self, axis, bad):
+        g = fresh()
+        pose = [1.0, 1.0, 0.0]
+        pose[axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast or cos warnings on the way to the error
+            with pytest.raises(ValueError, match="scan pose must be finite"):
+                integrate_scan(g, pose, np.array([0.5, 1.0, 3.0]), max_range=2.0)
+        assert np.all(g.p == 0.5)
+
 
 def _integrate_scan_oracle(grid, pose, ranges, max_range):
     """Reference scan update: the cell sets deduplicated with np.unique and

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
 
-from navstack.mapping import OccupancyGrid, P_MAX, P_MIN
+from navstack import world as sim
+from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, integrate_scan
 from navstack.planning import (
     _NEIGHBORS,
     GridPath,
@@ -22,6 +23,7 @@ from navstack.planning import (
     line_of_sight,
     plan_path,
 )
+from navstack.scenarios import make_scenario
 
 RES = 0.1
 
@@ -505,6 +507,34 @@ def test_distance_field_matches_oracle_on_random_grids(seed, rows, cols, p_block
     g = grid_from_mask(rows=rows, cols=cols)
     blocked = np.random.default_rng(seed).uniform(0, 1, (rows, cols)) < p_blocked
     assert_field_matches_oracle(g, (r, c), blocked)
+
+
+def test_distance_field_matches_oracle_on_a_mapped_scenario():
+    """Explore size: the 100 x 120 double-branch grid mapped by 300 scans
+    from free poses in its lower half, so the branches stay partly unknown."""
+    spec = make_scenario("double-branch", 0)
+    world = sim.spawn(spec)
+    g = OccupancyGrid.for_bounds(spec.bounds)
+    rng = np.random.default_rng(0)
+    scans = 0
+    while scans < 300:
+        x, y = rng.uniform(0.3, 11.7), rng.uniform(0.3, 5.0)
+        if sim.point_static_clearance(spec, x, y) <= spec.robot_radius:
+            continue
+        world.robot.pose[:] = (x, y, rng.uniform(-math.pi, math.pi))
+        integrate_scan(g, world.robot.pose, sim.raycast(world, 72, 6.0), 6.0)
+        scans += 1
+    assert g.p.shape == (100, 120)
+    blocked = blocked_mask(g, spec.robot_radius)
+    open_cell = g.world_to_cell(*spec.robot_start[:2])
+    assert not blocked[open_cell]
+    padded = np.pad(blocked, 1, constant_values=True)
+    next_to_wall = [tuple(rc) for rc in np.argwhere(~blocked & padded[:-2, 1:-1])]
+    snapping = [tuple(rc) for rc in np.argwhere(blocked & ~padded[2:, 1:-1])]
+    for start in (open_cell, next_to_wall[len(next_to_wall) // 2], snapping[len(snapping) // 3]):
+        field = assert_field_matches_oracle(g, start, blocked)
+        assert np.isfinite(field).sum() > 2000
+    assert blocked[start] and field[start] == np.inf  # the last start snapped to an open neighbour
 
 
 class TestLineOfSight:
