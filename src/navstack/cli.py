@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -87,6 +88,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .rewards import METRICS_CSV_HEADER
     from .stack import TRACE_FILE, StackConfig, run_suite
 
+    if args.episodes < 1:
+        raise UsageError("--episodes must be at least 1")
     spec = _load_scenario_arg(args.scenario, args.seed)
     policy = _load_policy_arg(args.bundle)
     cfg = StackConfig(mode=args.mode, gamma=args.gamma, timeout=args.timeout)
@@ -193,6 +196,14 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     from .fileio import write_pgm
     from .policy import build_observation, safety_heatmap
 
+    try:
+        region = tuple(float(v) for v in args.region.split(","))
+    except ValueError:
+        region = ()
+    if len(region) != 4 or not all(map(math.isfinite, region)):
+        raise UsageError("--region must be four finite numbers x0,y0,x1,y1")
+    if not (math.isfinite(args.stride) and args.stride > 0):
+        raise UsageError(f"--stride must be a finite number > 0, got {args.stride!r}")
     bundle = _load_policy_arg(args.bundle)
     if not hasattr(bundle, "critic"):
         raise UsageError("heatmap needs a trained bundle with a critic")
@@ -206,9 +217,6 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     obs_cfg = bundle.obs_config
     scan = sim.raycast(world, obs_cfg.beams, obs_cfg.max_range)
     obs = build_observation([scan], world.robot.pose, spec.goal, world.robot.velocity, obs_cfg.history)
-    region = tuple(float(v) for v in args.region.split(","))
-    if len(region) != 4:
-        raise UsageError("--region must be x0,y0,x1,y1")
     values = safety_heatmap(bundle.critic, obs, region, args.stride)
 
     out_path = Path(args.out)
@@ -227,6 +235,8 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
     from .fileio import write_csv
     from .stack import StackConfig, run_episode
 
+    if args.steps < 1:
+        raise UsageError("--steps must be at least 1")
     spec = _load_scenario_arg(args.scenario, args.seed)
     policy = _load_policy_arg(args.bundle)
     cfg = StackConfig(

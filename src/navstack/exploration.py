@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
-from .planning import distance_field
 from .world import ARRIVAL_RADIUS
 
 _ENTROPY_EPS = 1e-12
@@ -96,9 +95,8 @@ def score_candidates(
     frontiers,
     grid: OccupancyGrid,
     goal: tuple[float, float],
-    current_pose,
     critic,
-    dist_field: np.ndarray | None = None,
+    dist_field: np.ndarray,
 ) -> list[ScoredCandidate]:
     """Score one representative per frontier cluster of at least
     ``MIN_CLUSTER_SIZE`` cells (the ``CANDIDATE_CAP`` largest); drop
@@ -106,15 +104,10 @@ def score_candidates(
 
     ``critic`` is a callable mapping a candidate's world point to its safety
     value (the episode harness binds the live observation and network).
-    ``dist_field`` may carry a precomputed Dijkstra flood from the robot
-    cell; otherwise one is computed here.
+    ``dist_field`` is the planning ``distance_field`` flood from the robot
+    cell, which prices each candidate's path.
     """
     reps = cluster_representatives(frontiers, CANDIDATE_CAP, MIN_CLUSTER_SIZE)
-    if not reps:
-        return []
-    if dist_field is None:
-        start = grid.world_to_cell(float(current_pose[0]), float(current_pose[1]))
-        dist_field = distance_field(grid, start)
     out: list[ScoredCandidate] = []
     for cell in reps:
         d2 = float(dist_field[cell[0], cell[1]])

@@ -8,15 +8,12 @@ entropy are pure functions of the probabilities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_pgm
 from .world import beam_offsets
 
 P_MIN = 0.02
@@ -49,12 +46,12 @@ class OccupancyGrid:
         return cls(resolution, origin, np.full((rows, cols), 0.5))
 
     @classmethod
-    def for_bounds(cls, bounds: tuple[float, float, float, float],
-                   resolution: float = DEFAULT_RESOLUTION) -> "OccupancyGrid":
+    def for_bounds(cls, bounds: tuple[float, float, float, float]) -> "OccupancyGrid":
+        """A fresh grid at ``DEFAULT_RESOLUTION`` covering ``bounds``."""
         x0, y0, x1, y1 = bounds
-        cols = max(1, int(math.ceil((x1 - x0) / resolution)))
-        rows = max(1, int(math.ceil((y1 - y0) / resolution)))
-        return cls.fresh(rows, cols, resolution, (x0, y0))
+        cols = max(1, int(math.ceil((x1 - x0) / DEFAULT_RESOLUTION)))
+        rows = max(1, int(math.ceil((y1 - y0) / DEFAULT_RESOLUTION)))
+        return cls.fresh(rows, cols, DEFAULT_RESOLUTION, (x0, y0))
 
     @property
     def rows(self) -> int:
@@ -259,38 +256,3 @@ def map_entropy(grid: OccupancyGrid) -> float:
     p = grid.p
     return float(-np.sum(p * np.log(p)))
 
-
-def save_pgm(grid: OccupancyGrid, pgm_path: str | Path, sidecar_path: str | Path | None = None) -> None:
-    """Write probabilities as an 8-bit binary PGM (value = round(p * 255),
-    row 0 first) plus a JSON sidecar with origin/resolution."""
-    pgm_path = Path(pgm_path)
-    write_pgm(pgm_path, grid.p)
-    if sidecar_path is None:
-        sidecar_path = pgm_path.with_suffix(".json")
-    meta = {
-        "schema": 1,
-        "resolution": grid.resolution,
-        "origin": [grid.origin[0], grid.origin[1]],
-        "rows": grid.rows,
-        "cols": grid.cols,
-    }
-    Path(sidecar_path).write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_pgm(pgm_path: str | Path, sidecar_path: str | Path | None = None) -> OccupancyGrid:
-    """Inverse of save_pgm; probabilities are quantized to 8 bits."""
-    pgm_path = Path(pgm_path)
-    raw = pgm_path.read_bytes()
-    if not raw.startswith(b"P5"):
-        raise ValueError("expected a binary (P5) PGM file")
-    header, rest = raw.split(b"\n", 1)
-    dims, rest = rest.split(b"\n", 1)
-    maxval, pixels = rest.split(b"\n", 1)
-    cols, rows = (int(v) for v in dims.split())
-    if int(maxval) != 255:
-        raise ValueError("expected maxval 255")
-    p = np.frombuffer(pixels[: rows * cols], dtype=np.uint8).reshape(rows, cols) / 255.0
-    if sidecar_path is None:
-        sidecar_path = pgm_path.with_suffix(".json")
-    meta = json.loads(Path(sidecar_path).read_text())
-    return OccupancyGrid(meta["resolution"], tuple(meta["origin"]), p.astype(float))

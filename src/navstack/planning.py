@@ -24,6 +24,7 @@ from .mapping import OccupancyGrid, dilate, occupied_mask, unknown_mask
 from .world import ROBOT_RADIUS
 
 SQRT2 = math.sqrt(2.0)
+SNAP_WINDOW = 3  # a blocked start snaps to the nearest open cell this many cells away or fewer
 
 _NEIGHBORS = (
     (-1, -1, SQRT2), (-1, 0, 1.0), (-1, 1, SQRT2),
@@ -76,13 +77,14 @@ def blocked_mask(
     return occ | unknown_mask(grid)
 
 
-def _snap_start(blocked: np.ndarray, start: tuple[int, int], window: int = 3) -> tuple[int, int] | None:
-    """The start if open, else the nearest open cell within ``window`` (ties: lowest row, col)."""
+def _snap_start(blocked: np.ndarray, start: tuple[int, int]) -> tuple[int, int] | None:
+    """The start if open, else the nearest open cell within ``SNAP_WINDOW``
+    (ties: lowest row, col)."""
     r0, c0 = start
     if not blocked[r0, c0]:
         return start
     rows, cols = blocked.shape
-    span = range(-window, window + 1)
+    span = range(-SNAP_WINDOW, SNAP_WINDOW + 1)
     near = [(dr * dr + dc * dc, r0 + dr, c0 + dc) for dr in span for dc in span
             if 0 <= r0 + dr < rows and 0 <= c0 + dc < cols and not blocked[r0 + dr, c0 + dc]]
     return min(near)[1:] if near else None

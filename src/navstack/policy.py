@@ -65,7 +65,7 @@ def goal_in_robot_frame(pose, goal_world) -> np.ndarray:
     return np.array([c * dx + s * dy, -s * dx + c * dy])
 
 
-def build_observation(scans, pose, goal_world, velocity, history: int = 3) -> Observation:
+def build_observation(scans, pose, goal_world, velocity, history: int) -> Observation:
     """Assemble the policy input from the latest scans (oldest first).
 
     The motion feature is sum_{k=1..n} (scan_t - scan_{t-k}) / k; when fewer
@@ -108,9 +108,6 @@ class MlpParams:
     @property
     def sizes(self) -> tuple[int, int, int, int]:
         return (self.w0.shape[0], self.w0.shape[1], self.w1.shape[1], self.w2.shape[1])
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(*(a.copy() for a in self.arrays()))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w0, self.b0, self.w1, self.b1, self.w2, self.b2)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import rect_edges
-from .mapping import DEFAULT_RESOLUTION, OccupancyGrid, P_MAX, P_MIN
+from .mapping import OccupancyGrid, P_MAX, P_MIN
 from .planning import plan_path
 from .world import DEFAULT_RESAMPLE_PROB, MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec
 
@@ -165,10 +165,12 @@ def make_scenario(name: str, seed: int = 0) -> ScenarioSpec:
     return _BUILTINS[name](seed)
 
 
-def ground_truth_grid(spec: ScenarioSpec, resolution: float = DEFAULT_RESOLUTION) -> OccupancyGrid:
-    """Rasterize the static geometry into a fully known grid (occupied cells
-    at P_MAX, the rest at P_MIN).  Used for reachability checks and tests."""
-    grid = OccupancyGrid.for_bounds(spec.bounds, resolution)
+def ground_truth_grid(spec: ScenarioSpec) -> OccupancyGrid:
+    """Rasterize the static geometry into a fully known grid at
+    ``DEFAULT_RESOLUTION`` (occupied cells at P_MAX, the rest at P_MIN).
+    Used for reachability checks and tests."""
+    grid = OccupancyGrid.for_bounds(spec.bounds)
+    resolution = grid.resolution
     grid.p[:] = P_MIN
     x0, y0 = grid.origin
     for rx0, ry0, rx1, ry1 in spec.static_rects:

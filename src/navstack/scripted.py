@@ -16,6 +16,12 @@ import numpy as np
 from .policy import Observation
 from .world import beam_offsets, clamp_action
 
+GO_GAIN = 1.4          # goal chaser: speed per unit goal direction
+TURN_GAIN = 1.8        # goal chaser: turn rate per radian of goal bearing
+AVOID_INFLUENCE = 1.2  # dodger: beams shorter than this (m) repel
+AVOID_PUSH = 1.5       # dodger: speed per unit of summed repulsion
+CAUTION_RANGE = 1.0    # blend: below this clearance (m) the dodger takes over
+
 
 @functools.lru_cache(maxsize=8)
 def _beam_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -31,10 +37,6 @@ def _beam_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
 class ScriptedGoStraight:
     """Drive straight at the goal feature, turning the nose toward it."""
 
-    def __init__(self, gain: float = 1.4, turn_gain: float = 1.8):
-        self.gain = gain
-        self.turn_gain = turn_gain
-
     def action(self, obs: Observation) -> np.ndarray:
         gx, gy = obs.goal
         dist = math.hypot(gx, gy)
@@ -42,9 +44,9 @@ class ScriptedGoStraight:
             return np.zeros(3)
         scale = min(1.0, dist)  # slow into the goal
         a = np.array([
-            self.gain * scale * gx / dist,
-            self.gain * scale * gy / dist,
-            self.turn_gain * math.atan2(gy, gx),
+            GO_GAIN * scale * gx / dist,
+            GO_GAIN * scale * gy / dist,
+            TURN_GAIN * math.atan2(gy, gx),
         ])
         return clamp_action(a)
 
@@ -52,16 +54,12 @@ class ScriptedGoStraight:
 class ScriptedAvoid:
     """Potential-field repulsion from near beams with a slow forward drift."""
 
-    def __init__(self, influence: float = 1.2, push: float = 1.5):
-        self.influence = influence
-        self.push = push
-
     def action(self, obs: Observation) -> np.ndarray:
         cos, sin = _beam_directions(len(obs.ranges))
-        weight = np.maximum(0.0, (self.influence - obs.ranges) / self.influence) ** 2
+        weight = np.maximum(0.0, (AVOID_INFLUENCE - obs.ranges) / AVOID_INFLUENCE) ** 2
         rx = -(weight * cos).sum()
         ry = -(weight * sin).sum()
-        a = np.array([0.25 + self.push * rx, self.push * ry, 1.5 * ry])
+        a = np.array([0.25 + AVOID_PUSH * rx, AVOID_PUSH * ry, 1.5 * ry])
         return clamp_action(a)
 
 
@@ -73,14 +71,13 @@ class ScriptedBlend:
     heuristic can rank candidates without a learned critic.
     """
 
-    def __init__(self, caution_range: float = 1.0):
-        self.caution_range = caution_range
+    def __init__(self):
         self._go = ScriptedGoStraight()
         self._avoid = ScriptedAvoid()
 
     def action(self, obs: Observation) -> np.ndarray:
         min_range = float(obs.ranges.min())
-        w = min(1.0, max(0.0, (self.caution_range - min_range) / self.caution_range))
+        w = min(1.0, max(0.0, (CAUTION_RANGE - min_range) / CAUTION_RANGE))
         a = (1.0 - w) * self._go.action(obs) + w * self._avoid.action(obs)
         return clamp_action(a)
 

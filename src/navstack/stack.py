@@ -30,7 +30,6 @@ from .exploration import (
 )
 from .fileio import json_text
 from .mapping import (
-    DEFAULT_RESOLUTION,
     CellClass,
     OccupancyGrid,
     classify,
@@ -65,8 +64,10 @@ class StackConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma!r}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
 
 
 @dataclass
@@ -113,7 +114,7 @@ def run_episode(
     plan_period = round(config.control_hz / config.plan_hz)
     explore_period = round(config.control_hz / config.explore_hz)
 
-    grid = OccupancyGrid.for_bounds(spec.bounds, DEFAULT_RESOLUTION)
+    grid = OccupancyGrid.for_bounds(spec.bounds)
     exp_state = ExplorationState()
     scans: deque = deque(maxlen=obs_config.history + 1)
 
@@ -170,15 +171,12 @@ def run_episode(
                         dist = distance_field(grid, robot_cell, spec.robot_radius, blocked)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
                         critic = _candidate_critic(policy, obs_now, pose)
-                        scored = score_candidates(frontiers, grid, goal, pose, critic, dist)
+                        scored = score_candidates(frontiers, grid, goal, critic, dist)
                         if collect_candidates:
                             scored_tables.append((tick, candidate_csv_rows(scored, config.gamma)))
+                        cell = None
                         if scored:
                             cell = select_exploration_point(scored, config.gamma)
-                            exp_state.current_point = cell
-                            exp_state.entropy_at_selection = map_entropy(grid)
-                            selections.append((world.sim_time, cell, grid.cell_center(cell)))
-                            fallback_held = False
                         elif exp_state.current_point is not None and not fallback_held:
                             fallback_held = True  # hold the stale point one cycle
                         elif frontiers:
@@ -186,6 +184,7 @@ def run_episode(
                                 frontiers,
                                 key=lambda rc: _euclid(grid.cell_center(rc), (pose[0], pose[1])),
                             )
+                        if cell is not None:
                             exp_state.current_point = cell
                             exp_state.entropy_at_selection = map_entropy(grid)
                             selections.append((world.sim_time, cell, grid.cell_center(cell)))
@@ -221,7 +220,7 @@ def run_episode(
                 }
                 trace_file.write(json_text(row) + "\n")
 
-            _, event = sim.step(world, action, sim.CONTROL_DT)
+            _, event = sim.step(world, action)
             if event == "collision":
                 outcome = "crash"
                 break

@@ -54,8 +54,14 @@ class TrainConfig:
             raise ValueError("population must be >= 4")
         if not (0 < self.elite_fraction < 1):
             raise ValueError("elite_fraction must be in (0, 1)")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be > 0")
+        for name in ("noise_std", "noise_decay", "episode_time_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if self.episodes_per_eval < 1:
+            raise ValueError("episodes_per_eval must be >= 1")
 
     @property
     def n_elite(self) -> int:

@@ -228,8 +228,9 @@ def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-def step(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState, str]:
-    """Advance the world one tick (in place) and report the resulting event.
+def step(world: WorldState, action) -> tuple[WorldState, str]:
+    """Advance the world one ``CONTROL_DT`` tick (in place) and report the
+    resulting event.
 
     The action is clamped to the command limits, integrated in the robot
     frame, then rotated into the world frame (explicit Euler).  Obstacles
@@ -237,8 +238,7 @@ def step(world: WorldState, action, dt: float = CONTROL_DT) -> tuple[WorldState,
     "collision", "goal_reached" (within ``ARRIVAL_RADIUS``), "none";
     collision wins if both hold.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = CONTROL_DT
     a = clamp_action(np.asarray(action, dtype=float))
     vx, vy, omega = a.tolist()
     x, y, th = world.robot.pose.tolist()

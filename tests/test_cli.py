@@ -97,6 +97,22 @@ class TestSimulate:
         ])
         assert code == EXIT_EPISODE_FAILURE  # 2 s is not enough to escape
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--gamma", "nan"], "gamma"),
+        (["--gamma", "inf"], "gamma"),
+        (["--timeout", "inf"], "timeout"),
+        (["--timeout", "nan"], "timeout"),
+        (["--timeout", "0"], "timeout"),
+        (["--timeout", "-1"], "timeout"),
+        (["--episodes", "-1"], "--episodes"),
+        (["--episodes", "0"], "--episodes"),
+    ])
+    def test_bad_number_is_usage_error_naming_it(self, tmp_path, capsys, flags, name):
+        code = main(["simulate", "--scenario", "blind-alley", "--seed", "3", "--timeout", "1",
+                     *flags, "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert name in capsys.readouterr().err
+
     def test_failed_episode_prints_its_error(self, tmp_path, monkeypatch, capsys):
         class Exploding:
             def action(self, obs):
@@ -172,6 +188,27 @@ class TestTrain:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("generations", -1),
+        ("episodes_per_eval", 0),
+        ("noise_std", float("nan")),
+        ("noise_std", float("inf")),
+        ("noise_decay", 0.0),
+        ("noise_decay", float("inf")),
+        ("episode_time_limit", 0.0),
+        ("episode_time_limit", float("nan")),
+    ])
+    def test_bad_config_value_is_usage_error_naming_it(self, tmp_path, capsys, field, value):
+        cfg = {"population": 4, "generations": 1, "episodes_per_eval": 1, "episode_time_limit": 1.0}
+        cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["train", "expert-gs", "--config", str(cfg_path), "--tasks", "1",
+                     "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+
 class TestHeatmap:
     def test_constant_critic_uniform_pgm(self, tmp_path, zero_bundle_path):
         out = tmp_path / "heat.pgm"
@@ -196,6 +233,20 @@ class TestHeatmap:
         code = main(["heatmap", "--bundle", "scripted", "--scenario", "blind-alley",
                      "--pose", "5.5,4,0", "--out", str(tmp_path / "h.pgm")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--stride", "0"], "--stride"),
+        (["--stride", "-0.5"], "--stride"),
+        (["--stride", "nan"], "--stride"),
+        (["--stride", "inf"], "--stride"),
+        (["--region", "nan,-3,3,3"], "--region"),
+        (["--region=-3,-3,inf,3"], "--region"),
+    ])
+    def test_bad_grid_flag_is_usage_error_naming_it(self, tmp_path, zero_bundle_path, capsys, flags, name):
+        code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
+                     "--pose", "5.5,4.0,0.0", *flags, "--out", str(tmp_path / "h.pgm")])
+        assert code == EXIT_USAGE
+        assert name in capsys.readouterr().err
 
     def test_bad_pose_is_usage_error(self, tmp_path, zero_bundle_path):
         code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",

@@ -16,6 +16,7 @@ from navstack.exploration import (
     should_reselect,
 )
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_mask, map_entropy
+from navstack.planning import distance_field
 
 RES = 0.1
 
@@ -64,8 +65,8 @@ class TestScoreCandidates:
         g.p[20, 30] = 0.5  # make (20, 29) a frontier-ish neighbor target
         cell = (20, 29)
         goal = g.cell_center(cell)
-        pose = (*g.cell_center((20, 5)), 0.0)
-        scored = score_candidates(run_on(cell), g, goal, pose, lambda p: 0.0)
+        flood = distance_field(g, (20, 5))  # from the robot cell
+        scored = score_candidates(run_on(cell), g, goal, lambda p: 0.0, flood)
         assert len(scored) == 1
         assert scored[0].d1 == pytest.approx(0.0, abs=1e-12)
         straight = abs(29 - 5) * RES
@@ -74,13 +75,13 @@ class TestScoreCandidates:
     def test_wall_increases_path_cost(self):
         g = open_grid()
         g.p[0:30, 20] = P_MAX  # wall with a gap at the bottom
-        pose = (*g.cell_center((20, 10)), 0.0)
         goal = (3.9, 2.05)
         open_c = (25, 10)
         walled_c = (20, 30)
         g.p[26, 10] = 0.5
         g.p[20, 31] = 0.5
-        scored = score_candidates(run_on(open_c) + run_on(walled_c), g, goal, pose, lambda p: 0.0)
+        flood = distance_field(g, (20, 10))  # from the robot cell
+        scored = score_candidates(run_on(open_c) + run_on(walled_c), g, goal, lambda p: 0.0, flood)
         by_cell = {s.cell: s for s in scored}
         assert by_cell[walled_c].d2 > by_cell[open_c].d2
 
@@ -88,8 +89,8 @@ class TestScoreCandidates:
         g = open_grid()
         g.p[9:12, 9:12] = P_MAX
         g.p[10, 10] = P_MIN  # sealed pocket
-        pose = (*g.cell_center((30, 30)), 0.0)
-        scored = score_candidates(run_on((10, 10)), g, (1.0, 1.0), pose, lambda p: 0.0)
+        flood = distance_field(g, (30, 30))  # from the robot cell
+        scored = score_candidates(run_on((10, 10)), g, (1.0, 1.0), lambda p: 0.0, flood)
         assert scored == []
 
     def test_critic_pure(self):
@@ -100,9 +101,9 @@ class TestScoreCandidates:
             return 0.25 * pt[0]
 
         g = open_grid()
-        pose = (*g.cell_center((5, 5)), 0.0)
-        s1 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), pose, critic)
-        s2 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), pose, critic)
+        flood = distance_field(g, (5, 5))  # from the robot cell
+        s1 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), critic, flood)
+        s2 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), critic, flood)
         assert s1[0].v == s2[0].v
 
 

@@ -23,9 +23,7 @@ from navstack.mapping import (
     frontier_cells,
     frontier_mask,
     integrate_scan,
-    load_pgm,
     map_entropy,
-    save_pgm,
     unknown_mask,
 )
 
@@ -401,18 +399,3 @@ def test_frontier_mask_matches_oracle(shape, seed):
     g = OccupancyGrid(0.1, (0.0, 0.0), p)
     assert np.array_equal(frontier_mask(g), _frontier_mask_oracle(g))
 
-
-class TestPgmRoundTrip:
-    def test_round_trip_and_byte_stability(self, tmp_path):
-        rng = np.random.default_rng(3)
-        g = OccupancyGrid(0.05, (1.0, -2.0), rng.uniform(P_MIN, P_MAX, (12, 17)))
-        p1 = tmp_path / "a.pgm"
-        save_pgm(g, p1)
-        loaded = load_pgm(p1)
-        assert loaded.resolution == g.resolution
-        assert loaded.origin == g.origin
-        assert loaded.p.shape == g.p.shape
-        assert np.max(np.abs(loaded.p - g.p)) <= 0.5 / 255 + 1e-12
-        p2 = tmp_path / "b.pgm"
-        save_pgm(g, p2)
-        assert p1.read_bytes() == p2.read_bytes()

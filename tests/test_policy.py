@@ -89,7 +89,7 @@ class TestBuildObservation:
 
     def test_needs_at_least_one_scan(self):
         with pytest.raises(ValueError):
-            build_observation([], (0, 0, 0), (1, 0), (0, 0, 0))
+            build_observation([], (0, 0, 0), (1, 0), (0, 0, 0), 3)
 
 
 def _build_observation_oracle(scans, pose, goal_world, velocity, history: int = 3) -> Observation:
@@ -247,7 +247,8 @@ class TestFuse:
     def test_idempotent_on_equal_experts(self):
         rng = np.random.default_rng(4)
         e = random_mlp((21, 6, 5, 3), rng)
-        bank = ExpertBank((e, e.copy(), random_mlp((21, 6, 5, 3), rng), random_mlp((21, 6, 5, 3), rng)))
+        twin = MlpParams(*(a.copy() for a in e.arrays()))
+        bank = ExpertBank((e, twin, random_mlp((21, 6, 5, 3), rng), random_mlp((21, 6, 5, 3), rng)))
         fused = fuse(bank, np.array([0.5, 0.5, 0.0, 0.0]))
         for a, b in zip(fused.arrays(), e.arrays()):
             assert np.array_equal(a, b)

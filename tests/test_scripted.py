@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 
 from navstack.policy import Observation
 from navstack.scripted import (
+    AVOID_INFLUENCE,
+    AVOID_PUSH,
+    CAUTION_RANGE,
+    GO_GAIN,
+    TURN_GAIN,
     CompositePolicy,
     ScriptedAvoid,
     ScriptedBlend,
@@ -81,37 +86,37 @@ def _beam_angles_oracle(n):
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def _go_action_oracle(go, o):
+def _go_action_oracle(o):
     gx, gy = o.goal
     dist = math.hypot(gx, gy)
     if dist < 1e-9:
         return np.zeros(3)
     scale = min(1.0, dist)  # slow into the goal
     a = np.array([
-        go.gain * scale * gx / dist,
-        go.gain * scale * gy / dist,
-        go.turn_gain * math.atan2(gy, gx),
+        GO_GAIN * scale * gx / dist,
+        GO_GAIN * scale * gy / dist,
+        TURN_GAIN * math.atan2(gy, gx),
     ])
     return np.clip(a, ACTION_LOW, ACTION_HIGH)
 
 
-def _avoid_action_oracle(avoid, o):
+def _avoid_action_oracle(o):
     angles = _beam_angles_oracle(len(o.ranges))
-    weight = np.maximum(0.0, (avoid.influence - o.ranges) / avoid.influence) ** 2
+    weight = np.maximum(0.0, (AVOID_INFLUENCE - o.ranges) / AVOID_INFLUENCE) ** 2
     rx = -np.sum(weight * np.cos(angles))
     ry = -np.sum(weight * np.sin(angles))
-    a = np.array([0.25 + avoid.push * rx, avoid.push * ry, 1.5 * ry])
+    a = np.array([0.25 + AVOID_PUSH * rx, AVOID_PUSH * ry, 1.5 * ry])
     return np.clip(a, ACTION_LOW, ACTION_HIGH)
 
 
-def _blend_action_oracle(blend, o):
+def _blend_action_oracle(o):
     min_range = float(np.min(o.ranges))
-    w = min(1.0, max(0.0, (blend.caution_range - min_range) / blend.caution_range))
-    a = (1.0 - w) * _go_action_oracle(blend._go, o) + w * _avoid_action_oracle(blend._avoid, o)
+    w = min(1.0, max(0.0, (CAUTION_RANGE - min_range) / CAUTION_RANGE))
+    a = (1.0 - w) * _go_action_oracle(o) + w * _avoid_action_oracle(o)
     return np.clip(a, ACTION_LOW, ACTION_HIGH)
 
 
-def _blend_value_oracle(blend, o):
+def _blend_value_oracle(o):
     gx, gy = o.goal
     angles = _beam_angles_oracle(len(o.ranges))
     if math.hypot(gx, gy) < 1e-9:
@@ -133,16 +138,15 @@ _goal = st.one_of(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ranges, _goal, st.floats(0.2, 3.0), st.floats(0.1, 3.0))
-def test_scripted_policies_match_oracles_bit_for_bit(ranges, goal, caution, influence):
+@given(_ranges, _goal)
+def test_scripted_policies_match_oracles_bit_for_bit(ranges, goal):
     o = obs(ranges, goal)
-    blend = ScriptedBlend(caution_range=caution)
-    avoid = ScriptedAvoid(influence=influence)
+    blend = ScriptedBlend()
     pairs = [
-        (avoid.action(o), _avoid_action_oracle(avoid, o)),
-        (blend.action(o), _blend_action_oracle(blend, o)),
-        (ScriptedGoStraight().action(o), _go_action_oracle(ScriptedGoStraight(), o)),
+        (ScriptedAvoid().action(o), _avoid_action_oracle(o)),
+        (blend.action(o), _blend_action_oracle(o)),
+        (ScriptedGoStraight().action(o), _go_action_oracle(o)),
     ]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert np.float64(blend.value(o)).tobytes() == np.float64(_blend_value_oracle(blend, o)).tobytes()
+    assert np.float64(blend.value(o)).tobytes() == np.float64(_blend_value_oracle(o)).tobytes()

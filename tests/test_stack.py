@@ -6,7 +6,7 @@ from scipy.ndimage import label
 
 from navstack import exploration
 from navstack.exploration import MIN_CLUSTER_SIZE
-from navstack.mapping import DEFAULT_RESOLUTION, OccupancyGrid
+from navstack.mapping import OccupancyGrid
 from navstack.policy import ObservationConfig
 from navstack.scenarios import blind_alley, make_scenario, training_scenarios
 from navstack.scripted import ScriptedGoStraight, scripted_bundle
@@ -114,7 +114,7 @@ class TestRunEpisode:
         spec = blind_alley(1)
         res = run_episode(spec, scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
         assert len(calls) == len(res.scored_tables) > 0  # one clustering per scoring cycle
-        shape = OccupancyGrid.for_bounds(spec.bounds, DEFAULT_RESOLUTION).p.shape
+        shape = OccupancyGrid.for_bounds(spec.bounds).p.shape
         speckles = 0
         for (cells, reps), (_tick, rows) in zip(calls, res.scored_tables):
             mask = np.zeros(shape, dtype=bool)

@@ -138,7 +138,7 @@ class TestStep:
     def test_zero_action_identity(self):
         w = spawn(empty_room())
         pose0 = w.robot.pose.copy()
-        _, event = step(w, (0.0, 0.0, 0.0), CONTROL_DT)
+        _, event = step(w, (0.0, 0.0, 0.0))
         assert np.array_equal(w.robot.pose, pose0)
         assert w.sim_time == CONTROL_DT
         assert event == "none"
@@ -146,13 +146,13 @@ class TestStep:
     def test_straight_line_integration(self):
         w = spawn(empty_room())
         for _ in range(30):
-            step(w, (1.0, 0.0, 0.0), CONTROL_DT)
+            step(w, (1.0, 0.0, 0.0))
         assert w.robot.pose[0] == pytest.approx(6.0, abs=1e-9)
         assert w.robot.pose[1] == pytest.approx(5.0, abs=1e-9)
 
     def test_action_clamped(self):
         w = spawn(empty_room())
-        step(w, (5.0, -5.0, 9.0), CONTROL_DT)
+        step(w, (5.0, -5.0, 9.0))
         assert np.all(w.robot.velocity <= ACTION_HIGH + 1e-12)
         assert np.all(w.robot.velocity >= ACTION_LOW - 1e-12)
 
@@ -166,7 +166,7 @@ class TestStep:
         w = spawn(spec)
         hit_at = None
         for k in range(1, 300):
-            _, event = step(w, (1.0, 0.0, 0.0), dt)
+            _, event = step(w, (1.0, 0.0, 0.0))
             if event == "collision":
                 hit_at = k
                 break
@@ -176,15 +176,10 @@ class TestStep:
         w = spawn(empty_room(goal=(5.5, 5.0)))
         event = "none"
         for _ in range(60):
-            _, event = step(w, (1.0, 0.0, 0.0), CONTROL_DT)
+            _, event = step(w, (1.0, 0.0, 0.0))
             if event != "none":
                 break
         assert event == "goal_reached"
-
-    def test_rejects_nonpositive_dt(self):
-        w = spawn(empty_room())
-        with pytest.raises(ValueError):
-            step(w, (0, 0, 0), 0.0)
 
 
 class TestRaycast:
@@ -461,8 +456,8 @@ class TestDeterminism:
         b = a.copy()
         actions = np.random.default_rng(1).uniform(-1, 1, (1000, 3))
         for act in actions:
-            step(a, act, CONTROL_DT)
-            step(b, act, CONTROL_DT)
+            step(a, act)
+            step(b, act)
             assert np.array_equal(a.robot.pose, b.robot.pose)
             assert np.array_equal(a.obstacle_pos, b.obstacle_pos)
             assert np.array_equal(a.obstacle_heading, b.obstacle_heading)
@@ -481,7 +476,7 @@ class TestDeterminism:
         prev = w.obstacle_pos.copy()
         dt = CONTROL_DT
         for _ in range(1000):
-            step(w, (0.0, 0.0, 0.0), dt)
+            step(w, (0.0, 0.0, 0.0))
             moved = np.linalg.norm(w.obstacle_pos - prev, axis=1)
             assert np.all(moved <= 1.2 * dt + 1e-9)
             prev = w.obstacle_pos.copy()
