@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -90,6 +91,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.episodes < 1:
         raise UsageError("--episodes must be at least 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     spec = _load_scenario_arg(args.scenario, args.seed)
     policy = _load_policy_arg(args.bundle)
     cfg = StackConfig(mode=args.mode, gamma=args.gamma, timeout=args.timeout)
@@ -310,11 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_region(argv: list[str]) -> list[str]:
+    """``--region -3,-3,3,3`` as ``--region=-3,-3,3,3``: argparse reads a
+    value that starts with '-' and is not a plain number as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--region" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--region={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("NAVSTACK_LOG", "WARNING").upper())
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_region(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

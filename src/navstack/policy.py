@@ -176,11 +176,17 @@ def forward(params: MlpParams, obs) -> np.ndarray:
 
 @dataclass
 class ExpertBank:
-    """Exactly four expert parameter sets with identical shapes."""
+    """Exactly four expert parameter sets with identical shapes.
+
+    The bank stores each weight once: ``terms`` holds one (matrix, shape)
+    pair per parameter array, in ``arrays()`` order, where row k of the
+    (4, n) matrix is expert k's array, flattened.  The constructor copies
+    the given experts into these matrices and replaces ``experts`` with
+    row views of them, so an in-place edit of an expert reaches ``fuse``.
+    """
 
     experts: tuple[MlpParams, ...]
-    _terms: tuple[tuple[np.ndarray, tuple[int, ...]], ...] | None = field(
-        default=None, repr=False, compare=False)
+    terms: tuple[tuple[np.ndarray, tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.experts) != NUM_EXPERTS:
@@ -189,18 +195,12 @@ class ExpertBank:
         for e in self.experts:
             if e.sizes != sizes:
                 raise ValueError("experts must share one shape to be fused")
-
-    def fusion_terms(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-        """One (matrix, shape) pair per parameter array, in ``arrays()``
-        order: row k of the (4, n) matrix is expert k's array, flattened.
-        Cached, since ``fuse`` runs every control tick."""
-        if self._terms is None:
-            shapes = MlpParams.shapes(self.experts[0].sizes)
-            self._terms = tuple(
-                (np.stack([e.arrays()[i] for e in self.experts]).reshape(NUM_EXPERTS, -1), shape)
-                for i, shape in enumerate(shapes)
-            )
-        return self._terms
+        self.terms = tuple(
+            (np.stack([e.arrays()[i] for e in self.experts]).reshape(NUM_EXPERTS, -1), shape)
+            for i, shape in enumerate(MlpParams.shapes(sizes))
+        )
+        self.experts = tuple(MlpParams(*(m[k].reshape(shape) for m, shape in self.terms))
+                             for k in range(NUM_EXPERTS))
 
 
 @dataclass
@@ -241,7 +241,7 @@ def fuse(bank: ExpertBank, alpha) -> MlpParams:
     # np.tensordot(alpha, stack, axes=1) makes, so the bits match it.  A
     # single product over all arrays concatenated would change b2's bits.
     row = alpha.reshape(1, NUM_EXPERTS)
-    return MlpParams(*(np.dot(row, m).reshape(shape) for m, shape in bank.fusion_terms()))
+    return MlpParams(*(np.dot(row, m).reshape(shape) for m, shape in bank.terms))
 
 
 _ACTION_SPAN = ACTION_HIGH - ACTION_LOW

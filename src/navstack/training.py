@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class TrainConfig:
     episode_time_limit: float = 12.0
 
     def __post_init__(self) -> None:
+        for name in ("population", "generations", "episodes_per_eval", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population < 4:
             raise ValueError("population must be >= 4")
         if not (0 < self.elite_fraction < 1):
@@ -95,21 +100,30 @@ def pack(mlps) -> np.ndarray:
     return np.concatenate([a.reshape(-1) for p in mlps for a in p.arrays()])
 
 
-def unpack(vec: np.ndarray, layout) -> list[MlpParams]:
-    """The networks of ``layout`` from a packed vector.  Every array is a
-    copy, so a network can be changed in place without touching ``vec``."""
+def _views(vec: np.ndarray, layout) -> list[MlpParams]:
+    """The networks of ``layout`` as views into a packed vector."""
     mlps = []
     off = 0
     for sizes in layout:
         arrays = []
         for shape in MlpParams.shapes(sizes):
             n = math.prod(shape)
-            arrays.append(vec[off:off + n].reshape(shape).copy())
+            arrays.append(vec[off:off + n].reshape(shape))
             off += n
         mlps.append(MlpParams(*arrays))
     if off != len(vec):
         raise ValueError(f"vector of length {len(vec)} does not match a layout of {off} parameters")
     return mlps
+
+
+def _copy(p: MlpParams) -> MlpParams:
+    return MlpParams(*(a.copy() for a in p.arrays()))
+
+
+def unpack(vec: np.ndarray, layout) -> list[MlpParams]:
+    """The networks of ``layout`` from a packed vector.  Every array is a
+    copy, so a network can be changed in place without touching ``vec``."""
+    return [_copy(p) for p in _views(vec, layout)]
 
 
 def scale_vector(layout, input_scales: np.ndarray) -> np.ndarray:
@@ -235,6 +249,28 @@ def _require_beats_zero(policy, sizes, scenario_set, profile, obs_config, config
         )
 
 
+def _noise_row(rng: np.random.Generator, i: int, dim: int) -> np.ndarray:
+    """Candidate ``i``'s standard-normal row, drawn from ``rng``.  Row 0 is
+    drawn too, so the stream does not depend on it, then zeroed: the mean
+    itself is always a candidate."""
+    row = rng.normal(0.0, 1.0, dim)
+    if i == 0:
+        row[:] = 0.0
+    return row
+
+
+def _generator_at(state: dict) -> np.random.Generator:
+    """A generator that resumes from a saved ``bit_generator.state``."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _perturbed(mean, sigma, scales, noise):
+    """``mean + sigma * scales * row`` for each noise row, built when read."""
+    return (mean + sigma * scales * row for row in noise)
+
+
 def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation,
          _after_update=None):
     """Shared CEM loop; returns (best_vec, best_return, initial_return,
@@ -243,9 +279,15 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
     Perturbations are sigma * scales * N(0, 1): proportional to each
     parameter's init magnitude.  Episode seeds are shared across the
     population (common random numbers) so candidates are comparable.
-    ``_after_update(gen, seeds, elite_vecs, mean)``, when given, runs after
-    each mean update and returns the mean to carry on with; the elite
-    vectors are drawn from the pre-update mean and sigma.
+    Each candidate's noise row is drawn when the candidate is scored, after
+    saving the generator's state; once the returns are known only the elite
+    rows are drawn again, from their saved states.  Row-by-row draws give
+    the stream of one (population, dim) draw, so a generation holds
+    n_elite rows of noise, not population rows, and the results are the
+    same bits.  ``_after_update(gen, seeds, elite_vecs, mean)``, when
+    given, runs after each mean update and returns the mean to carry on
+    with; ``elite_vecs`` is an iterator that builds each elite vector, best
+    first, from the pre-update mean and sigma as it is read.
     """
     sigma = config.noise_std
     dim = mean.shape[0]
@@ -254,11 +296,11 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
     init_ret: float | None = None
     for gen in range(config.generations):
         seeds = _episode_seeds(master, config.episodes_per_eval)
-        noise = master.normal(0.0, 1.0, (config.population, dim))
-        noise[0] = 0.0  # the mean itself is always a candidate
+        states = []
         returns = np.empty(config.population)
         for i in range(config.population):
-            vec = mean + sigma * scales * noise[i]
+            states.append(master.bit_generator.state)
+            vec = mean + sigma * scales * _noise_row(master, i, dim)
             returns[i] = _eval_candidate(
                 make_policy(vec), scenario_set, seeds, profile, obs_config, config.episode_time_limit
             )
@@ -267,11 +309,13 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
         order = np.argsort(-returns, kind="stable")
         elites = order[: config.n_elite]
         gen_best = int(order[0])
+        # Row j is elite j's noise, best first, as noise[elites] was.
+        noise = np.stack([_noise_row(_generator_at(states[i]), i, dim) for i in elites])
         if returns[gen_best] > best_ret:
             best_ret = float(returns[gen_best])
-            best_vec = mean + sigma * scales * noise[gen_best]
-        elite_vecs = [mean + sigma * scales * noise[i] for i in elites]
-        mean = mean + sigma * scales * noise[elites].mean(axis=0)
+            best_vec = mean + sigma * scales * noise[0]
+        elite_vecs = _perturbed(mean, sigma, scales, noise)
+        mean = mean + sigma * scales * noise.mean(axis=0)
         if _after_update is not None:
             mean = _after_update(gen, seeds, elite_vecs, mean)
         sigma = max(sigma * config.noise_decay, 1e-3)
@@ -314,8 +358,10 @@ def init_fusion_vector(
 
 
 def _fusion_parts(vec: np.ndarray, layout) -> tuple[ExpertBank, GatingParams, CriticParams]:
-    *experts, gating, critic = unpack(vec, layout)
-    return ExpertBank(tuple(experts)), GatingParams(gating), CriticParams(critic)
+    """The stage-2 networks of ``vec``, each a copy.  The bank copies the
+    experts straight from ``vec`` into its fusion matrices."""
+    *experts, gating, critic = _views(vec, layout)
+    return ExpertBank(tuple(experts)), GatingParams(_copy(gating)), CriticParams(_copy(critic))
 
 
 def _refit_critic_head(p: MlpParams, obs_matrix: np.ndarray, targets: np.ndarray,
@@ -365,7 +411,7 @@ def cotrain_fusion(
     def refit_critic(gen, seeds, elite_vecs, mean):
         # Elite rollouts feed the critic's regression targets (re-run on the
         # generation's seeds, so the data matches what was scored).
-        for j, vec in enumerate(elite_vecs[:4]):
+        for j, vec in enumerate(islice(elite_vecs, 4)):
             spec = replace(scenario_mix[(gen + j) % len(scenario_mix)], seed=int(seeds[j % len(seeds)]))
             _, _, obs_m, rews = rollout_lower(
                 spec, make_policy(vec), profile, obs_config, config.episode_time_limit, collect=True

@@ -106,6 +106,8 @@ class TestSimulate:
         (["--timeout", "-1"], "timeout"),
         (["--episodes", "-1"], "--episodes"),
         (["--episodes", "0"], "--episodes"),
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-3"], "--jobs"),
     ])
     def test_bad_number_is_usage_error_naming_it(self, tmp_path, capsys, flags, name):
         code = main(["simulate", "--scenario", "blind-alley", "--seed", "3", "--timeout", "1",
@@ -197,6 +199,10 @@ class TestTrain:
         ("noise_decay", float("inf")),
         ("episode_time_limit", 0.0),
         ("episode_time_limit", float("nan")),
+        ("generations", 1.5),
+        ("population", 4.0),
+        ("episodes_per_eval", True),
+        ("seed", 0.5),
     ])
     def test_bad_config_value_is_usage_error_naming_it(self, tmp_path, capsys, field, value):
         cfg = {"population": 4, "generations": 1, "episodes_per_eval": 1, "episode_time_limit": 1.0}
@@ -228,6 +234,14 @@ class TestHeatmap:
         assert code == EXIT_OK
         header = out.read_bytes().split(b"\n")
         assert header[1] == b"1 1"
+
+    @pytest.mark.parametrize("flags", [["--region", "-3,-3,3,3"], ["--region=-3,-3,3,3"], []])
+    def test_negative_region_parses_in_both_forms(self, tmp_path, zero_bundle_path, flags):
+        out = tmp_path / "h.pgm"
+        code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
+                     "--pose", "5.5,4.0,0.0", *flags, "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes().split(b"\n")[1] == b"25 25"  # the default region, stride 0.25
 
     def test_scripted_bundle_rejected(self, tmp_path):
         code = main(["heatmap", "--bundle", "scripted", "--scenario", "blind-alley",

@@ -276,6 +276,35 @@ class TestFuse:
             ExpertBank((random_mlp((21, 6, 5, 3), rng),) * 3)
 
 
+class TestBankStorage:
+    def test_experts_are_row_views_of_the_fusion_matrices(self):
+        bank = make_bank(np.random.default_rng(10))
+        for k, expert in enumerate(bank.experts):
+            for a, (m, shape) in zip(expert.arrays(), bank.terms):
+                assert a.shape == shape
+                assert np.shares_memory(a, m)
+                assert a.tobytes() == m[k].tobytes()
+
+    def test_constructor_copies_its_experts(self):
+        rng = np.random.default_rng(11)
+        experts = tuple(random_mlp((21, 6, 5, 3), rng) for _ in range(4))
+        bank = ExpertBank(experts)
+        for mine, given in zip(bank.experts, experts):
+            for a, b in zip(mine.arrays(), given.arrays()):
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(a, b)
+
+    def test_in_place_edit_reaches_fuse(self):
+        bank = make_bank(np.random.default_rng(12))
+        one_hot = np.array([0.0, 0.0, 1.0, 0.0])
+        fuse(bank, one_hot)  # a cache built here would hide the edit below
+        bank.experts[2].w1[0, 0] += 1.0
+        bank.experts[2].b2[:] = 7.0
+        fused = fuse(bank, one_hot)
+        _assert_same_bits(fused, bank.experts[2])
+        assert np.all(fused.b2 == 7.0)
+
+
 def _fuse_oracle(bank: ExpertBank, alpha) -> MlpParams:
     """The tensordot fusion that ``fuse`` replaced, kept verbatim."""
     alpha = np.asarray(alpha, dtype=float)

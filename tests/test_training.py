@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+from itertools import islice
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navstack import training
 from navstack.policy import (
     MlpParams,
     ObservationConfig,
@@ -14,7 +20,10 @@ from navstack.scenarios import training_scenarios
 from navstack.training import (
     TrainConfig,
     TrainingError,
+    _cem,
     _discounted_returns,
+    _episode_seeds,
+    _fusion_parts,
     _require_beats_zero,
     cotrain_fusion,
     init_fusion_vector,
@@ -99,6 +108,12 @@ class TestConfig:
             TrainConfig(elite_fraction=1.5)
         with pytest.raises(ValueError):
             TrainConfig(noise_std=0.0)
+
+    @pytest.mark.parametrize("name", ["population", "generations", "episodes_per_eval", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 8.0, True])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
     def test_elite_count(self):
         assert TrainConfig(population=64, elite_fraction=0.125).n_elite == 8
@@ -208,3 +223,173 @@ class TestDeterminism:
         bests = [row["best_return"] for row in log]
         assert bests == sorted(bests)
         assert all(row["best_return"] >= row["gen_best_return"] - 1e-12 for row in log)
+
+
+class TestFusionParts:
+    def test_every_network_is_a_copy_of_the_vector(self):
+        rng = np.random.default_rng(3)
+        a, b = (MlpParams.random(OBS8.dim, 6, 5, 3, rng, OBS8.feature_scales()) for _ in range(2))
+        vec, layout = init_fusion_vector(a, b, OBS8, seed=1)
+        bank, gating, critic = _fusion_parts(vec, layout)
+        for net, want in zip([*bank.experts, gating.params, critic.params], unpack(vec, layout)):
+            for got, arr in zip(net.arrays(), want.arrays()):
+                assert got.tobytes() == arr.tobytes()
+                assert not np.shares_memory(got, vec)
+
+
+# ---------------------------------------------------------------------------
+# The CEM loop against the bulk-noise loop it replaced
+
+
+def _eval_candidate(*args):
+    """The oracle scores candidates through whatever ``training`` uses."""
+    return training._eval_candidate(*args)
+
+
+def _cem_bulk(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation,
+              _after_update=None):
+    """The bulk-noise ``_cem``, kept verbatim: one (population, dim) noise
+    matrix per generation, drawn before the first candidate is scored."""
+    sigma = config.noise_std
+    dim = mean.shape[0]
+    best_vec = mean.copy()
+    best_ret = -math.inf
+    init_ret: float | None = None
+    for gen in range(config.generations):
+        seeds = _episode_seeds(master, config.episodes_per_eval)
+        noise = master.normal(0.0, 1.0, (config.population, dim))
+        noise[0] = 0.0  # the mean itself is always a candidate
+        returns = np.empty(config.population)
+        for i in range(config.population):
+            vec = mean + sigma * scales * noise[i]
+            returns[i] = _eval_candidate(
+                make_policy(vec), scenario_set, seeds, profile, obs_config, config.episode_time_limit
+            )
+        if init_ret is None:
+            init_ret = float(returns[0])
+        order = np.argsort(-returns, kind="stable")
+        elites = order[: config.n_elite]
+        gen_best = int(order[0])
+        if returns[gen_best] > best_ret:
+            best_ret = float(returns[gen_best])
+            best_vec = mean + sigma * scales * noise[gen_best]
+        elite_vecs = [mean + sigma * scales * noise[i] for i in elites]
+        mean = mean + sigma * scales * noise[elites].mean(axis=0)
+        if _after_update is not None:
+            mean = _after_update(gen, seeds, elite_vecs, mean)
+        sigma = max(sigma * config.noise_decay, 1e-3)
+        if on_generation is not None:
+            on_generation(
+                {
+                    "generation": gen,
+                    "best_return": best_ret,
+                    "gen_best_return": float(returns[gen_best]),
+                    "mean_return": float(returns.mean()),
+                    "sigma": sigma,
+                }
+            )
+    return best_vec, best_ret, float(init_ret), mean
+
+
+def _scored_by(levels):
+    """A stand-in for ``_eval_candidate`` that scores the candidate vector
+    itself (``make_policy`` is the identity): ``levels`` return values per
+    generation, so small ``levels`` make ties."""
+    def evaluate(vec, scenario_set, seeds, profile, obs_config, time_limit):
+        return float(math.floor(levels * math.tanh(float(vec[::2].sum() - vec[1::2].sum())))) + int(seeds[0]) % 3
+    return evaluate
+
+
+def _run_cem(cem, mean, scales, config, take):
+    """One CEM run; returns everything it produced, in bytes where it is an array."""
+    records, updates = [], []
+
+    def after_update(gen, seeds, elite_vecs, mean):
+        taken = [v.copy() for v in islice(elite_vecs, take)]
+        updates.append((gen, seeds.tobytes(), [v.tobytes() for v in taken], mean.tobytes()))
+        return mean * 0.75 + (0.25 * taken[0] if taken else 0.0)
+
+    master = np.random.Generator(np.random.PCG64(config.seed))
+    best_vec, best_ret, init_ret, final = cem(
+        mean, scales, lambda vec: vec, None, None, None, config, master, records.append,
+        _after_update=after_update if take is not None else None,
+    )
+    return best_vec.tobytes(), best_ret, init_ret, final.tobytes(), records, updates, master.bit_generator.state
+
+
+class TestCemMatchesBulkNoise:
+    def test_row_by_row_draws_equal_one_bulk_draw(self):
+        for seed in range(5):
+            bulk = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1.0, (7, 33))
+            master = np.random.Generator(np.random.PCG64(seed))
+            rows = np.stack([master.normal(0.0, 1.0, 33) for _ in range(7)])
+            assert rows.tobytes() == bulk.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.lists(st.tuples(*[st.integers(1, 6)] * 4), min_size=1, max_size=4),
+        population=st.integers(4, 12),
+        elite_fraction=st.sampled_from([0.1, 0.2, 0.34, 0.5, 0.9]),
+        generations=st.integers(1, 3),
+        levels=st.integers(1, 8),
+        take=st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_byte_identical_to_bulk_noise(self, seed, layout, population, elite_fraction, generations,
+                                          levels, take):
+        config = TrainConfig(population=population, elite_fraction=elite_fraction, noise_std=0.3,
+                             noise_decay=0.9, generations=generations, episodes_per_eval=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        mean = pack([MlpParams.random(*sizes, rng=rng) for sizes in layout])
+        scales = np.concatenate([scale_vector([sizes], rng.uniform(0.5, 6.0, sizes[0])) for sizes in layout])
+        with mock.patch.object(training, "_eval_candidate", _scored_by(levels)):
+            got = _run_cem(_cem, mean, scales, config, take)
+            want = _run_cem(_cem_bulk, mean, scales, config, take)
+        assert got == want
+
+    def test_byte_identical_to_bulk_noise_on_real_rollouts(self):
+        sizes = (OBS8.dim, 64, 64, 3)
+        layout = [sizes]
+        scales = scale_vector(layout, OBS8.feature_scales())
+        mean = pack([MlpParams.random(*sizes, rng=np.random.default_rng(2), input_scales=OBS8.feature_scales())])
+        runs = []
+        for cem in (_cem, _cem_bulk):
+            records = []
+            master = np.random.Generator(np.random.PCG64(TINY.seed))
+            out = cem(mean, scales, lambda vec: SingleExpertPolicy(OBS8, unpack(vec, layout)[0]), small_tasks(),
+                      PROFILES["go-straight"], OBS8, TINY, master, records.append)
+            runs.append((out[0].tobytes(), out[1], out[2], out[3].tobytes(), records))
+        assert runs[0] == runs[1]
+
+    def test_cotrain_fusion_is_byte_identical_to_bulk_noise(self):
+        a, b = TestCotrain()._experts()
+        config = TrainConfig(population=6, elite_fraction=0.5, noise_std=0.3, generations=2,
+                             episodes_per_eval=1, seed=4, episode_time_limit=3.0)
+        runs = []
+        for cem in (_cem, _cem_bulk):
+            records = []
+            with mock.patch.object(training, "_cem", cem):
+                bank, gating, critic = cotrain_fusion(a, b, small_tasks(), config, OBS8, records.append)
+            nets = [*bank.experts, gating.params, critic.params]
+            runs.append(([arr.tobytes() for net in nets for arr in net.arrays()], records))
+        assert runs[0] == runs[1]
+
+    def test_peak_memory_stays_below_one_population_matrix(self):
+        """One generation holds the elite rows of noise, not the population's."""
+        config = TrainConfig(population=32, elite_fraction=0.125, noise_std=0.3, generations=1,
+                             episodes_per_eval=1, seed=3)
+        dim = 100_000
+        mean, scales = np.zeros(dim), np.ones(dim)
+        matrix_bytes = config.population * dim * 8
+        peaks = {}
+        with mock.patch.object(training, "_eval_candidate", _scored_by(4)):
+            for name, cem in (("lean", _cem), ("bulk", _cem_bulk)):
+                master = np.random.Generator(np.random.PCG64(config.seed))
+                tracemalloc.start()
+                try:
+                    cem(mean, scales, lambda vec: vec, None, None, None, config, master, None)
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["bulk"] >= matrix_bytes  # the measure sees the matrix the old loop drew
+        assert peaks["lean"] < matrix_bytes / 2
