@@ -250,22 +250,6 @@ def _segment_blocked(
     return False
 
 
-def line_of_sight(
-    grid: OccupancyGrid,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    robot_radius: float = ROBOT_RADIUS,
-    occ: np.ndarray | None = None,
-) -> bool:
-    """True iff the supercover walk between the two cell centers crosses no
-    occupied (inflated) cell.  Unknown cells never block sight."""
-    if occ is None:
-        occ = inflate_occupied(grid, robot_radius)
-    if a == b:
-        return not (grid.in_grid(a) and occ[a[0], a[1]])
-    return not _segment_blocked(grid, grid.cell_center(a), grid.cell_center(b), occ)
-
-
 def extract_waypoint(
     path: GridPath,
     grid: OccupancyGrid,

@@ -62,23 +62,17 @@ def _proximity(min_range: float) -> float:
     return near / (RISK_BAND - near)
 
 
-def reward_terms(profile: RewardProfile, t: Transition) -> dict[str, float]:
-    return {
-        "goal": profile.w_g * (t.d_prev - t.d_now),
-        "proximity": profile.w_o * _proximity(t.min_range),
-        "collision": profile.w_c * 15.0 if t.collision else 0.0,
-        "reach": profile.w_r * 20.0 if t.reached else 0.0,
-        "time": profile.w_t * 0.01,
-        "timeout": profile.w_e * 5.0 if t.timeout else 0.0,
-        "spin": profile.w_a * max(abs(t.omega_z) - 0.3, 0.0),
-    }
-
-
 def step_reward(profile: RewardProfile, t: Transition) -> float:
-    terms = reward_terms(profile, t)
+    """The seven weighted terms, summed left to right: goal progress,
+    proximity, collision, reach, time, timeout, spin."""
     return (
-        terms["goal"] + terms["proximity"] + terms["collision"]
-        + terms["reach"] + terms["time"] + terms["timeout"] + terms["spin"]
+        profile.w_g * (t.d_prev - t.d_now)
+        + profile.w_o * _proximity(t.min_range)
+        + (profile.w_c * 15.0 if t.collision else 0.0)
+        + (profile.w_r * 20.0 if t.reached else 0.0)
+        + profile.w_t * 0.01
+        + (profile.w_e * 5.0 if t.timeout else 0.0)
+        + profile.w_a * max(abs(t.omega_z) - 0.3, 0.0)
     )
 
 
@@ -105,13 +99,6 @@ def episode_rewards(profile: RewardProfile, result, goal) -> list[float]:
         ))
         for k in range(traj.n_steps)
     ]
-
-
-def risk_score(ranges) -> float:
-    """Per-step risk from the scan: 0 with clearance >= 0.6 m, growing as
-    the nearest return closes in (1.0 at 0.3 m)."""
-    m = float(np.min(np.asarray(ranges, dtype=float)))
-    return _proximity(m)
 
 
 @dataclass

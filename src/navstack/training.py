@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -29,6 +30,7 @@ from .policy import (
     SingleExpertPolicy,
 )
 from .rewards import PROFILES, RewardProfile, episode_rewards
+from .scenarios import training_scenarios
 from .stack import StackConfig, run_episode
 
 DISCOUNT = 0.99
@@ -81,8 +83,8 @@ STAGES = {
     "fusion": ("fusion", "families"),
 }
 
-# The acceptance training pipeline: stage-1 experts, then stage-2 fusion, each
-# on ``training_scenarios(kind, PIPELINE_TASKS, PIPELINE_TASK_SEEDS[kind])``.
+# The acceptance training pipeline (``train_pipeline``): stage-1 experts, then
+# stage-2 fusion, each on ``training_scenarios(kind, tasks, PIPELINE_TASK_SEEDS[kind])``.
 PIPELINE_STAGE1 = TrainConfig(population=32, elite_fraction=0.2, noise_std=0.5, noise_decay=0.96,
                               generations=24, episodes_per_eval=4, seed=11, episode_time_limit=12.0)
 PIPELINE_STAGE2 = replace(PIPELINE_STAGE1, population=28, noise_std=0.25, generations=16, episodes_per_eval=3, seed=12)
@@ -437,3 +439,42 @@ def cotrain_fusion(
     bank, gating, _ = _fusion_parts(best_vec, layout)
     _, _, critic = _fusion_parts(mean, layout)  # carries the latest regression fit
     return bank, gating, critic
+
+
+# ---------------------------------------------------------------------------
+# The two-stage pipeline
+
+
+def pipeline_configs(generations: int, fusion_generations: int) -> tuple[TrainConfig, TrainConfig]:
+    """The stage-1 and stage-2 configs of ``train_pipeline`` at these generation counts."""
+    return (replace(PIPELINE_STAGE1, generations=generations),
+            replace(PIPELINE_STAGE2, generations=fusion_generations))
+
+
+def train_pipeline(
+    tasks: int = PIPELINE_TASKS,
+    generations: int = PIPELINE_STAGE1.generations,
+    fusion_generations: int = PIPELINE_STAGE2.generations,
+    on_generation=None,
+) -> tuple[MlpParams, MlpParams, PolicyBundle]:
+    """Train expert-gs and expert-oa under ``PIPELINE_STAGE1``, then the
+    fusion bank, gating and critic from them under ``PIPELINE_STAGE2``, each
+    stage on ``tasks`` scenarios of its ``STAGES`` kind.  Returns the
+    go-straight expert, the obstacle-avoidance expert and the fused bundle.
+    ``on_generation(stage, row)`` gets each stage's CEM log rows."""
+    obs_config = ObservationConfig()
+    stage1, stage2 = pipeline_configs(generations, fusion_generations)
+
+    def task_set(stage):
+        kind = STAGES[stage][1]
+        return training_scenarios(kind, tasks, PIPELINE_TASK_SEEDS[kind])
+
+    def hook(stage):
+        return None if on_generation is None else partial(on_generation, stage)
+
+    gs, oa = (
+        train_expert(STAGES[stage][0], task_set(stage), stage1, obs_config, hook(stage))
+        for stage in ("expert-gs", "expert-oa")
+    )
+    bank, gating, critic = cotrain_fusion(gs, oa, task_set("fusion"), stage2, obs_config, hook("fusion"))
+    return gs, oa, PolicyBundle(obs_config, bank, gating, critic)

@@ -29,7 +29,6 @@ from navstack.policy import (
     MlpParams,
     Observation,
     ObservationConfig,
-    PolicyBundle,
     SingleExpertPolicy,
     act_with_alpha,
     critic_value,
@@ -50,15 +49,7 @@ from navstack.rewards import (
 from navstack.scenarios import blind_alley, double_branch, training_scenarios
 from navstack.scripted import CompositePolicy, scripted_bundle
 from navstack.stack import StackConfig, run_episode
-from navstack.training import (
-    PIPELINE_STAGE1,
-    PIPELINE_STAGE2,
-    PIPELINE_TASK_SEEDS,
-    PIPELINE_TASKS,
-    cotrain_fusion,
-    rollout_lower,
-    train_expert,
-)
+from navstack.training import rollout_lower, train_pipeline
 from navstack.world import ACTION_HIGH, ACTION_LOW
 
 
@@ -73,17 +64,13 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def trained():
-    obs_cfg = ObservationConfig()
     t0 = time.time()
-    tasks = {kind: training_scenarios(kind, PIPELINE_TASKS, seed) for kind, seed in PIPELINE_TASK_SEEDS.items()}
-    gs = train_expert("go-straight", tasks["static"], PIPELINE_STAGE1)
-    oa = train_expert("obstacle-avoidance", tasks["dynamic"], PIPELINE_STAGE1)
-    bank, gating, critic = cotrain_fusion(gs, oa, tasks["families"], PIPELINE_STAGE2, obs_cfg)
+    gs, oa, bundle = train_pipeline()
     return {
-        "obs_cfg": obs_cfg,
+        "obs_cfg": bundle.obs_config,
         "gs": gs,
         "oa": oa,
-        "bundle": PolicyBundle(obs_cfg, bank, gating, critic),
+        "bundle": bundle,
         "train_seconds": time.time() - t0,
     }
 

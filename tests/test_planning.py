@@ -15,12 +15,12 @@ from navstack.planning import (
     ROBOT_RADIUS,
     SQRT2,
     _disk_structure,
+    _segment_blocked,
     _snap_start,
     blocked_mask,
     distance_field,
     extract_waypoint,
     inflate_occupied,
-    line_of_sight,
     plan_path,
 )
 from navstack.scenarios import make_scenario
@@ -537,22 +537,37 @@ def test_distance_field_matches_oracle_on_a_mapped_scenario():
     assert blocked[start] and field[start] == np.inf  # the last start snapped to an open neighbour
 
 
+def blocked_between(grid, a, b, occ):
+    """extract_waypoint's sight test between two cell centers."""
+    return _segment_blocked(grid, grid.cell_center(a), grid.cell_center(b), occ)
+
+
 class TestLineOfSight:
     def test_same_cell(self):
         g = grid_from_mask()
-        assert line_of_sight(g, (3, 3), (3, 3))
+        assert not blocked_between(g, (3, 3), (3, 3), inflate_occupied(g))
+        g.p[3, 3] = P_MAX
+        assert blocked_between(g, (3, 3), (3, 3), inflate_occupied(g))
 
     def test_occupied_cell_blocks(self):
         g = grid_from_mask()
         g.p[5, 10] = P_MAX
+        occ = inflate_occupied(g)
         # inflation widens the wall, so look far enough around it
-        assert not line_of_sight(g, (5, 2), (5, 18))
-        assert line_of_sight(g, (15, 2), (15, 18))
+        assert blocked_between(g, (5, 2), (5, 18), occ)
+        assert not blocked_between(g, (15, 2), (15, 18), occ)
+        # along the row, the waypoint is the last cell before the inflated wall
+        first_blocked = int(np.argmax(occ[5]))
+        path = GridPath([(5, c) for c in range(2, 19)], 0.0)
+        wp = extract_waypoint(path, g, (*g.cell_center((5, 2)), 0.0), occ=occ)
+        assert wp == g.cell_center((5, first_blocked - 1))
 
     def test_unknown_does_not_block(self):
         g = grid_from_mask()
         g.p[:, 8:12] = 0.5
-        assert line_of_sight(g, (5, 2), (5, 18))
+        assert not blocked_between(g, (5, 2), (5, 18), inflate_occupied(g))
+        path = GridPath([(5, c) for c in range(2, 19)], 0.0)
+        assert extract_waypoint(path, g, (*g.cell_center((5, 2)), 0.0)) == g.cell_center((5, 18))
 
     def test_oracle_agreement_on_random_pairs(self):
         # dense sampling can only under-report the supercover; assert that a
@@ -566,15 +581,8 @@ class TestLineOfSight:
                 b = (int(rng.integers(0, 25)), int(rng.integers(0, 25)))
                 if occ[a] or occ[b]:
                     continue
-                mine = line_of_sight(g, a, b)
-                sampled_blocked = _sampled_los_blocked(g, occ, a, b)
-                if mine:
-                    assert not sampled_blocked
-                elif not sampled_blocked:
-                    # walk found an occupied corner cell the samples missed;
-                    # verify there is at least one occupied cell adjacent to
-                    # the segment path
-                    pass
+                if not blocked_between(g, a, b, occ):
+                    assert not _sampled_los_blocked(g, occ, a, b)
 
 
 def _sampled_los_blocked(grid, occ, a, b, n=3000):
@@ -639,4 +647,4 @@ class TestExtractWaypoint:
             chosen_idx = [i for i, c in enumerate(p.cells) if g.cell_center(c) == wp]
             assert chosen_idx
             for later in p.cells[chosen_idx[0] + 1:]:
-                assert not line_of_sight(g, start, later, occ=occ)
+                assert blocked_between(g, start, later, occ)

@@ -15,8 +15,6 @@ from navstack.rewards import (
     Transition,
     episode_metrics,
     metrics_csv_row,
-    reward_terms,
-    risk_score,
     step_reward,
 )
 
@@ -70,39 +68,6 @@ class TestStepReward:
         assert r == clamped
         assert math.isfinite(r)
 
-    def test_terms_sum_to_step_reward(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            t = Transition(
-                d_prev=float(rng.uniform(0, 10)),
-                d_now=float(rng.uniform(0, 10)),
-                min_range=float(rng.uniform(0.01, 6)),
-                omega_z=float(rng.uniform(-1.5, 1.5)),
-                collision=bool(rng.integers(2)),
-                reached=bool(rng.integers(2)),
-                timeout=bool(rng.integers(2)),
-            )
-            for profile in PROFILES.values():
-                assert sum(reward_terms(profile, t).values()) == step_reward(profile, t)
-
-
-class TestRiskScore:
-    def test_clear_space_is_zero(self):
-        assert risk_score(np.array([0.6, 2.0, 6.0])) == 0.0
-        assert risk_score(np.array([5.0])) == 0.0
-
-    def test_reference_points(self):
-        assert risk_score(np.array([0.3, 4.0])) == pytest.approx(1.0, abs=1e-12)
-        assert risk_score(np.array([0.45])) == pytest.approx(0.15 / 0.45, abs=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(min_value=0.05, max_value=5.0),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_monotone_nonincreasing(self, m, bump):
-        assert risk_score(np.array([m])) >= risk_score(np.array([m + bump])) - 1e-12
-
 
 def make_traj(min_ranges, d_start, d_end, outcome="success", sim_time=10.0):
     return Trajectory(
@@ -113,6 +78,30 @@ def make_traj(min_ranges, d_start, d_end, outcome="success", sim_time=10.0):
         sim_time=sim_time,
         arrive_time=sim_time if outcome == "success" else None,
     )
+
+
+class TestRiskScore:
+    """The per-step risk ramp, read through ARSPS on one-step trajectories."""
+
+    @staticmethod
+    def risk(min_range):
+        return episode_metrics(make_traj([min_range], 5.0, 4.0))["arsps"]
+
+    def test_clear_space_is_zero(self):
+        assert self.risk(0.6) == 0.0
+        assert self.risk(5.0) == 0.0
+
+    def test_reference_points(self):
+        assert self.risk(0.3) == pytest.approx(1.0, abs=1e-12)
+        assert self.risk(0.45) == pytest.approx(0.15 / 0.45, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=5.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_monotone_nonincreasing(self, m, bump):
+        assert self.risk(m) >= self.risk(m + bump) - 1e-12
 
 
 class TestEpisodeMetrics:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from unittest import mock
 
@@ -208,6 +209,31 @@ class TestCotrain:
         nets = (a, b, a, b, want_gating, want_critic)
         explicit = np.concatenate([arr.reshape(-1) for n in nets for arr in (n.w0, n.b0, n.w1, n.b1, n.w2, n.b2)])
         assert np.array_equal(vec, explicit)
+
+
+class TestTrainPipeline:
+    def test_equals_its_three_stage_calls(self):
+        # At zero generations each stage returns its starting networks, so the
+        # task sets show only in the call arguments.
+        seeds = training.PIPELINE_TASK_SEEDS
+        static, dynamic, families = (
+            training_scenarios(kind, 2, seeds[kind]) for kind in ("static", "dynamic", "families"))
+        stage1 = replace(training.PIPELINE_STAGE1, generations=0)
+        stage2 = replace(training.PIPELINE_STAGE2, generations=0)
+        gs = train_expert("go-straight", static, stage1)
+        oa = train_expert("obstacle-avoidance", dynamic, stage1)
+        bank, gating, critic = cotrain_fusion(gs, oa, families, stage2)
+        with mock.patch.object(training, "train_expert", wraps=train_expert) as experts, \
+                mock.patch.object(training, "cotrain_fusion", wraps=cotrain_fusion) as fusion:
+            got_gs, got_oa, bundle = training.train_pipeline(tasks=2, generations=0, fusion_generations=0)
+        assert [call.args[:3] for call in experts.call_args_list] == [
+            ("go-straight", static, stage1), ("obstacle-avoidance", dynamic, stage1)]
+        assert fusion.call_args.args[2:4] == (families, stage2)
+        assert bundle.obs_config == ObservationConfig()
+        want = [gs, oa, *bank.experts, gating.params, critic.params]
+        got = [got_gs, got_oa, *bundle.bank.experts, bundle.gating.params, bundle.critic.params]
+        assert ([a.tobytes() for net in got for a in net.arrays()]
+                == [a.tobytes() for net in want for a in net.arrays()])
 
 
 class TestDeterminism:
