@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
+from .planning import Flood
 from .world import ARRIVAL_RADIUS
 
 _ENTROPY_EPS = 1e-12
@@ -45,61 +46,58 @@ class ScoredCandidate:
         return self.d1 + self.d2
 
 
-def _clusters(cells) -> list[list[tuple[int, int]]]:
-    """The 8-connected components of a set of cells, in the row-major order
-    of their first cells."""
-    todo = set(cells)
-    out = []
-    for first in sorted(todo):
-        if first not in todo:
-            continue
-        todo.remove(first)
-        members = [first]
-        stack = [first]
-        while stack:
-            r, c = stack.pop()
-            for cell in ((r - 1, c - 1), (r - 1, c), (r - 1, c + 1), (r, c - 1),
-                         (r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
-                if cell in todo:
-                    todo.remove(cell)
-                    members.append(cell)
-                    stack.append(cell)
-        out.append(members)
-    return out
-
-
-def cluster_representatives(frontiers, cap: int, min_size: int) -> list[tuple[int, int]]:
-    """One representative cell per 8-connected frontier cluster.
+def cluster_representatives(frontier: np.ndarray, cap: int, min_size: int) -> list[tuple[int, int]]:
+    """One representative cell per 8-connected cluster of the frontier mask.
 
     The representative is the member nearest the cluster centroid (ties to
     the row-major smallest).  Clusters smaller than ``min_size`` are treated
     as raster noise and skipped; when more than ``cap`` clusters remain the
     largest win, ties again row-major.
+
+    The clusters grow by depth-first search over the mask padded by one
+    empty cell, as flat flags, so a neighbor is one fixed offset away.
     """
+    width = frontier.shape[1] + 2
+    padded = np.pad(frontier, 1)
+    todo = bytearray(padded.tobytes())
+    steps = (-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1)
     reps: list[tuple[int, tuple[int, int]]] = []
-    for cluster in _clusters((int(r), int(c)) for r, c in frontiers):
-        if len(cluster) < min_size:
+    for first in np.flatnonzero(padded).tolist():
+        if not todo[first]:
             continue
-        n = len(cluster)
+        todo[first] = 0
+        members, stack = [first], [first]
+        while stack:
+            i = stack.pop()
+            for step in steps:
+                j = i + step
+                if todo[j]:
+                    todo[j] = 0
+                    members.append(j)
+                    stack.append(j)
+        n = len(members)
+        if n < min_size:
+            continue
+        cells = [divmod(i - width - 1, width) for i in members]  # unpadded (row, col)
         # Sums of small integers are exact in any order, so the centroid's
         # bits do not depend on the order of the members.
-        cr = sum(r for r, _ in cluster) / n
-        cc = sum(c for _, c in cluster) / n
-        _, r, c = min(((r - cr) * (r - cr) + (c - cc) * (c - cc), r, c) for r, c in cluster)
+        cr = sum(r for r, _ in cells) / n
+        cc = sum(c for _, c in cells) / n
+        _, r, c = min(((r - cr) * (r - cr) + (c - cc) * (c - cc), r, c) for r, c in cells)
         reps.append((n, (r, c)))
     reps.sort(key=lambda t: (-t[0], t[1]))
     return [rep for _, rep in reps[:cap]]
 
 
 def score_candidates(
-    frontiers,
+    frontier: np.ndarray,
     grid: OccupancyGrid,
     goal: tuple[float, float],
     critic,
-    dist_field: np.ndarray,
+    dist_field: Flood,
 ) -> list[ScoredCandidate]:
-    """Score one representative per frontier cluster of at least
-    ``MIN_CLUSTER_SIZE`` cells (the ``CANDIDATE_CAP`` largest); drop
+    """Score one representative per cluster of the ``frontier_mask`` of at
+    least ``MIN_CLUSTER_SIZE`` cells (the ``CANDIDATE_CAP`` largest); drop
     unreachable ones.
 
     ``critic`` is a callable mapping a candidate's world point to its safety
@@ -107,7 +105,7 @@ def score_candidates(
     ``dist_field`` is the planning ``distance_field`` flood from the robot
     cell, which prices each candidate's path.
     """
-    reps = cluster_representatives(frontiers, CANDIDATE_CAP, MIN_CLUSTER_SIZE)
+    reps = cluster_representatives(frontier, CANDIDATE_CAP, MIN_CLUSTER_SIZE)
     out: list[ScoredCandidate] = []
     for cell in reps:
         d2 = float(dist_field[cell[0], cell[1]])
@@ -147,13 +145,14 @@ def should_reselect(
     goal: tuple[float, float],
     current_pose,
     frontier: np.ndarray | None = None,
+    entropy: float | None = None,
 ) -> str:
     """One of "no", "reselect", "goal_now_known".
 
     goal_now_known dominates: once the goal cell leaves the unknown class
     the stack should plan straight at it and stop exploring.  ``frontier``
-    may carry the grid's ``frontier_mask``; otherwise it is built here when
-    the point's frontier status is tested.
+    may carry the grid's ``frontier_mask`` and ``entropy`` its
+    ``map_entropy``; otherwise each is built here when needed.
     """
     goal_cell = grid.world_to_cell(*goal)
     goal_known = grid.in_grid(goal_cell) and classify(grid, goal_cell) != CellClass.UNKNOWN
@@ -162,7 +161,7 @@ def should_reselect(
     if state.current_point is None:
         return "reselect"
 
-    h_now = map_entropy(grid)
+    h_now = map_entropy(grid) if entropy is None else entropy
     h_ref = state.entropy_at_selection
     if math.isfinite(h_ref):
         rel = abs(h_now - h_ref) / max(h_ref, _ENTROPY_EPS)

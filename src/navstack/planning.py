@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -90,53 +89,48 @@ def _snap_start(blocked: np.ndarray, start: tuple[int, int]) -> tuple[int, int] 
     return min(near)[1:] if near else None
 
 
-def _open_cells(blocked: np.ndarray) -> list[bool]:
+def open_cells(blocked: np.ndarray) -> list[bool]:
     """Flat open flags of the grid padded by one blocked cell, so a neighbor
-    is one fixed offset away with no bounds test."""
+    is one fixed offset away with no bounds test.  A plan tick builds it once
+    for its flood and its A* searches."""
     return (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
 
 
-def _search(blocked: np.ndarray, start: tuple[int, int], target: tuple[int, int]) -> list[int]:
-    """A* from start to target: the flat ``parent`` list over the padded
-    grid (see ``_open_cells``).  It stops when the target is popped.  Closed
-    cells still relax: a rounding-level gain can move their parent."""
-    rows, cols = blocked.shape
-    width = cols + 2
-    is_open = _open_cells(blocked)
-    size = len(is_open)
+def _search(is_open: list[bool], width: int, start: tuple[int, int], target: tuple[int, int]) -> dict[int, int]:
+    """A* over the padded grid of ``open_cells``: each reached cell's parent,
+    by flat index.  It stops when the target is popped.  Closed cells still
+    relax: a rounding-level gain can move their parent."""
     tr, tc = target[0] + 1, target[1] + 1
     goal = tr * width + tc
-    rgap = np.abs(np.arange(rows + 2) - tr)[:, None]
-    cgap = np.abs(np.arange(width) - tc)
-    lo = np.minimum(rgap, cgap)
-    # octile (hi - lo) + lo * sqrt(2), in an array: A* reads too few cells for a list
-    h = array("d", (np.maximum(rgap, cgap) - lo + lo * SQRT2).tobytes())
     steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
-    dist = [math.inf] * size
-    parent = [-1] * size
-    closed = [False] * size  # a list: CPython specialises list indexing, not bytearray
     source = (start[0] + 1) * width + start[1] + 1
-    dist[source] = 0.0
+    dist = {source: 0.0}  # sparse: A* reads few of the grid's cells
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
     counter = 0
-    heap = [(h[source], counter, source)]
-    pop, push = heapq.heappop, heapq.heappush
+    heap = [(0.0, counter, source)]  # the lone first entry's key is never compared
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
     while heap:
         _, _, i = pop(heap)
         if i == goal:
             break
-        if closed[i]:
+        if i in closed:
             continue
-        closed[i] = True
+        closed.add(i)
         d = dist[i]
         for offset, cost in steps:
             j = i + offset
             if is_open[j]:
                 nd = d + cost
-                if nd < dist[j]:
+                if nd < dist.get(j, inf):
                     dist[j] = nd
                     parent[j] = i
                     counter += 1
-                    push(heap, (nd + h[j], counter, j))
+                    r, c = divmod(j, width)
+                    r, c = abs(r - tr), abs(c - tc)
+                    lo, hi = (r, c) if r < c else (c, r)
+                    # octile heuristic; ties between paths hang on its bits, so keep this operation order
+                    push(heap, (nd + ((hi - lo) + lo * SQRT2), counter, j))
     return parent
 
 
@@ -146,11 +140,13 @@ def plan_path(
     target: tuple[int, int],
     robot_radius: float = ROBOT_RADIUS,
     blocked: np.ndarray | None = None,
+    is_open: list[bool] | None = None,
 ) -> GridPath | None:
     """Shortest 8-connected path over free cells, or None when unreachable.
 
     A degenerate start (its cell turned non-free under map noise) snaps to
     the nearest free cell within 3 cells.  A blocked target is unreachable.
+    ``is_open`` may carry ``open_cells(blocked)``, built once per snapshot.
     """
     if blocked is None:
         blocked = blocked_mask(grid, robot_radius)
@@ -163,13 +159,13 @@ def plan_path(
     if start == target:
         return GridPath([start], 0.0)
 
-    parent = _search(blocked, start, target)
     width = blocked.shape[1] + 2
-    i = parent[(target[0] + 1) * width + target[1] + 1]
-    if i < 0:
+    parent = _search(open_cells(blocked) if is_open is None else is_open, width, start, target)
+    i = parent.get((target[0] + 1) * width + target[1] + 1)
+    if i is None:
         return None
     cells = [target]
-    while parent[i] >= 0:  # the start is the one reached cell without a parent
+    while i in parent:  # the start is the one reached cell without a parent
         r, c = divmod(i, width)
         cells.append((r - 1, c - 1))
         i = parent[i]
@@ -179,16 +175,38 @@ def plan_path(
     return path
 
 
+@dataclass
+class Flood:
+    """A flood in its own form: ``flat`` counts steps over the padded grid of
+    ``open_cells``.  ``flood[r, c]`` is one in-grid cell in meters (inf where
+    unreachable), with the bits of the (rows, cols) ``array()`` there."""
+
+    flat: list[float]
+    shape: tuple[int, int]
+    resolution: float
+
+    def __getitem__(self, cell) -> float:
+        r, c = cell
+        return self.flat[(r + 1) * (self.shape[1] + 2) + c + 1] * self.resolution
+
+    def array(self) -> np.ndarray:
+        rows, cols = self.shape
+        field = np.fromiter(self.flat, float, len(self.flat)).reshape(rows + 2, cols + 2)[1:-1, 1:-1]
+        return field * self.resolution
+
+
 def distance_field(
     grid: OccupancyGrid,
     start: tuple[int, int],
     robot_radius: float = ROBOT_RADIUS,
     blocked: np.ndarray | None = None,
-) -> np.ndarray:
+    is_open: list[bool] | None = None,
+) -> Flood:
     """Dijkstra flood from start: meters to every cell, inf where unreachable.
 
     The same costs and blocking rules as plan_path, so values match planned
     path lengths; one flood prices every frontier candidate at once.
+    ``is_open`` may carry ``open_cells(blocked)``, built once per snapshot.
 
     Straight steps (+1) and diagonal steps (+sqrt 2) each feed their own
     FIFO queue.  Each queue is filled in nondecreasing key order, so the
@@ -202,12 +220,13 @@ def distance_field(
     if blocked is None:
         blocked = blocked_mask(grid, robot_radius)
     rows, cols = blocked.shape
+    width = cols + 2
+    dist = [math.inf] * ((rows + 2) * width)
+    flood = Flood(dist, (rows, cols), grid.resolution)
     snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
     if snapped is None:
-        return np.full((rows, cols), np.inf)
-    width = cols + 2
-    is_open = _open_cells(blocked)
-    dist = [math.inf] * len(is_open)
+        return flood
+    is_open = open_cells(blocked) if is_open is None else is_open
     source = (snapped[0] + 1) * width + snapped[1] + 1
     dist[source] = 0.0
     straight_steps = (-width, -1, 1, width)
@@ -234,8 +253,7 @@ def distance_field(
             if is_open[j] and nd < dist[j]:
                 dist[j] = nd
                 push_diagonal((nd, j))
-    field = np.fromiter(dist, float, len(dist)).reshape(rows + 2, cols + 2)[1:-1, 1:-1]
-    return field * grid.resolution
+    return flood
 
 
 def _segment_blocked(

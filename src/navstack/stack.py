@@ -38,7 +38,7 @@ from .mapping import (
     integrate_scan,
     map_entropy,
 )
-from .planning import blocked_mask, distance_field, extract_waypoint, inflate_occupied, plan_path
+from .planning import blocked_mask, distance_field, extract_waypoint, inflate_occupied, open_cells, plan_path
 from .policy import ObservationConfig, build_observation, goal_in_robot_frame
 from .rewards import Trajectory, episode_metrics, metrics_csv_row
 from .scripted import CompositePolicy, scripted_bundle
@@ -145,19 +145,21 @@ def run_episode(
             if upper and tick % plan_period == 0:
                 occ_inflated = inflate_occupied(grid, spec.robot_radius)
                 blocked = blocked_mask(grid, spec.robot_radius, occ_inflated)
+                is_open = open_cells(blocked)  # one open grid for this tick's flood and A*
                 frontier = frontier_mask(grid)
+                entropy = map_entropy(grid)
                 robot_cell = grid.world_to_cell(pose[0], pose[1])
                 goal_cell = grid.world_to_cell(*goal)
                 path = None
 
-                decision = should_reselect(exp_state, grid, goal, pose, frontier=frontier)
+                decision = should_reselect(exp_state, grid, goal, pose, frontier=frontier, entropy=entropy)
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
                     goal_known_time = world.sim_time if goal_known_time is None else goal_known_time
                 if not goal_mode and exp_state.goal_known:
                     if classify(grid, goal_cell) == CellClass.FREE:
                         # A found path is the real plan for this tick too.
-                        path = plan_path(grid, robot_cell, goal_cell, spec.robot_radius, blocked)
+                        path = plan_path(grid, robot_cell, goal_cell, spec.robot_radius, blocked, is_open)
                         goal_mode = path is not None
 
                 if not goal_mode:
@@ -167,11 +169,10 @@ def run_episode(
                     if scheduled or decision == "reselect" or exp_state.current_point is None:
                         if decision == "reselect" and not scheduled:
                             cadence["explore_triggered"] += 1
-                        frontiers = frontier_cells(grid, frontier)
-                        dist = distance_field(grid, robot_cell, spec.robot_radius, blocked)
+                        dist = distance_field(grid, robot_cell, spec.robot_radius, blocked, is_open)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
                         critic = _candidate_critic(policy, obs_now, pose)
-                        scored = score_candidates(frontiers, grid, goal, critic, dist)
+                        scored = score_candidates(frontier, grid, goal, critic, dist)
                         if collect_candidates:
                             scored_tables.append((tick, candidate_csv_rows(scored, config.gamma)))
                         cell = None
@@ -179,21 +180,21 @@ def run_episode(
                             cell = select_exploration_point(scored, config.gamma)
                         elif exp_state.current_point is not None and not fallback_held:
                             fallback_held = True  # hold the stale point one cycle
-                        elif frontiers:
+                        elif frontiers := frontier_cells(grid, frontier):
                             cell = min(
                                 frontiers,
                                 key=lambda rc: _euclid(grid.cell_center(rc), (pose[0], pose[1])),
                             )
                         if cell is not None:
                             exp_state.current_point = cell
-                            exp_state.entropy_at_selection = map_entropy(grid)
+                            exp_state.entropy_at_selection = entropy
                             selections.append((world.sim_time, cell, grid.cell_center(cell)))
                             fallback_held = False
 
                 target = goal_cell if goal_mode else exp_state.current_point
                 if target is not None:
                     if path is None:
-                        path = plan_path(grid, robot_cell, target, spec.robot_radius, blocked)
+                        path = plan_path(grid, robot_cell, target, spec.robot_radius, blocked, is_open)
                     cadence["plan"] += 1
                     if path is not None:
                         waypoint = extract_waypoint(path, grid, pose, spec.robot_radius, occ_inflated)

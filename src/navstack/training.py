@@ -35,6 +35,7 @@ from .stack import StackConfig, run_episode
 
 DISCOUNT = 0.99
 HIDDEN = (64, 64)
+CRITIC_ROWS = 40_000  # the newest elite rows the critic head is refit on
 
 
 class TrainingError(RuntimeError):
@@ -387,6 +388,25 @@ def _discounted_returns(rewards: np.ndarray) -> np.ndarray:
     return g
 
 
+class _RowWindow:
+    """The newest ``size`` rows appended, in order, in one array allocated
+    once: ``rows()`` equals ``np.concatenate(appended)[-size:]``."""
+
+    def __init__(self, size: int, *shape: int):
+        self.buf, self.n = np.empty((size, *shape)), 0
+
+    def append(self, rows: np.ndarray) -> None:
+        rows = rows[-len(self.buf):]
+        keep = min(self.n, len(self.buf) - len(rows))  # the held rows that stay
+        if keep < self.n:  # drop the oldest, keeping the rest in order
+            self.buf[:keep] = self.buf[self.n - keep:self.n]
+        self.n = keep + len(rows)
+        self.buf[keep:self.n] = rows
+
+    def rows(self) -> np.ndarray:
+        return self.buf[:self.n]
+
+
 def cotrain_fusion(
     expert_a: MlpParams,
     expert_b: MlpParams,
@@ -407,8 +427,8 @@ def cotrain_fusion(
     def make_policy(vec: np.ndarray) -> PolicyBundle:
         return PolicyBundle(obs_config, *_fusion_parts(vec, layout))
 
-    buffer_obs: list[np.ndarray] = []
-    buffer_g: list[np.ndarray] = []
+    buffer_obs = _RowWindow(CRITIC_ROWS, obs_config.dim)
+    buffer_g = _RowWindow(CRITIC_ROWS)
 
     def refit_critic(gen, seeds, elite_vecs, mean):
         # Elite rollouts feed the critic's regression targets (re-run on the
@@ -421,9 +441,9 @@ def cotrain_fusion(
             if len(obs_m):
                 buffer_obs.append(obs_m)
                 buffer_g.append(_discounted_returns(rews))
-        if buffer_obs:
+        if buffer_obs.n:
             mlps = unpack(mean, layout)  # the critic is last
-            _refit_critic_head(mlps[-1], np.concatenate(buffer_obs)[-40000:], np.concatenate(buffer_g)[-40000:])
+            _refit_critic_head(mlps[-1], buffer_obs.rows(), buffer_g.rows())
             mean = pack(mlps)
         return mean
 

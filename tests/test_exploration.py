@@ -48,6 +48,14 @@ def run_on(cell):
     return [(r, c + k) for k in range(-half, half + 1)]
 
 
+def mask_of(cells, shape=(40, 40)):
+    """A frontier mask of ``shape`` holding ``cells``."""
+    mask = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
+
+
 def make_scored(rng, n):
     cells = set()
     while len(cells) < n:
@@ -66,7 +74,7 @@ class TestScoreCandidates:
         cell = (20, 29)
         goal = g.cell_center(cell)
         flood = distance_field(g, (20, 5))  # from the robot cell
-        scored = score_candidates(run_on(cell), g, goal, lambda p: 0.0, flood)
+        scored = score_candidates(mask_of(run_on(cell)), g, goal, lambda p: 0.0, flood)
         assert len(scored) == 1
         assert scored[0].d1 == pytest.approx(0.0, abs=1e-12)
         straight = abs(29 - 5) * RES
@@ -81,7 +89,7 @@ class TestScoreCandidates:
         g.p[26, 10] = 0.5
         g.p[20, 31] = 0.5
         flood = distance_field(g, (20, 10))  # from the robot cell
-        scored = score_candidates(run_on(open_c) + run_on(walled_c), g, goal, lambda p: 0.0, flood)
+        scored = score_candidates(mask_of(run_on(open_c) + run_on(walled_c)), g, goal, lambda p: 0.0, flood)
         by_cell = {s.cell: s for s in scored}
         assert by_cell[walled_c].d2 > by_cell[open_c].d2
 
@@ -90,7 +98,7 @@ class TestScoreCandidates:
         g.p[9:12, 9:12] = P_MAX
         g.p[10, 10] = P_MIN  # sealed pocket
         flood = distance_field(g, (30, 30))  # from the robot cell
-        scored = score_candidates(run_on((10, 10)), g, (1.0, 1.0), lambda p: 0.0, flood)
+        scored = score_candidates(mask_of(run_on((10, 10))), g, (1.0, 1.0), lambda p: 0.0, flood)
         assert scored == []
 
     def test_critic_pure(self):
@@ -102,8 +110,8 @@ class TestScoreCandidates:
 
         g = open_grid()
         flood = distance_field(g, (5, 5))  # from the robot cell
-        s1 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), critic, flood)
-        s2 = score_candidates(run_on((20, 20)), g, (1.0, 1.0), critic, flood)
+        s1 = score_candidates(mask_of(run_on((20, 20))), g, (1.0, 1.0), critic, flood)
+        s2 = score_candidates(mask_of(run_on((20, 20))), g, (1.0, 1.0), critic, flood)
         assert s1[0].v == s2[0].v
 
 
@@ -168,27 +176,27 @@ def test_affine_rescaling_invariance(seed, a_d, b_d, a_v, b_v):
 class TestClustering:
     def test_one_rep_per_component(self):
         cells = [(5, 5), (5, 6), (6, 5), (20, 20), (20, 21)]
-        reps = cluster_representatives(cells, cap=10, min_size=1)
+        reps = cluster_representatives(mask_of(cells), cap=10, min_size=1)
         assert len(reps) == 2
         assert reps[0] in {(5, 5), (5, 6), (6, 5)}  # larger cluster first
 
     def test_cap_keeps_largest(self):
         cells = [(0, 0), (0, 1), (0, 2), (10, 10), (30, 30)]
-        reps = cluster_representatives(cells, cap=1, min_size=1)
+        reps = cluster_representatives(mask_of(cells), cap=1, min_size=1)
         assert reps == [(0, 1)]  # centroid-nearest of the 3-cell cluster
 
     def test_min_size_filters_specks(self):
         cells = [(0, 0), (10, 10), (10, 11), (10, 12)]
-        reps = cluster_representatives(cells, cap=10, min_size=3)
+        reps = cluster_representatives(mask_of(cells), cap=10, min_size=3)
         assert reps == [(10, 11)]
 
 
     def test_diagonal_steps_join_one_cluster(self):
         cells = [(0, 0), (1, 1), (2, 2), (3, 1), (10, 0), (9, 1)]
-        assert cluster_representatives(cells, cap=10, min_size=1) == [(1, 1), (9, 1)]
+        assert cluster_representatives(mask_of(cells), cap=10, min_size=1) == [(1, 1), (9, 1)]
 
     def test_no_cells_no_clusters(self):
-        assert cluster_representatives([], cap=10, min_size=1) == []
+        assert cluster_representatives(mask_of([]), cap=10, min_size=1) == []
 
 
 def _cluster_representatives_oracle(frontiers, grid_shape, cap: int, min_size: int = 1):
@@ -237,7 +245,7 @@ def frontier_sets(draw):
 @example(((3, 3), [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]), 1, 1)  # one X joined at corners
 def test_cluster_representatives_matches_scipy_label(case, cap, min_size):
     shape, cells = case
-    got = cluster_representatives(cells, cap, min_size)
+    got = cluster_representatives(mask_of(cells, shape), cap, min_size)
     assert got == _cluster_representatives_oracle(cells, shape, cap, min_size)
     assert all(type(v) is int for rep in got for v in rep)
 

@@ -21,6 +21,7 @@ from navstack.planning import (
     distance_field,
     extract_waypoint,
     inflate_occupied,
+    open_cells,
     plan_path,
 )
 from navstack.scenarios import make_scenario
@@ -227,13 +228,16 @@ def random_blocked(seed, rows, cols, p_blocked):
 
 
 def assert_plan_matches_oracle(grid, start, target, blocked):
+    """plan_path against the oracle, building its own open grid and reading
+    a shared one."""
     path = plan_path(grid, start, target, blocked=blocked)
+    shared = plan_path(grid, start, target, blocked=blocked, is_open=open_cells(blocked))
     expected = plan_path_oracle(grid, start, target, blocked=blocked)
     if expected is None:
-        assert path is None
+        assert path is None and shared is None
     else:
-        assert path.cells == expected.cells
-        assert path.length == expected.length
+        assert path.cells == shared.cells == expected.cells
+        assert path.length == shared.length == expected.length
     return path
 
 
@@ -420,8 +424,17 @@ def distance_field_oracle(grid, start, blocked):
 
 
 def assert_field_matches_oracle(grid, start, blocked):
-    field = distance_field(grid, start, blocked=blocked)
+    """The flood's ``array()`` against the oracle, every ``flood[r, c]``
+    against its array cell, and a flood on a shared open grid against the
+    flood that built its own, all bit for bit; returns the array."""
+    flood = distance_field(grid, start, blocked=blocked)
+    field = flood.array()
     assert field.tobytes() == distance_field_oracle(grid, start, blocked).tobytes()
+    rows, cols = field.shape
+    reads = np.array([[flood[r, c] for c in range(cols)] for r in range(rows)]).reshape(rows, cols)
+    assert reads.tobytes() == field.tobytes()
+    shared = distance_field(grid, start, blocked=blocked, is_open=open_cells(blocked))
+    assert shared.array().tobytes() == field.tobytes()
     return field
 
 

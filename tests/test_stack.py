@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import label
 
-from navstack import exploration
+from navstack import exploration, stack
 from navstack.exploration import MIN_CLUSTER_SIZE
 from navstack.mapping import OccupancyGrid
 from navstack.policy import ObservationConfig
@@ -114,11 +114,9 @@ class TestRunEpisode:
         spec = blind_alley(1)
         res = run_episode(spec, scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
         assert len(calls) == len(res.scored_tables) > 0  # one clustering per scoring cycle
-        shape = OccupancyGrid.for_bounds(spec.bounds).p.shape
         speckles = 0
-        for (cells, reps), (_tick, rows) in zip(calls, res.scored_tables):
-            mask = np.zeros(shape, dtype=bool)
-            mask[tuple(np.array(cells).T)] = True
+        for (mask, reps), (_tick, rows) in zip(calls, res.scored_tables):
+            assert mask.shape == OccupancyGrid.for_bounds(spec.bounds).p.shape
             labels, _ = label(mask, structure=np.ones((3, 3), dtype=int))
             sizes = np.bincount(labels.ravel())
             speckles += int(np.sum(sizes[1:] < MIN_CLUSTER_SIZE))
@@ -126,6 +124,43 @@ class TestRunEpisode:
             for r, c in reps:
                 assert sizes[labels[r, c]] >= MIN_CLUSTER_SIZE
         assert speckles > 0  # the map did grow clusters the stack must skip
+
+    def test_scored_path_costs_are_the_flood_array(self, monkeypatch):
+        """Every scored d2 is read from the tick's flood, which runs on the
+        tick's shared open grid; it must equal that flood's ``array()`` at
+        the candidate's cell, bit for bit."""
+        floods = []
+        original = stack.distance_field
+
+        def recording(*args, **kwargs):
+            floods.append(original(*args, **kwargs))
+            return floods[-1]
+
+        monkeypatch.setattr(stack, "distance_field", recording)
+        res = run_episode(blind_alley(1), scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
+        assert len(floods) == len(res.scored_tables) > 0  # one flood per scoring cycle
+        scored = 0
+        for flood, (_tick, rows) in zip(floods, res.scored_tables):
+            field = flood.array()
+            for row in rows:
+                assert np.float64(row[3]).tobytes() == field[row[0], row[1]].tobytes()
+                scored += 1
+        assert scored > len(floods)
+
+    def test_map_entropy_once_per_plan_tick(self, monkeypatch):
+        calls = []
+        original = stack.map_entropy
+
+        def counting(grid):
+            calls.append(grid)
+            return original(grid)
+
+        monkeypatch.setattr(stack, "map_entropy", counting)
+        monkeypatch.setattr(exploration, "map_entropy", counting)
+        res = run_episode(blind_alley(1), scripted_bundle(), StackConfig(timeout=30.0))
+        plan_period = round(StackConfig.control_hz / StackConfig.plan_hz)
+        assert len(calls) == (res.steps - 1) // plan_period + 1
+        assert len(res.exploration_selections) > 1
 
     def test_trace_written(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -19,13 +19,16 @@ from navstack.policy import (
 from navstack.rewards import PROFILES
 from navstack.scenarios import training_scenarios
 from navstack.training import (
+    CRITIC_ROWS,
     TrainConfig,
     TrainingError,
     _cem,
     _discounted_returns,
     _episode_seeds,
     _fusion_parts,
+    _refit_critic_head,
     _require_beats_zero,
+    _RowWindow,
     cotrain_fusion,
     init_fusion_vector,
     pack,
@@ -209,6 +212,44 @@ class TestCotrain:
         nets = (a, b, a, b, want_gating, want_critic)
         explicit = np.concatenate([arr.reshape(-1) for n in nets for arr in (n.w0, n.b0, n.w1, n.b1, n.w2, n.b2)])
         assert np.array_equal(vec, explicit)
+
+
+class TestCriticWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(0, 9), max_size=12))
+    def test_rows_are_the_newest_in_order(self, size, lengths):
+        window = _RowWindow(size, 2)
+        chunks = []
+        for k, n in enumerate(lengths):
+            chunk = np.arange(2.0 * n).reshape(n, 2) + 100 * k
+            chunks.append(chunk)
+            window.append(chunk)
+            expected = np.concatenate(chunks)[-size:]
+            assert window.rows().tobytes() == expected.tobytes()
+
+    def test_refit_across_the_window_equals_the_concatenated_tail(self):
+        """Past CRITIC_ROWS rows the window drops the oldest; the critic head
+        refit on it has the bits of the refit on the old
+        ``np.concatenate(...)[-CRITIC_ROWS:]``."""
+        rng = np.random.default_rng(5)
+        critic = MlpParams.random(OBS8.dim, 64, 64, 1, rng, OBS8.feature_scales())
+        obs_window, g_window = _RowWindow(CRITIC_ROWS, OBS8.dim), _RowWindow(CRITIC_ROWS)
+        obs_chunks, g_chunks = [], []
+        refits = 0
+        while sum(map(len, obs_chunks)) < CRITIC_ROWS + 12_000:
+            n = int(rng.integers(1, 4000))
+            obs_chunks.append(rng.normal(size=(n, OBS8.dim)))
+            g_chunks.append(_discounted_returns(rng.normal(size=n)))
+            obs_window.append(obs_chunks[-1])
+            g_window.append(g_chunks[-1])
+            if sum(map(len, obs_chunks)) > CRITIC_ROWS - 8000:
+                got, want = (MlpParams(*(a.copy() for a in critic.arrays())) for _ in range(2))
+                _refit_critic_head(got, obs_window.rows(), g_window.rows())
+                _refit_critic_head(want, np.concatenate(obs_chunks)[-CRITIC_ROWS:],
+                                   np.concatenate(g_chunks)[-CRITIC_ROWS:])
+                assert got.w2.tobytes() == want.w2.tobytes() and got.b2.tobytes() == want.b2.tobytes()
+                refits += 1
+        assert obs_window.n == CRITIC_ROWS and refits > 3
 
 
 class TestTrainPipeline:
