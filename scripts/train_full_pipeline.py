@@ -32,6 +32,12 @@ def main() -> None:
     ap.add_argument("--fusion-generations", type=int, default=PIPELINE_STAGE2.generations)
     ap.add_argument("--tasks", type=int, default=PIPELINE_TASKS)
     args = ap.parse_args()
+    if args.tasks < 1:
+        ap.error("--tasks must be at least 1")
+    if args.generations < 0:
+        ap.error("--generations must be at least 0")
+    if args.fusion_generations < 0:
+        ap.error("--fusion-generations must be at least 0")
     args.out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()

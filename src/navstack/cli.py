@@ -154,6 +154,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .scenarios import training_scenarios
     from .training import STAGES, cotrain_fusion, train_expert
 
+    if args.tasks < 1:
+        raise UsageError("--tasks must be at least 1")
     cfg = _train_config(args)
     obs_cfg = ObservationConfig()
     out = _ensure_out(args.out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import CellClass, OccupancyGrid, classify, frontier_mask, map_entropy
+from .mapping import CellClass, OccupancyGrid, classify
 from .planning import Flood
 from .world import ARRIVAL_RADIUS
 
@@ -144,15 +144,14 @@ def should_reselect(
     grid: OccupancyGrid,
     goal: tuple[float, float],
     current_pose,
-    frontier: np.ndarray | None = None,
-    entropy: float | None = None,
+    frontier: np.ndarray,
+    entropy: float,
 ) -> str:
     """One of "no", "reselect", "goal_now_known".
 
     goal_now_known dominates: once the goal cell leaves the unknown class
     the stack should plan straight at it and stop exploring.  ``frontier``
-    may carry the grid's ``frontier_mask`` and ``entropy`` its
-    ``map_entropy``; otherwise each is built here when needed.
+    is the grid's ``frontier_mask`` and ``entropy`` its ``map_entropy``.
     """
     goal_cell = grid.world_to_cell(*goal)
     goal_known = grid.in_grid(goal_cell) and classify(grid, goal_cell) != CellClass.UNKNOWN
@@ -161,10 +160,9 @@ def should_reselect(
     if state.current_point is None:
         return "reselect"
 
-    h_now = map_entropy(grid) if entropy is None else entropy
     h_ref = state.entropy_at_selection
     if math.isfinite(h_ref):
-        rel = abs(h_now - h_ref) / max(h_ref, _ENTROPY_EPS)
+        rel = abs(entropy - h_ref) / max(h_ref, _ENTROPY_EPS)
         if rel > ENTROPY_TRIGGER:
             return "reselect"
 
@@ -175,8 +173,6 @@ def should_reselect(
     cell = state.current_point
     if not grid.in_grid(cell):
         return "reselect"
-    if frontier is None:
-        frontier = frontier_mask(grid)
     if not frontier[cell]:
         return "reselect"
     return "no"

@@ -235,14 +235,9 @@ def frontier_mask(grid: OccupancyGrid) -> np.ndarray:
     return free_mask(grid) & dilate(unknown_mask(grid), (1, 1, 1))
 
 
-def frontier_cells(grid: OccupancyGrid, mask: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """The frontier cells (see ``frontier_mask``) in row-major order, as
-    tuples of Python ints.
-
-    ``mask`` may carry this grid's ``frontier_mask``, built once per
-    snapshot for every frontier test on it."""
-    if mask is None:
-        mask = frontier_mask(grid)
+def frontier_cells(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The cells of a ``frontier_mask`` in row-major order, as tuples of
+    Python ints."""
     return list(map(tuple, np.argwhere(mask).tolist()))
 
 

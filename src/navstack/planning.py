@@ -5,7 +5,8 @@ the robot radius; unknown cells block planning but not line of sight (a
 frontier target is by definition bordered by unknown space).  Both searches
 are exact: A* under the octile heuristic (admissible and consistent for
 unit/sqrt(2) steps) plans one path, and a heap-free Dijkstra flood with one
-FIFO queue per step cost prices every cell from the start.
+FIFO queue per step cost prices every cell from the start.  Both, and the
+waypoint's sight test, read one ``PlanGrid`` snapshot of the map.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import functools
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import supercover_cells
 from .mapping import OccupancyGrid, dilate, occupied_mask, unknown_mask
-from .world import ROBOT_RADIUS
 
 SQRT2 = math.sqrt(2.0)
 SNAP_WINDOW = 3  # a blocked start snaps to the nearest open cell this many cells away or fewer
@@ -57,22 +57,14 @@ def _disk_half_widths(radius_cells: float) -> tuple[int, ...]:
     return tuple(int(k) // 2 for k in _disk_structure(radius_cells).sum(axis=1))
 
 
-def inflate_occupied(grid: OccupancyGrid, robot_radius: float = ROBOT_RADIUS) -> np.ndarray:
+def inflate_occupied(grid: OccupancyGrid, robot_radius: float) -> np.ndarray:
     """Occupied cells grown by a circular kernel of the robot radius."""
     return dilate(occupied_mask(grid), _disk_half_widths(robot_radius / grid.resolution))
 
 
-def blocked_mask(
-    grid: OccupancyGrid,
-    robot_radius: float = ROBOT_RADIUS,
-    occ: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cells that block planning: inflated occupied plus unknown.
-
-    ``occ`` may carry this grid's ``inflate_occupied`` result, so a caller
-    that also needs it inflates once."""
-    if occ is None:
-        occ = inflate_occupied(grid, robot_radius)
+def blocked_mask(grid: OccupancyGrid, occ: np.ndarray) -> np.ndarray:
+    """Cells that block planning: ``occ``, the grid's ``inflate_occupied``
+    cells, plus unknown."""
     return occ | unknown_mask(grid)
 
 
@@ -89,15 +81,38 @@ def _snap_start(blocked: np.ndarray, start: tuple[int, int]) -> tuple[int, int] 
     return min(near)[1:] if near else None
 
 
-def open_cells(blocked: np.ndarray) -> list[bool]:
+def _open_cells(blocked: np.ndarray) -> list[bool]:
     """Flat open flags of the grid padded by one blocked cell, so a neighbor
-    is one fixed offset away with no bounds test.  A plan tick builds it once
-    for its flood and its A* searches."""
+    is one fixed offset away with no bounds test."""
     return (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
 
 
+@dataclass(frozen=True, eq=False)
+class PlanGrid:
+    """One planning snapshot of ``grid``: ``occ``, its occupied cells
+    inflated by the robot radius, blocks the waypoint's line of sight, and
+    ``blocked`` (``occ`` plus unknown) blocks the flood and A*.  The flags
+    the searches read are built here from ``blocked``, so they always agree
+    with it."""
+
+    grid: OccupancyGrid
+    occ: np.ndarray
+    blocked: np.ndarray
+    is_open: list[bool] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_open", _open_cells(self.blocked))
+
+
+def plan_grid(grid: OccupancyGrid, robot_radius: float) -> PlanGrid:
+    """The snapshot of ``grid`` for a robot of ``robot_radius``; a plan tick
+    builds one for its flood, its A* searches and its waypoint."""
+    occ = inflate_occupied(grid, robot_radius)
+    return PlanGrid(grid, occ, blocked_mask(grid, occ))
+
+
 def _search(is_open: list[bool], width: int, start: tuple[int, int], target: tuple[int, int]) -> dict[int, int]:
-    """A* over the padded grid of ``open_cells``: each reached cell's parent,
+    """A* over the padded grid of ``_open_cells``: each reached cell's parent,
     by flat index.  It stops when the target is popped.  Closed cells still
     relax: a rounding-level gain can move their parent."""
     tr, tc = target[0] + 1, target[1] + 1
@@ -134,22 +149,14 @@ def _search(is_open: list[bool], width: int, start: tuple[int, int], target: tup
     return parent
 
 
-def plan_path(
-    grid: OccupancyGrid,
-    start: tuple[int, int],
-    target: tuple[int, int],
-    robot_radius: float = ROBOT_RADIUS,
-    blocked: np.ndarray | None = None,
-    is_open: list[bool] | None = None,
-) -> GridPath | None:
-    """Shortest 8-connected path over free cells, or None when unreachable.
+def plan_path(plan: PlanGrid, start: tuple[int, int], target: tuple[int, int]) -> GridPath | None:
+    """Shortest 8-connected path over the snapshot's open cells, or None
+    when unreachable.
 
     A degenerate start (its cell turned non-free under map noise) snaps to
     the nearest free cell within 3 cells.  A blocked target is unreachable.
-    ``is_open`` may carry ``open_cells(blocked)``, built once per snapshot.
     """
-    if blocked is None:
-        blocked = blocked_mask(grid, robot_radius)
+    grid, blocked = plan.grid, plan.blocked
     if not (grid.in_grid(start) and grid.in_grid(target)):
         return None
     snapped = _snap_start(blocked, start)
@@ -160,7 +167,7 @@ def plan_path(
         return GridPath([start], 0.0)
 
     width = blocked.shape[1] + 2
-    parent = _search(open_cells(blocked) if is_open is None else is_open, width, start, target)
+    parent = _search(plan.is_open, width, start, target)
     i = parent.get((target[0] + 1) * width + target[1] + 1)
     if i is None:
         return None
@@ -178,7 +185,7 @@ def plan_path(
 @dataclass
 class Flood:
     """A flood in its own form: ``flat`` counts steps over the padded grid of
-    ``open_cells``.  ``flood[r, c]`` is one in-grid cell in meters (inf where
+    ``_open_cells``.  ``flood[r, c]`` is one in-grid cell in meters (inf where
     unreachable), with the bits of the (rows, cols) ``array()`` there."""
 
     flat: list[float]
@@ -195,18 +202,12 @@ class Flood:
         return field * self.resolution
 
 
-def distance_field(
-    grid: OccupancyGrid,
-    start: tuple[int, int],
-    robot_radius: float = ROBOT_RADIUS,
-    blocked: np.ndarray | None = None,
-    is_open: list[bool] | None = None,
-) -> Flood:
+def distance_field(plan: PlanGrid, start: tuple[int, int]) -> Flood:
     """Dijkstra flood from start: meters to every cell, inf where unreachable.
 
-    The same costs and blocking rules as plan_path, so values match planned
-    path lengths; one flood prices every frontier candidate at once.
-    ``is_open`` may carry ``open_cells(blocked)``, built once per snapshot.
+    The same snapshot, costs and blocking rules as plan_path, so values
+    match planned path lengths; one flood prices every frontier candidate
+    at once.
 
     Straight steps (+1) and diagonal steps (+sqrt 2) each feed their own
     FIFO queue.  Each queue is filled in nondecreasing key order, so the
@@ -217,8 +218,7 @@ def distance_field(
     a heap gives the same bits; the merge rule only makes each cell expand
     once.
     """
-    if blocked is None:
-        blocked = blocked_mask(grid, robot_radius)
+    grid, blocked, is_open = plan.grid, plan.blocked, plan.is_open
     rows, cols = blocked.shape
     width = cols + 2
     dist = [math.inf] * ((rows + 2) * width)
@@ -226,7 +226,6 @@ def distance_field(
     snapped = _snap_start(blocked, start) if grid.in_grid(start) else None
     if snapped is None:
         return flood
-    is_open = open_cells(blocked) if is_open is None else is_open
     source = (snapped[0] + 1) * width + snapped[1] + 1
     dist[source] = 0.0
     straight_steps = (-width, -1, 1, width)
@@ -268,23 +267,16 @@ def _segment_blocked(
     return False
 
 
-def extract_waypoint(
-    path: GridPath,
-    grid: OccupancyGrid,
-    current_pose,
-    robot_radius: float = ROBOT_RADIUS,
-    occ: np.ndarray | None = None,
-) -> tuple[float, float]:
+def extract_waypoint(path: GridPath, plan: PlanGrid, current_pose) -> tuple[float, float]:
     """World coordinates of the farthest path cell visible from the pose.
 
     Visibility means the straight segment from the pose to the cell center
-    crosses no occupied (inflated) cell; the first path cell always
+    crosses no cell of the snapshot's ``occ``; the first path cell always
     qualifies, so the scan from the far end cannot come back empty.
     """
     if not path.cells:
         raise ValueError("cannot extract a waypoint from an empty path")
-    if occ is None:
-        occ = inflate_occupied(grid, robot_radius)
+    grid, occ = plan.grid, plan.occ
     p0 = (float(current_pose[0]), float(current_pose[1]))
     for cell in reversed(path.cells):
         center = grid.cell_center(cell)

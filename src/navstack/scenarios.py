@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import rect_edges
+from .geometry import rect_edges, supercover_cells
 from .mapping import OccupancyGrid, P_MAX, P_MIN
-from .planning import plan_path
-from .world import DEFAULT_RESAMPLE_PROB, MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec
+from .planning import plan_grid, plan_path
+from .world import DEFAULT_RESAMPLE_PROB, MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec, point_static_clearance
 
 SCENARIO_SCHEMA = 1
 BUILTIN_NAMES = ("blind-alley", "double-branch", "rooms", "square")
@@ -179,8 +179,6 @@ def ground_truth_grid(spec: ScenarioSpec) -> OccupancyGrid:
         r0 = int(math.floor((ry0 - y0) / resolution))
         r1 = int(math.floor((ry1 - y0) / resolution))
         grid.p[max(r0, 0):min(r1 + 1, grid.rows), max(c0, 0):min(c1 + 1, grid.cols)] = P_MAX
-    from .geometry import supercover_cells
-
     for ax, ay, bx, by in spec.static_segments:
         for r, c in supercover_cells((ax, ay), (bx, by), grid.origin, resolution):
             if 0 <= r < grid.rows and 0 <= c < grid.cols:
@@ -190,10 +188,10 @@ def ground_truth_grid(spec: ScenarioSpec) -> OccupancyGrid:
 
 def _sample_start_goal(spec: ScenarioSpec, rng: np.random.Generator, min_separation: float):
     """Sample a start/goal pair with static clearance and a connecting path
-    on the ground-truth raster, or None after bounded retries."""
-    from .world import point_static_clearance
-
+    on the ground-truth raster at the spec's robot radius, or None after
+    bounded retries."""
     grid = ground_truth_grid(spec)
+    plan = plan_grid(grid, spec.robot_radius)
     x0, y0, x1, y1 = spec.bounds
     for _ in range(40):
         s = rng.uniform([x0 + 0.6, y0 + 0.6], [x1 - 0.6, y1 - 0.6])
@@ -204,8 +202,7 @@ def _sample_start_goal(spec: ScenarioSpec, rng: np.random.Generator, min_separat
             continue
         if point_static_clearance(spec, g[0], g[1]) < spec.robot_radius + 0.15:
             continue
-        path = plan_path(grid, grid.world_to_cell(*s), grid.world_to_cell(*g))
-        if path is None:
+        if plan_path(plan, grid.world_to_cell(*s), grid.world_to_cell(*g)) is None:
             continue
         return (float(s[0]), float(s[1])), (float(g[0]), float(g[1]))
     return None
@@ -224,6 +221,8 @@ def training_scenarios(kind: str, count: int, base_seed: int = 0) -> list[Scenar
     blended policy keeps both skills.  "families": round-robin over the four
     built-in scenario generators for the co-training stage.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     if kind == "families":
         return [make_scenario(BUILTIN_NAMES[i % 4], base_seed * 1000 + i) for i in range(count)]
     if kind == "static+dynamic":

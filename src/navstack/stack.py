@@ -38,7 +38,7 @@ from .mapping import (
     integrate_scan,
     map_entropy,
 )
-from .planning import blocked_mask, distance_field, extract_waypoint, inflate_occupied, open_cells, plan_path
+from .planning import distance_field, extract_waypoint, plan_grid, plan_path
 from .policy import ObservationConfig, build_observation, goal_in_robot_frame
 from .rewards import Trajectory, episode_metrics, metrics_csv_row
 from .scripted import CompositePolicy, scripted_bundle
@@ -143,23 +143,21 @@ def run_episode(
             pose = world.robot.pose
 
             if upper and tick % plan_period == 0:
-                occ_inflated = inflate_occupied(grid, spec.robot_radius)
-                blocked = blocked_mask(grid, spec.robot_radius, occ_inflated)
-                is_open = open_cells(blocked)  # one open grid for this tick's flood and A*
+                plan = plan_grid(grid, spec.robot_radius)  # this tick's flood, A* and waypoint read it
                 frontier = frontier_mask(grid)
                 entropy = map_entropy(grid)
                 robot_cell = grid.world_to_cell(pose[0], pose[1])
                 goal_cell = grid.world_to_cell(*goal)
                 path = None
 
-                decision = should_reselect(exp_state, grid, goal, pose, frontier=frontier, entropy=entropy)
+                decision = should_reselect(exp_state, grid, goal, pose, frontier, entropy)
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
                     goal_known_time = world.sim_time if goal_known_time is None else goal_known_time
                 if not goal_mode and exp_state.goal_known:
                     if classify(grid, goal_cell) == CellClass.FREE:
                         # A found path is the real plan for this tick too.
-                        path = plan_path(grid, robot_cell, goal_cell, spec.robot_radius, blocked, is_open)
+                        path = plan_path(plan, robot_cell, goal_cell)
                         goal_mode = path is not None
 
                 if not goal_mode:
@@ -169,7 +167,7 @@ def run_episode(
                     if scheduled or decision == "reselect" or exp_state.current_point is None:
                         if decision == "reselect" and not scheduled:
                             cadence["explore_triggered"] += 1
-                        dist = distance_field(grid, robot_cell, spec.robot_radius, blocked, is_open)
+                        dist = distance_field(plan, robot_cell)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
                         critic = _candidate_critic(policy, obs_now, pose)
                         scored = score_candidates(frontier, grid, goal, critic, dist)
@@ -180,7 +178,7 @@ def run_episode(
                             cell = select_exploration_point(scored, config.gamma)
                         elif exp_state.current_point is not None and not fallback_held:
                             fallback_held = True  # hold the stale point one cycle
-                        elif frontiers := frontier_cells(grid, frontier):
+                        elif frontiers := frontier_cells(frontier):
                             cell = min(
                                 frontiers,
                                 key=lambda rc: _euclid(grid.cell_center(rc), (pose[0], pose[1])),
@@ -194,10 +192,10 @@ def run_episode(
                 target = goal_cell if goal_mode else exp_state.current_point
                 if target is not None:
                     if path is None:
-                        path = plan_path(grid, robot_cell, target, spec.robot_radius, blocked, is_open)
+                        path = plan_path(plan, robot_cell, target)
                     cadence["plan"] += 1
                     if path is not None:
-                        waypoint = extract_waypoint(path, grid, pose, spec.robot_radius, occ_inflated)
+                        waypoint = extract_waypoint(path, plan, pose)
                     elif not goal_mode:
                         exp_state.current_point = None  # force re-selection next cycle
 

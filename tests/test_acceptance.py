@@ -22,8 +22,8 @@ from navstack.exploration import (
     select_exploration_point,
     should_reselect,
 )
-from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_cells, map_entropy
-from navstack.planning import SQRT2, blocked_mask, extract_waypoint, inflate_occupied, plan_path
+from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_cells, frontier_mask, map_entropy
+from navstack.planning import SQRT2, distance_field, extract_waypoint, plan_grid, plan_path
 from navstack.policy import (
     ExpertBank,
     MlpParams,
@@ -198,7 +198,7 @@ def test_criterion_04_frontier_oracle():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         g = OccupancyGrid(0.1, (0.0, 0.0), rng.uniform(0.0, 1.0, (50, 50)))
-        assert frontier_cells(g) == _frontier_oracle(g)
+        assert frontier_cells(frontier_mask(g)) == _frontier_oracle(g)
     elapsed = time.time() - t0
     report("criterion 4 (frontier oracle)", elapsed < 5.0,
            f"100 random 50x50 grids, exact set equality, {elapsed:.2f}s")
@@ -259,8 +259,6 @@ def _segment_cells_sampled(grid, p0, p1, n=2000):
 
 
 def test_criterion_05_planner_optimality_and_waypoint_los():
-    from navstack.planning import distance_field
-
     checked = unreachable_checked = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -269,29 +267,29 @@ def test_criterion_05_planner_optimality_and_waypoint_los():
         p[draw < 0.12] = P_MAX
         p[(draw >= 0.12) & (draw < 0.18)] = 0.5
         g = OccupancyGrid(0.1, (0.0, 0.0), p)
-        blocked = blocked_mask(g, 0.12)
-        occ = inflate_occupied(g, 0.12)
+        plan = plan_grid(g, 0.12)
+        blocked, occ = plan.blocked, plan.occ
         free = np.argwhere(~blocked)
         if len(free) < 2:
             continue
         start = tuple(free[0])
-        field = distance_field(g, start, robot_radius=0.12)
+        field = distance_field(plan, start)
         reachable = [tuple(rc) for rc in free if np.isfinite(field[tuple(rc)])]
         target = max(reachable, key=lambda rc: field[rc])
-        path = plan_path(g, start, target, robot_radius=0.12)
+        path = plan_path(plan, start, target)
         counts = _dijkstra_counts(blocked, start, target)
         assert path is not None and counts is not None
         assert path.step_counts() == counts
         assert path.length == (counts[0] + counts[1] * SQRT2) * 0.1
         pose = (*g.cell_center(start), 0.0)
-        wp = extract_waypoint(path, g, pose, robot_radius=0.12, occ=occ)
+        wp = extract_waypoint(path, plan, pose)
         for cell in _segment_cells_sampled(g, g.cell_center(start), wp):
             if g.in_grid(cell):
                 assert not occ[cell]
         checked += 1
         cut_off = [tuple(rc) for rc in free if np.isinf(field[tuple(rc)])]
         if cut_off:
-            assert plan_path(g, start, cut_off[0], robot_radius=0.12) is None
+            assert plan_path(plan, start, cut_off[0]) is None
             assert _dijkstra_counts(blocked, start, cut_off[0]) is None
             unreachable_checked += 1
     report("criterion 5 (planner optimality)", checked == 100,
@@ -489,7 +487,7 @@ def test_criterion_11_entropy_trigger_boundary():
     for sign in (+1, -1):
         ratio = ENTROPY_TRIGGER * (1 + sign * 1e-6)
         state = ExplorationState((10, 10), h1 / (1 + ratio), False)
-        results[sign] = should_reselect(state, g, goal, pose)
+        results[sign] = should_reselect(state, g, goal, pose, frontier_mask(g), h1)
     ok = results[+1] == "reselect" and results[-1] == "no"
     report("criterion 11 (entropy trigger boundary)", ok,
            f"threshold+1e-6 -> {results[+1]}, threshold-1e-6 -> {results[-1]}")

@@ -179,6 +179,12 @@ class TestTrain:
             for a, b in zip(want.arrays(), have.arrays(), strict=True):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("tasks", ["0", "-2"])
+    def test_no_tasks_is_usage_error_naming_it(self, tmp_path, capsys, tasks):
+        code = main(["train", "expert-gs", "--tasks", tasks, "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        assert "--tasks" in capsys.readouterr().err
+
     def test_fusion_without_expert_checkpoints_is_usage_error(self, tmp_path):
         code = main(["train", "fusion", "--out", str(tmp_path / "f")])
         assert code == EXIT_USAGE

@@ -16,7 +16,8 @@ from navstack.exploration import (
     should_reselect,
 )
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_mask, map_entropy
-from navstack.planning import distance_field
+from navstack.planning import distance_field, plan_grid
+from navstack.world import ROBOT_RADIUS
 
 RES = 0.1
 
@@ -73,7 +74,7 @@ class TestScoreCandidates:
         g.p[20, 30] = 0.5  # make (20, 29) a frontier-ish neighbor target
         cell = (20, 29)
         goal = g.cell_center(cell)
-        flood = distance_field(g, (20, 5))  # from the robot cell
+        flood = distance_field(plan_grid(g, ROBOT_RADIUS), (20, 5))  # from the robot cell
         scored = score_candidates(mask_of(run_on(cell)), g, goal, lambda p: 0.0, flood)
         assert len(scored) == 1
         assert scored[0].d1 == pytest.approx(0.0, abs=1e-12)
@@ -88,7 +89,7 @@ class TestScoreCandidates:
         walled_c = (20, 30)
         g.p[26, 10] = 0.5
         g.p[20, 31] = 0.5
-        flood = distance_field(g, (20, 10))  # from the robot cell
+        flood = distance_field(plan_grid(g, ROBOT_RADIUS), (20, 10))  # from the robot cell
         scored = score_candidates(mask_of(run_on(open_c) + run_on(walled_c)), g, goal, lambda p: 0.0, flood)
         by_cell = {s.cell: s for s in scored}
         assert by_cell[walled_c].d2 > by_cell[open_c].d2
@@ -97,7 +98,7 @@ class TestScoreCandidates:
         g = open_grid()
         g.p[9:12, 9:12] = P_MAX
         g.p[10, 10] = P_MIN  # sealed pocket
-        flood = distance_field(g, (30, 30))  # from the robot cell
+        flood = distance_field(plan_grid(g, ROBOT_RADIUS), (30, 30))  # from the robot cell
         scored = score_candidates(mask_of(run_on((10, 10))), g, (1.0, 1.0), lambda p: 0.0, flood)
         assert scored == []
 
@@ -109,7 +110,7 @@ class TestScoreCandidates:
             return 0.25 * pt[0]
 
         g = open_grid()
-        flood = distance_field(g, (5, 5))  # from the robot cell
+        flood = distance_field(plan_grid(g, ROBOT_RADIUS), (5, 5))  # from the robot cell
         s1 = score_candidates(mask_of(run_on((20, 20))), g, (1.0, 1.0), critic, flood)
         s2 = score_candidates(mask_of(run_on((20, 20))), g, (1.0, 1.0), critic, flood)
         assert s1[0].v == s2[0].v
@@ -250,6 +251,11 @@ def test_cluster_representatives_matches_scipy_label(case, cap, min_size):
     assert all(type(v) is int for rep in got for v in rep)
 
 
+def reselect(state, grid, goal, pose):
+    """``should_reselect`` on the grid's own frontier mask and entropy."""
+    return should_reselect(state, grid, goal, pose, frontier_mask(grid), map_entropy(grid))
+
+
 class TestTriggers:
     def _state_on(self, grid, cell):
         return ExplorationState(
@@ -271,8 +277,7 @@ class TestTriggers:
         g.p[35, 35] = 0.5  # goal cell unknown
         st_.entropy_at_selection = map_entropy(g)
         pose = (*g.cell_center((30, 5)), 0.0)
-        assert should_reselect(st_, g, goal, pose) == "no"
-        assert should_reselect(st_, g, goal, pose, frontier=frontier_mask(g)) == "no"
+        assert reselect(st_, g, goal, pose) == "no"
 
     def test_arrival_triggers(self):
         g = self._frontier_setup()
@@ -280,7 +285,7 @@ class TestTriggers:
         g.p[35, 35] = 0.5
         st_ = self._state_on(g, (10, 10))
         pose = (*g.cell_center((10, 10)), 0.0)
-        assert should_reselect(st_, g, goal, pose) == "reselect"
+        assert reselect(st_, g, goal, pose) == "reselect"
 
     def test_entropy_change_triggers(self):
         g = self._frontier_setup()
@@ -296,7 +301,7 @@ class TestTriggers:
         h1 = map_entropy(g)
         assert abs(h1 - h0) / h0 > 0.10  # confirm the edit is big enough
         pose = (*g.cell_center((30, 5)), 0.0)
-        assert should_reselect(st_, g, goal, pose) == "reselect"
+        assert reselect(st_, g, goal, pose) == "reselect"
 
     def test_point_losing_frontier_status_triggers(self):
         g = self._frontier_setup()
@@ -306,8 +311,7 @@ class TestTriggers:
         g.p[10, 11] = P_MIN  # unknown neighbor resolved; no longer a frontier
         st_.entropy_at_selection = map_entropy(g)
         pose = (*g.cell_center((30, 5)), 0.0)
-        assert should_reselect(st_, g, goal, pose) == "reselect"
-        assert should_reselect(st_, g, goal, pose, frontier=frontier_mask(g)) == "reselect"
+        assert reselect(st_, g, goal, pose) == "reselect"
 
     def test_goal_becoming_known_dominates(self):
         g = self._frontier_setup()
@@ -317,7 +321,7 @@ class TestTriggers:
         g.p[35, 35] = P_MIN  # goal observed free
         st_.entropy_at_selection = map_entropy(g)
         pose = (*g.cell_center((10, 10)), 0.0)  # arrival would also fire
-        assert should_reselect(st_, g, goal, pose) == "goal_now_known"
+        assert reselect(st_, g, goal, pose) == "goal_now_known"
 
     def test_entropy_boundary_one_microstep(self):
         g = self._frontier_setup()
@@ -328,7 +332,7 @@ class TestTriggers:
         for sign, expected in ((+1, "reselect"), (-1, "no")):
             ratio = ENTROPY_TRIGGER * (1 + sign * 1e-6)
             st_ = ExplorationState((10, 10), h1 / (1 + ratio), False)
-            got = should_reselect(st_, g, goal, pose)
+            got = reselect(st_, g, goal, pose)
             assert got == expected, sign
 
 

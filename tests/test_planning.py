@@ -12,7 +12,7 @@ from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, integrate_scan
 from navstack.planning import (
     _NEIGHBORS,
     GridPath,
-    ROBOT_RADIUS,
+    PlanGrid,
     SQRT2,
     _disk_structure,
     _segment_blocked,
@@ -21,10 +21,11 @@ from navstack.planning import (
     distance_field,
     extract_waypoint,
     inflate_occupied,
-    open_cells,
+    plan_grid,
     plan_path,
 )
 from navstack.scenarios import make_scenario
+from navstack.world import ROBOT_RADIUS
 
 RES = 0.1
 
@@ -148,12 +149,10 @@ def _octile(a, b):
     return (hi - lo) + lo * SQRT2
 
 
-def plan_path_oracle(grid, start, target, robot_radius=ROBOT_RADIUS, blocked=None):
+def plan_path_oracle(grid, start, target, blocked):
     """Reference planner: A* over (row, col) tuples with g_score, parent and
     closed containers and its own bounds test; plan_path must match its
     cells and length exactly."""
-    if blocked is None:
-        blocked = blocked_mask(grid, robot_radius)
     if not (grid.in_grid(start) and grid.in_grid(target)):
         return None
     snapped = _snap_start(blocked, start)
@@ -227,31 +226,36 @@ def random_blocked(seed, rows, cols, p_blocked):
     return np.random.default_rng(seed).uniform(0, 1, (rows, cols)) < p_blocked
 
 
+def snapshot(grid, blocked):
+    """A snapshot of ``grid`` whose blocked cells are the given mask; the
+    searches never read ``occ``."""
+    return PlanGrid(grid, blocked, blocked)
+
+
 def assert_plan_matches_oracle(grid, start, target, blocked):
-    """plan_path against the oracle, building its own open grid and reading
-    a shared one."""
-    path = plan_path(grid, start, target, blocked=blocked)
-    shared = plan_path(grid, start, target, blocked=blocked, is_open=open_cells(blocked))
-    expected = plan_path_oracle(grid, start, target, blocked=blocked)
+    """plan_path against the oracle on a snapshot blocked by ``blocked``."""
+    path = plan_path(snapshot(grid, blocked), start, target)
+    expected = plan_path_oracle(grid, start, target, blocked)
     if expected is None:
-        assert path is None and shared is None
+        assert path is None
     else:
-        assert path.cells == shared.cells == expected.cells
-        assert path.length == shared.length == expected.length
+        assert path.cells == expected.cells
+        assert path.length == expected.length
     return path
 
 
 class TestPlanPath:
     def test_single_cell(self):
         g = grid_from_mask()
-        p = plan_path(g, (5, 5), (5, 5))
+        p = plan_path(plan_grid(g, ROBOT_RADIUS), (5, 5), (5, 5))
         assert p.cells == [(5, 5)]
         assert p.length == 0.0
 
     def test_empty_grid_corner_to_corner_matches_oracle(self):
         g = grid_from_mask()
-        p = plan_path(g, (0, 0), (19, 19))
-        counts = dijkstra_oracle(blocked_mask(g), (0, 0), (19, 19))
+        plan = plan_grid(g, ROBOT_RADIUS)
+        p = plan_path(plan, (0, 0), (19, 19))
+        counts = dijkstra_oracle(plan.blocked, (0, 0), (19, 19))
         assert p.step_counts() == counts
         assert p.length == (counts[0] + counts[1] * SQRT2) * RES
         assert p.length == pytest.approx(19 * SQRT2 * RES)
@@ -260,26 +264,27 @@ class TestPlanPath:
         g = grid_from_mask()
         g.p[9:12, 9:12] = P_MAX
         g.p[10, 10] = P_MIN
-        assert plan_path(g, (0, 0), (10, 10)) is None
+        assert plan_path(plan_grid(g, ROBOT_RADIUS), (0, 0), (10, 10)) is None
 
     def test_unknown_blocks_planning(self):
         g = grid_from_mask()
         g.p[:, 10] = 0.5
-        assert plan_path(g, (5, 2), (5, 18)) is None
+        assert plan_path(plan_grid(g, ROBOT_RADIUS), (5, 2), (5, 18)) is None
 
     def test_matches_dijkstra_oracle_on_random_grids(self):
         solved = 0
         for seed in range(30):
             g = random_grid(seed, rows=30, cols=30, p_occ=0.12)
-            blocked = blocked_mask(g, robot_radius=0.12)
+            plan = plan_grid(g, 0.12)
+            blocked = plan.blocked
             free = np.argwhere(~blocked)
             if len(free) < 2:
                 continue
             start = tuple(free[0])
-            reach = distance_field(g, start, robot_radius=0.12)
+            reach = distance_field(plan, start)
             reachable = [tuple(rc) for rc in free if np.isfinite(reach[tuple(rc)])]
             target = max(reachable, key=lambda rc: reach[rc])
-            p = plan_path(g, start, target, robot_radius=0.12)
+            p = plan_path(plan, start, target)
             counts = dijkstra_oracle(blocked, start, target)
             assert p is not None and counts is not None
             assert p.step_counts() == counts
@@ -287,22 +292,25 @@ class TestPlanPath:
             solved += 1
             unreachable = [tuple(rc) for rc in free if np.isinf(reach[tuple(rc)])]
             if unreachable:
-                assert plan_path(g, start, unreachable[0], robot_radius=0.12) is None
+                assert plan_path(plan, start, unreachable[0]) is None
                 assert dijkstra_oracle(blocked, start, unreachable[0]) is None
         assert solved >= 20
 
     def test_inflation_matches_independent_oracle(self):
         for seed in (1, 2, 3):
             g = random_grid(seed, rows=25, cols=25)
-            assert np.array_equal(blocked_mask(g), oracle_blocked(g))
-            assert np.array_equal(blocked_mask(g, 0.12), oracle_blocked(g, 0.12))
-            assert np.array_equal(blocked_mask(g, 0.12, inflate_occupied(g, 0.12)), oracle_blocked(g, 0.12))
+            for radius in (ROBOT_RADIUS, 0.12):
+                plan = plan_grid(g, radius)
+                assert np.array_equal(plan.occ, _inflate_occupied_oracle(g, radius))
+                assert np.array_equal(plan.blocked, oracle_blocked(g, radius))
+                assert np.array_equal(blocked_mask(g, inflate_occupied(g, radius)), oracle_blocked(g, radius))
 
     def test_path_cells_free_and_uninflated(self):
         g = random_grid(7, p_occ=0.1)
-        blocked = blocked_mask(g, 0.12)
+        plan = plan_grid(g, 0.12)
+        blocked = plan.blocked
         free = np.argwhere(~blocked)
-        p = plan_path(g, tuple(free[0]), tuple(free[-1]), robot_radius=0.12)
+        p = plan_path(plan, tuple(free[0]), tuple(free[-1]))
         if p is not None:
             for cell in p.cells:
                 assert not blocked[cell]
@@ -312,7 +320,7 @@ class TestPlanPath:
     def test_degenerate_start_snaps_within_three_cells(self):
         g = grid_from_mask()
         g.p[5, 5] = P_MAX  # the robot's own cell went occupied
-        p = plan_path(g, (5, 5), (15, 15))
+        p = plan_path(plan_grid(g, ROBOT_RADIUS), (5, 5), (15, 15))
         assert p is not None
         r, c = p.cells[0]
         assert max(abs(r - 5), abs(c - 5)) <= 3
@@ -389,7 +397,7 @@ class TestPlanPathOracleCases:
     def test_random_grids_reach_far_targets(self):
         for seed in range(20):
             g = random_grid(seed, rows=40, cols=40, p_occ=0.1)
-            blocked = blocked_mask(g, 0.12)
+            blocked = plan_grid(g, 0.12).blocked
             free = [tuple(rc) for rc in np.argwhere(~blocked)]
             assert_plan_matches_oracle(g, free[0], free[-1], blocked)
             assert_plan_matches_oracle(g, free[-1], free[len(free) // 2], blocked)
@@ -424,17 +432,15 @@ def distance_field_oracle(grid, start, blocked):
 
 
 def assert_field_matches_oracle(grid, start, blocked):
-    """The flood's ``array()`` against the oracle, every ``flood[r, c]``
-    against its array cell, and a flood on a shared open grid against the
-    flood that built its own, all bit for bit; returns the array."""
-    flood = distance_field(grid, start, blocked=blocked)
+    """The flood's ``array()`` against the oracle and every ``flood[r, c]``
+    against its array cell, both bit for bit, on a snapshot blocked by
+    ``blocked``; returns the array."""
+    flood = distance_field(snapshot(grid, blocked), start)
     field = flood.array()
     assert field.tobytes() == distance_field_oracle(grid, start, blocked).tobytes()
     rows, cols = field.shape
     reads = np.array([[flood[r, c] for c in range(cols)] for r in range(rows)]).reshape(rows, cols)
     assert reads.tobytes() == field.tobytes()
-    shared = distance_field(grid, start, blocked=blocked, is_open=open_cells(blocked))
-    assert shared.array().tobytes() == field.tobytes()
     return field
 
 
@@ -453,8 +459,9 @@ class TestDistanceField:
         blocked = random_blocked(seed, rows, cols, p_blocked)
         start = (start[0] % rows, start[1] % cols)
         target = (target[0] % rows, target[1] % cols)
-        field = distance_field(g, start, blocked=blocked)
-        p = plan_path(g, start, target, blocked=blocked)
+        plan = snapshot(g, blocked)
+        field = distance_field(plan, start)
+        p = plan_path(plan, start, target)
         if p is None:
             assert np.isinf(field[target])
         else:
@@ -463,12 +470,12 @@ class TestDistanceField:
     def test_unreachable_is_inf(self):
         g = grid_from_mask()
         g.p[:, 10] = P_MAX
-        field = distance_field(g, (5, 2))
+        field = distance_field(plan_grid(g, ROBOT_RADIUS), (5, 2))
         assert np.isinf(field[5, 18])
 
     def test_border_starts_match_oracle(self):
         g = random_grid(4, rows=17, cols=23, p_occ=0.1)
-        blocked = blocked_mask(g, 0.05)
+        blocked = blocked_mask(g, inflate_occupied(g, 0.05))
         blocked[0, :] = blocked[-1, :] = blocked[:, 0] = blocked[:, -1] = False  # open border row and column
         for start in [(0, 0), (0, 11), (16, 22), (8, 0), (16, 5), (3, 22)]:
             field = assert_field_matches_oracle(g, start, blocked)
@@ -538,7 +545,7 @@ def test_distance_field_matches_oracle_on_a_mapped_scenario():
         integrate_scan(g, world.robot.pose, sim.raycast(world, 72, 6.0), 6.0)
         scans += 1
     assert g.p.shape == (100, 120)
-    blocked = blocked_mask(g, spec.robot_radius)
+    blocked = plan_grid(g, spec.robot_radius).blocked
     open_cell = g.world_to_cell(*spec.robot_start[:2])
     assert not blocked[open_cell]
     padded = np.pad(blocked, 1, constant_values=True)
@@ -558,36 +565,38 @@ def blocked_between(grid, a, b, occ):
 class TestLineOfSight:
     def test_same_cell(self):
         g = grid_from_mask()
-        assert not blocked_between(g, (3, 3), (3, 3), inflate_occupied(g))
+        assert not blocked_between(g, (3, 3), (3, 3), inflate_occupied(g, ROBOT_RADIUS))
         g.p[3, 3] = P_MAX
-        assert blocked_between(g, (3, 3), (3, 3), inflate_occupied(g))
+        assert blocked_between(g, (3, 3), (3, 3), inflate_occupied(g, ROBOT_RADIUS))
 
     def test_occupied_cell_blocks(self):
         g = grid_from_mask()
         g.p[5, 10] = P_MAX
-        occ = inflate_occupied(g)
+        plan = plan_grid(g, ROBOT_RADIUS)
+        occ = plan.occ
         # inflation widens the wall, so look far enough around it
         assert blocked_between(g, (5, 2), (5, 18), occ)
         assert not blocked_between(g, (15, 2), (15, 18), occ)
         # along the row, the waypoint is the last cell before the inflated wall
         first_blocked = int(np.argmax(occ[5]))
         path = GridPath([(5, c) for c in range(2, 19)], 0.0)
-        wp = extract_waypoint(path, g, (*g.cell_center((5, 2)), 0.0), occ=occ)
+        wp = extract_waypoint(path, plan, (*g.cell_center((5, 2)), 0.0))
         assert wp == g.cell_center((5, first_blocked - 1))
 
     def test_unknown_does_not_block(self):
         g = grid_from_mask()
         g.p[:, 8:12] = 0.5
-        assert not blocked_between(g, (5, 2), (5, 18), inflate_occupied(g))
+        plan = plan_grid(g, ROBOT_RADIUS)
+        assert not blocked_between(g, (5, 2), (5, 18), plan.occ)
         path = GridPath([(5, c) for c in range(2, 19)], 0.0)
-        assert extract_waypoint(path, g, (*g.cell_center((5, 2)), 0.0)) == g.cell_center((5, 18))
+        assert extract_waypoint(path, plan, (*g.cell_center((5, 2)), 0.0)) == g.cell_center((5, 18))
 
     def test_oracle_agreement_on_random_pairs(self):
         # dense sampling can only under-report the supercover; assert that a
         # clear verdict from the walk implies a clear verdict from sampling
         for seed in range(20):
             g = random_grid(seed, rows=25, cols=25, p_occ=0.1, p_unk=0.0)
-            occ = inflate_occupied(g)
+            occ = inflate_occupied(g, ROBOT_RADIUS)
             rng = np.random.default_rng(seed + 100)
             for _ in range(20):
                 a = (int(rng.integers(0, 25)), int(rng.integers(0, 25)))
@@ -615,13 +624,13 @@ class TestExtractWaypoint:
     def test_straight_corridor_takes_last_cell(self):
         g = grid_from_mask()
         path = GridPath([(5, c) for c in range(3, 15)], 0.0)
-        wp = extract_waypoint(path, g, (0.35, 0.55, 0.0))
+        wp = extract_waypoint(path, plan_grid(g, ROBOT_RADIUS), (0.35, 0.55, 0.0))
         assert wp == g.cell_center((5, 14))
 
     def test_single_cell_path(self):
         g = grid_from_mask()
         path = GridPath([(7, 7)], 0.0)
-        assert extract_waypoint(path, g, (0.0, 0.0, 0.0)) == g.cell_center((7, 7))
+        assert extract_waypoint(path, plan_grid(g, ROBOT_RADIUS), (0.0, 0.0, 0.0)) == g.cell_center((7, 7))
 
     def test_l_shape_stops_before_corner(self):
         # wall spans rows 0..10 at column 10, gap below; path hooks around it
@@ -629,11 +638,12 @@ class TestExtractWaypoint:
         g.p[0:11, 10] = P_MAX
         start_cell = (2, 2)
         target = (2, 18)
-        p = plan_path(g, start_cell, target)
+        plan = plan_grid(g, ROBOT_RADIUS)
+        p = plan_path(plan, start_cell, target)
         assert p is not None
         pose = (*g.cell_center(start_cell), 0.0)
-        wp = extract_waypoint(p, g, pose)
-        occ = inflate_occupied(g)
+        wp = extract_waypoint(p, plan, pose)
+        occ = inflate_occupied(g, ROBOT_RADIUS)
         # oracle: farthest path cell whose sampled segment stays clear
         best = None
         for cell in p.cells:
@@ -646,17 +656,17 @@ class TestExtractWaypoint:
         # must fail the same line-of-sight predicate
         for seed in range(10):
             g = random_grid(seed, rows=25, cols=25, p_occ=0.08, p_unk=0.05)
-            blocked = blocked_mask(g, 0.12)
-            occ = inflate_occupied(g, 0.12)
+            plan = plan_grid(g, 0.12)
+            blocked, occ = plan.blocked, plan.occ
             free = np.argwhere(~blocked)
             if len(free) < 2:
                 continue
             start, target = tuple(free[0]), tuple(free[-1])
-            p = plan_path(g, start, target, robot_radius=0.12)
+            p = plan_path(plan, start, target)
             if p is None:
                 continue
             pose = (*g.cell_center(start), 0.0)
-            wp = extract_waypoint(p, g, pose, robot_radius=0.12, occ=occ)
+            wp = extract_waypoint(p, plan, pose)
             chosen_idx = [i for i, c in enumerate(p.cells) if g.cell_center(c) == wp]
             assert chosen_idx
             for later in p.cells[chosen_idx[0] + 1:]:

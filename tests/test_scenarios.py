@@ -1,14 +1,16 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from navstack.mapping import CellClass, classify
-from navstack.planning import plan_path
+from navstack.planning import plan_grid, plan_path
 from navstack.scenarios import (
     BUILTIN_NAMES,
+    _sample_start_goal,
     blind_alley,
     double_branch,
     ground_truth_grid,
@@ -56,7 +58,7 @@ def test_blind_alley_goal_behind_wall():
     assert blocked
     # and a path around must exist on the ground-truth raster
     grid = ground_truth_grid(spec)
-    p = plan_path(grid, grid.world_to_cell(sx, sy), grid.world_to_cell(gx, gy))
+    p = plan_path(plan_grid(grid, spec.robot_radius), grid.world_to_cell(sx, sy), grid.world_to_cell(gx, gy))
     assert p is not None
     assert p.length > math.hypot(gx - sx, gy - sy) + 1.0
 
@@ -88,7 +90,7 @@ def test_double_branch_symmetric_with_asymmetric_obstacles():
     grid = ground_truth_grid(spec)
     start = grid.world_to_cell(6.0, 1.2)
     goal = grid.world_to_cell(*spec.goal)
-    assert plan_path(grid, start, goal) is not None
+    assert plan_path(plan_grid(grid, spec.robot_radius), start, goal) is not None
 
 
 def test_rooms_start_goal_connected():
@@ -97,10 +99,22 @@ def test_rooms_start_goal_connected():
         grid = ground_truth_grid(spec)
         start = grid.world_to_cell(spec.robot_start[0], spec.robot_start[1])
         goal = grid.world_to_cell(*spec.goal)
-        assert plan_path(grid, start, goal) is not None
+        assert plan_path(plan_grid(grid, spec.robot_radius), start, goal) is not None
         assert math.hypot(
             spec.robot_start[0] - spec.goal[0], spec.robot_start[1] - spec.goal[1]
         ) >= 5.0
+
+
+@pytest.mark.parametrize("seed, robot_radius", [(4, 0.45), (6, 0.5)])
+def test_sampled_start_goal_is_planned_at_the_spec_radius(seed, robot_radius):
+    """A rooms layout for a wider robot: the sampled pair is connected at
+    that robot's radius, not only at the default one."""
+    spec = replace(rooms(seed), robot_radius=robot_radius)
+    picked = _sample_start_goal(spec, np.random.default_rng(seed), min_separation=5.0)
+    assert picked is not None
+    (sx, sy), goal = picked
+    grid = ground_truth_grid(spec)
+    assert plan_path(plan_grid(grid, robot_radius), grid.world_to_cell(sx, sy), grid.world_to_cell(*goal)) is not None
 
 
 def test_generators_deterministic_per_seed():
@@ -186,3 +200,8 @@ class TestTrainingSets:
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError):
             training_scenarios("weird", 2, 0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_set_rejected_naming_count(self, count):
+        with pytest.raises(ValueError, match="count"):
+            training_scenarios("static", count, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import label
 
-from navstack import exploration, stack
+from navstack import exploration, planning, stack
 from navstack.exploration import MIN_CLUSTER_SIZE
 from navstack.mapping import OccupancyGrid
 from navstack.policy import ObservationConfig
@@ -127,8 +127,8 @@ class TestRunEpisode:
 
     def test_scored_path_costs_are_the_flood_array(self, monkeypatch):
         """Every scored d2 is read from the tick's flood, which runs on the
-        tick's shared open grid; it must equal that flood's ``array()`` at
-        the candidate's cell, bit for bit."""
+        tick's plan snapshot; it must equal that flood's ``array()`` at the
+        candidate's cell, bit for bit."""
         floods = []
         original = stack.distance_field
 
@@ -156,11 +156,27 @@ class TestRunEpisode:
             return original(grid)
 
         monkeypatch.setattr(stack, "map_entropy", counting)
-        monkeypatch.setattr(exploration, "map_entropy", counting)
         res = run_episode(blind_alley(1), scripted_bundle(), StackConfig(timeout=30.0))
         plan_period = round(StackConfig.control_hz / StackConfig.plan_hz)
         assert len(calls) == (res.steps - 1) // plan_period + 1
         assert len(res.exploration_selections) > 1
+
+    def test_one_inflation_per_plan_tick_at_the_spec_radius(self, monkeypatch):
+        """The tick's one snapshot inflates the map once, by the robot's own
+        radius, not the default one."""
+        radii = []
+        original = planning.inflate_occupied
+
+        def recording(grid, robot_radius):
+            radii.append(robot_radius)
+            return original(grid, robot_radius)
+
+        monkeypatch.setattr(planning, "inflate_occupied", recording)
+        spec = replace(make_scenario("double-branch", 0), robot_radius=0.35)
+        res = run_episode(spec, scripted_bundle(), StackConfig(timeout=10.0))
+        plan_period = round(StackConfig.control_hz / StackConfig.plan_hz)
+        assert len(radii) == (res.cadence["map"] - 1) // plan_period + 1 > 1
+        assert set(radii) == {0.35}
 
     def test_trace_written(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -1,7 +1,10 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -275,6 +278,28 @@ class TestTrainPipeline:
         got = [got_gs, got_oa, *bundle.bank.experts, bundle.gating.params, bundle.critic.params]
         assert ([a.tobytes() for net in got for a in net.arrays()]
                 == [a.tobytes() for net in want for a in net.arrays()])
+
+
+    def test_no_tasks_names_count(self):
+        with pytest.raises(ValueError, match="count"):
+            training.train_pipeline(tasks=0, generations=0, fusion_generations=0)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tasks", "0"),
+        ("--generations", "-1"),
+        ("--fusion-generations", "-1"),
+    ])
+    def test_script_rejects_bad_flag_naming_it(self, tmp_path, monkeypatch, capsys, flag, value):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "train_full_pipeline.py"
+        spec = importlib.util.spec_from_file_location("train_full_pipeline", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(sys, "argv", [str(script), flag, value, "--out", str(tmp_path / "p")])
+        with pytest.raises(SystemExit) as exit_info:
+            module.main()
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
 
 class TestDeterminism:
