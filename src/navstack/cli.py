@@ -32,15 +32,25 @@ class UsageError(RuntimeError):
     pass
 
 
+def _load(option: str, value: str, loader, missing: str = "is not a file"):
+    """``loader(path)`` on the file an option names.  A path that is not a
+    file, or a file that does not hold what ``loader`` reads, is a usage
+    error naming the option."""
+    path = Path(value)
+    if not path.is_file():
+        raise UsageError(f"{option} {value!r} {missing}")
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise UsageError(f"{option} {value!r}: {exc}") from exc
+
+
 def _load_scenario_arg(value: str, seed: int | None):
     from .scenarios import BUILTIN_NAMES, load_scenario, make_scenario
 
     if value in BUILTIN_NAMES:
         return make_scenario(value, seed if seed is not None else 0)
-    path = Path(value)
-    if not path.exists():
-        raise UsageError(f"scenario {value!r} is neither a built-in name nor a file")
-    spec = load_scenario(path)
+    spec = _load("--scenario", value, load_scenario, "is neither a built-in name nor a file")
     if seed is not None:
         spec = replace(spec, seed=seed)
     return spec
@@ -52,10 +62,7 @@ def _load_policy_arg(value: str):
 
     if value == "scripted":
         return scripted_bundle()
-    path = Path(value)
-    if not path.exists():
-        raise UsageError(f"bundle file {value!r} does not exist")
-    return load_bundle(path)
+    return _load("--bundle", value, load_bundle)
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, files: list[Path]) -> None:
@@ -130,10 +137,9 @@ def _train_config(args: argparse.Namespace):
 
     overrides = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {args.config!r} does not exist")
-        overrides = json.loads(path.read_text())
+        overrides = _load("--config", args.config, lambda path: json.loads(path.read_text()))
+        if not isinstance(overrides, dict):
+            raise UsageError(f"--config {args.config!r} must hold a JSON object of TrainConfig fields")
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
@@ -170,11 +176,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.stage == "fusion":
         if not args.expert_gs or not args.expert_oa:
             raise UsageError("fusion stage requires --expert-gs and --expert-oa checkpoints")
-        for p in (args.expert_gs, args.expert_oa):
-            if not Path(p).exists():
-                raise UsageError(f"expert checkpoint {p!r} does not exist")
-        gs, _, obs_cfg = load_expert(args.expert_gs)
-        oa, _, obs_b = load_expert(args.expert_oa)
+        gs, _, obs_cfg = _load("--expert-gs", args.expert_gs, load_expert)
+        oa, _, obs_b = _load("--expert-oa", args.expert_oa, load_expert)
         if obs_b != obs_cfg:
             raise UsageError("expert checkpoints disagree on the observation layout")
         bank, gating, critic = cotrain_fusion(gs, oa, tasks, cfg, obs_cfg, on_generation=on_gen)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,15 @@ class ObservationConfig:
     beams: int = 72
     max_range: float = 6.0
     history: int = 3  # number of past scans folded into the motion feature
+
+    def __post_init__(self) -> None:
+        for name, low in (("beams", 1), ("history", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"observation field {name!r} must be an integer >= {low}, got {value!r}")
+        r = self.max_range
+        if isinstance(r, bool) or not isinstance(r, Real) or not (math.isfinite(r) and r > 0):
+            raise ValueError(f"observation field 'max_range' must be a finite number > 0, got {r!r}")
 
     @property
     def dim(self) -> int:
@@ -333,20 +343,48 @@ def _mlp_to_dict(p: MlpParams) -> dict:
     return doc
 
 
-def _mlp_from_dict(doc: dict) -> MlpParams:
-    shapes = MlpParams.shapes(tuple(doc["sizes"]))
-    p = MlpParams(*(np.array(doc[key], dtype=float).reshape(shape)
-                    for key, shape in zip(_MLP_KEYS, shapes)))
-    p.validate()
-    return p
+def _mlp_from_dict(doc, owner: str, inputs: int, outputs: int) -> MlpParams:
+    """The network ``owner`` of a checkpoint, which must take ``inputs``
+    features and emit ``outputs``; every error names ``owner`` and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{owner} must be a JSON object")
+    sizes = doc.get("sizes")
+    if not (isinstance(sizes, list) and len(sizes) == 4
+            and all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in sizes)):
+        raise ValueError(f"{owner} field 'sizes' must hold 4 positive integers, got {sizes!r}")
+    if (sizes[0], sizes[3]) != (inputs, outputs):
+        raise ValueError(f"{owner} field 'sizes' must be [{inputs}, h1, h2, {outputs}] "
+                         f"for this observation layout, got {sizes!r}")
+    arrays = []
+    for key, shape in zip(_MLP_KEYS, MlpParams.shapes(tuple(sizes))):
+        try:
+            a = np.array(doc[key], dtype=float).reshape(shape)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{owner} field {key!r} must hold {math.prod(shape)} numbers") from None
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{owner} field {key!r} holds a non-finite number")
+        arrays.append(a)
+    return MlpParams(*arrays)
+
+
+_OBS_KEYS = ("beams", "max_range", "history")
 
 
 def _obs_to_dict(cfg: ObservationConfig) -> dict:
-    return {"beams": cfg.beams, "max_range": cfg.max_range, "history": cfg.history}
+    return {key: getattr(cfg, key) for key in _OBS_KEYS}
 
 
-def _obs_from_dict(doc: dict) -> ObservationConfig:
-    return ObservationConfig(int(doc["beams"]), float(doc["max_range"]), int(doc["history"]))
+def _obs_from_dict(doc) -> ObservationConfig:
+    if not (isinstance(doc, dict) and all(key in doc for key in _OBS_KEYS)):
+        raise ValueError(f"field 'observation' must be an object with {', '.join(map(repr, _OBS_KEYS))}")
+    return ObservationConfig(*(doc[key] for key in _OBS_KEYS))
+
+
+def _checkpoint(path: str | Path, kind: str) -> dict:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or doc.get("schema") != PARAMS_SCHEMA or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a checkpoint of schema {PARAMS_SCHEMA} and kind {kind!r}")
+    return doc
 
 
 def save_bundle(bundle: PolicyBundle, path: str | Path) -> None:
@@ -362,14 +400,17 @@ def save_bundle(bundle: PolicyBundle, path: str | Path) -> None:
 
 
 def load_bundle(path: str | Path) -> PolicyBundle:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != PARAMS_SCHEMA or doc.get("kind") != "fusion_bundle":
-        raise ValueError(f"{path}: not a fusion bundle file")
+    doc = _checkpoint(path, "fusion_bundle")
+    obs_config = _obs_from_dict(doc.get("observation"))
+    experts = doc.get("experts")
+    if not (isinstance(experts, list) and len(experts) == NUM_EXPERTS):
+        raise ValueError(f"field 'experts' must hold {NUM_EXPERTS} networks")
+    dim = obs_config.dim
     return PolicyBundle(
-        obs_config=_obs_from_dict(doc["observation"]),
-        bank=ExpertBank(tuple(_mlp_from_dict(e) for e in doc["experts"])),
-        gating=GatingParams(_mlp_from_dict(doc["gating"])),
-        critic=CriticParams(_mlp_from_dict(doc["critic"])),
+        obs_config=obs_config,
+        bank=ExpertBank(tuple(_mlp_from_dict(e, f"expert {k}", dim, 3) for k, e in enumerate(experts))),
+        gating=GatingParams(_mlp_from_dict(doc.get("gating"), "gating", dim, NUM_EXPERTS)),
+        critic=CriticParams(_mlp_from_dict(doc.get("critic"), "critic", dim, 1)),
     )
 
 
@@ -385,7 +426,6 @@ def save_expert(params: MlpParams, profile: str, obs_config: ObservationConfig, 
 
 
 def load_expert(path: str | Path) -> tuple[MlpParams, str, ObservationConfig]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != PARAMS_SCHEMA or doc.get("kind") != "expert":
-        raise ValueError(f"{path}: not an expert checkpoint")
-    return _mlp_from_dict(doc["params"]), doc["profile"], _obs_from_dict(doc["observation"])
+    doc = _checkpoint(path, "expert")
+    obs_config = _obs_from_dict(doc.get("observation"))
+    return _mlp_from_dict(doc.get("params"), "expert", obs_config.dim, 3), doc["profile"], obs_config

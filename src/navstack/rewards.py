@@ -83,62 +83,46 @@ def episode_rewards(profile: RewardProfile, result, goal) -> list[float]:
     ``poses[k]`` to the next pose, or to the final one on the last step,
     which also carries the episode's collision, reach or timeout event.
     """
-    traj = result.trajectory
     gx, gy = goal
-    dists = [traj.d_start] + [math.hypot(p[0] - gx, p[1] - gy) for p in result.poses[1:]] + [traj.d_end]
-    last = traj.n_steps - 1
+    dists = [result.d_start] + [math.hypot(p[0] - gx, p[1] - gy) for p in result.poses[1:]] + [result.d_end]
+    last = result.steps - 1
     return [
         step_reward(profile, Transition(
             d_prev=dists[k],
             d_now=dists[k + 1],
-            min_range=float(traj.min_ranges[k]),
+            min_range=float(result.min_ranges[k]),
             omega_z=float(result.actions[k, 2]),
-            collision=k == last and traj.outcome == "crash",
-            reached=k == last and traj.outcome == "success",
-            timeout=k == last and traj.outcome == "timeout",
+            collision=k == last and result.outcome == "crash",
+            reached=k == last and result.outcome == "success",
+            timeout=k == last and result.outcome == "timeout",
         ))
-        for k in range(traj.n_steps)
+        for k in range(result.steps)
     ]
 
 
-@dataclass
-class Trajectory:
-    """What a finished episode leaves behind for metric computation."""
-
-    min_ranges: np.ndarray  # per-step smallest lidar range
-    d_start: float
-    d_end: float
-    outcome: str            # success | crash | timeout | failed
-    sim_time: float
-    arrive_time: float | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.min_ranges.shape[0])
-
-
-def episode_metrics(traj: Trajectory) -> dict:
-    """The five evaluation quantities for one episode.
+def episode_metrics(result) -> dict:
+    """The five evaluation quantities of one stack.EpisodeResult, read from
+    its ``outcome``, ``sim_time``, ``min_ranges``, ``d_start`` and ``d_end``.
 
     ARSPS is the mean per-step risk score; ANSPS is the normalized net
     approach per step, (D_start - D_end) / (D_start * N_steps); arriving
-    time exists only on success.
+    time, the episode's sim time, exists only on success.
     """
-    n = traj.n_steps
+    n = len(result.min_ranges)
     if n > 0:
-        risks = np.array([_proximity(m) for m in traj.min_ranges])
+        risks = np.array([_proximity(m) for m in result.min_ranges])
         arsps = float(risks.mean())
     else:
         arsps = 0.0
-    if n > 0 and traj.d_start > 0.0:
-        ansps = (traj.d_start - traj.d_end) / (traj.d_start * n)
+    if n > 0 and result.d_start > 0.0:
+        ansps = (result.d_start - result.d_end) / (result.d_start * n)
     else:
         ansps = 0.0
     return {
-        "success": traj.outcome == "success",
-        "crash": traj.outcome == "crash",
-        "timeout": traj.outcome == "timeout",
-        "arriving_time": traj.arrive_time if traj.outcome == "success" else None,
+        "success": result.outcome == "success",
+        "crash": result.outcome == "crash",
+        "timeout": result.outcome == "timeout",
+        "arriving_time": result.sim_time if result.outcome == "success" else None,
         "arsps": arsps,
         "ansps": float(ansps),
         "steps": n,

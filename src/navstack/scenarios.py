@@ -339,13 +339,23 @@ def _numbers(doc: dict, owner: str, field: str, count: int) -> tuple[float, ...]
     return tuple(float(v) for v in value)
 
 
+def _objects(doc: dict, field: str) -> list:
+    """``doc[field]`` (empty when absent) if it is a list of JSON objects."""
+    value = doc.get(field, [])
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise ValueError(f"scenario field {field!r} must be a list of objects")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("a scenario must be a JSON object")
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ValueError(f"unsupported scenario schema {doc.get('schema')!r}")
     _require(doc, "scenario", "bounds", "robot_start", "goal")
     rects = []
     segments = []
-    for i, shape in enumerate(doc.get("static_shapes", [])):
+    for i, shape in enumerate(_objects(doc, "static_shapes")):
         owner = f"static shape {i}"
         _require(shape, owner, "type")
         if shape["type"] == "rect":
@@ -357,7 +367,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         else:
             raise ValueError(f"unknown static shape type {shape['type']!r}")
     obstacles = []
-    for i, o in enumerate(doc.get("obstacles", [])):
+    for i, o in enumerate(_objects(doc, "obstacles")):
         owner = f"obstacle {i}"
         _require(o, owner, "radius", "max_speed")
         obstacles.append(ObstacleSpec(

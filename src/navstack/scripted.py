@@ -93,23 +93,5 @@ class ScriptedBlend:
         return float(cone.min())
 
 
-class CompositePolicy:
-    """Action from one source, critic value from another (used to pair the
-    scripted controller with a trained critic)."""
-
-    def __init__(self, action_source, value_source):
-        self._action = action_source
-        self._value = value_source
-
-    def action(self, obs) -> np.ndarray:
-        return self._action.action(obs)
-
-    def value(self, obs) -> float:
-        return self._value.value(obs)
-
-    def alpha(self, obs):
-        return getattr(self._action, "alpha", lambda _o: None)(obs)
-
-
 def scripted_bundle() -> ScriptedBlend:
     return ScriptedBlend()

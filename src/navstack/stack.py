@@ -40,8 +40,8 @@ from .mapping import (
 )
 from .planning import distance_field, extract_waypoint, plan_grid, plan_path
 from .policy import ObservationConfig, build_observation, goal_in_robot_frame
-from .rewards import Trajectory, episode_metrics, metrics_csv_row
-from .scripted import CompositePolicy, scripted_bundle
+from .rewards import episode_metrics, metrics_csv_row
+from .scripted import scripted_bundle
 
 MODES = ("full", "lower-only", "upper-with-scripted-lower")
 OUTCOMES = ("success", "crash", "timeout", "failed")
@@ -72,11 +72,15 @@ class StackConfig:
 
 @dataclass
 class EpisodeResult:
+    """The one record of a finished episode.  Step k holds ``poses[k]``,
+    ``actions[k]`` and ``min_ranges[k]``; ``steps`` and ``metrics`` are
+    derived from the stored fields on read."""
+
     outcome: str            # one of OUTCOMES
-    steps: int
     sim_time: float
-    metrics: dict
-    trajectory: Trajectory
+    min_ranges: np.ndarray  # per-step smallest lidar range
+    d_start: float          # robot-goal distance at the start and at the end
+    d_end: float
     poses: np.ndarray
     actions: np.ndarray
     exploration_selections: list  # (sim_time, cell, world_xy)
@@ -84,6 +88,14 @@ class EpisodeResult:
     cadence: dict
     scored_tables: list = field(default_factory=list)  # (tick, rows) when instrumented
     error: str | None = None
+
+    @property
+    def steps(self) -> int:
+        return len(self.min_ranges)
+
+    @property
+    def metrics(self) -> dict:
+        return episode_metrics(self)
 
 
 def run_episode(
@@ -94,17 +106,19 @@ def run_episode(
     trace_path=None,
     collect_candidates: bool = False,
 ) -> EpisodeResult:
-    """Run one episode and return its outcome, metrics, and trajectory.
+    """Run one episode and return its record.
 
     ``policy`` provides action(obs); value(obs) feeds the exploration
-    heuristic and alpha(obs) the trace, when present.  In "upper-with-scripted-lower" mode actions
-    come from the scripted blend while value() stays with ``policy``; in
-    "lower-only" mode nothing is mapped and the policy is steered at the
-    goal itself.  Simulator or planner errors mark the episode failed
-    (distinct from a crash) instead of propagating.
+    heuristic and alpha(obs) the trace, when present, and its
+    ``obs_config`` is the observation layout unless ``obs_config`` is given.
+    In "upper-with-scripted-lower" mode the scripted blend acts while
+    value() stays with ``policy`` (the blend's own when ``policy`` has
+    none); in "lower-only" mode nothing is mapped and the policy is steered
+    at the goal itself.  Simulator or planner errors mark the episode
+    failed (distinct from a crash) instead of propagating.
     """
-    if config.mode == "upper-with-scripted-lower":
-        policy = CompositePolicy(scripted_bundle(), policy) if hasattr(policy, "value") else scripted_bundle()
+    actor = scripted_bundle() if config.mode == "upper-with-scripted-lower" else policy
+    critic_source = policy if hasattr(policy, "value") else actor
     if obs_config is None:
         obs_config = getattr(policy, "obs_config", None) or ObservationConfig()
 
@@ -169,7 +183,7 @@ def run_episode(
                             cadence["explore_triggered"] += 1
                         dist = distance_field(plan, robot_cell)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
-                        critic = _candidate_critic(policy, obs_now, pose)
+                        critic = _candidate_critic(critic_source, obs_now, pose)
                         scored = score_candidates(frontier, grid, goal, critic, dist)
                         if collect_candidates:
                             scored_tables.append((tick, candidate_csv_rows(scored, config.gamma)))
@@ -201,13 +215,13 @@ def run_episode(
 
             target_world = (waypoint or (pose[0], pose[1])) if upper else goal
             obs = build_observation(scans, pose, target_world, world.robot.velocity, obs_config.history)
-            action = policy.action(obs)
+            action = actor.action(obs)
             poses.append(pose.copy())
             actions.append(np.asarray(action, dtype=float).copy())
             min_ranges.append(float(scan.min()))
 
             if trace_file:
-                alpha = getattr(policy, "alpha", lambda _o: None)(obs)
+                alpha = getattr(actor, "alpha", lambda _o: None)(obs)
                 row = {
                     "tick": tick,
                     "t": world.sim_time,
@@ -233,20 +247,12 @@ def run_episode(
         if trace_file:
             trace_file.close()
 
-    traj = Trajectory(
+    return EpisodeResult(
+        outcome=outcome,
+        sim_time=world.sim_time,
         min_ranges=np.array(min_ranges),
         d_start=d_start,
         d_end=world.goal_distance(),
-        outcome=outcome,
-        sim_time=world.sim_time,
-        arrive_time=world.sim_time if outcome == "success" else None,
-    )
-    return EpisodeResult(
-        outcome=outcome,
-        steps=len(min_ranges),
-        sim_time=world.sim_time,
-        metrics=episode_metrics(traj),
-        trajectory=traj,
         poses=np.array(poses).reshape(-1, 3),
         actions=np.array(actions).reshape(-1, 3),
         exploration_selections=selections,
@@ -288,11 +294,11 @@ def run_suite(
     episodes: int,
     seed: int,
     config: StackConfig = StackConfig(),
-    obs_config: ObservationConfig | None = None,
     trace_dir=None,
     jobs: int = 1,
 ) -> tuple[list[tuple], list[EpisodeResult]]:
     """Scenarios x seeds, one metrics row per episode (plus full results).
+    Each episode reads its observation layout from ``policy``.
 
     With ``trace_dir``, episode k writes ``TRACE_FILE.format(k)`` there.
     ``jobs > 1`` runs the episodes in a process pool; its map keeps
@@ -302,7 +308,7 @@ def run_suite(
                 for si, spec in enumerate(specs) for ei in range(episodes)]
     n = len(ep_specs)
     traces = [None] * n if trace_dir is None else [Path(trace_dir) / TRACE_FILE.format(k) for k in range(n)]
-    args = (ep_specs, [policy] * n, [config] * n, [obs_config] * n, traces)
+    args = (ep_specs, [policy] * n, [config] * n, [None] * n, traces)  # None: the policy's obs_config
     if min(jobs, n) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only by a parallel run
 
@@ -320,8 +326,9 @@ def summarize(results) -> dict:
     if not results:
         raise ValueError("summarize needs at least one episode")
     out = {f"{k}_rate": sum(r.outcome == k for r in results) / len(results) for k in OUTCOMES}
+    metrics = [r.metrics for r in results]
     for key in ("arsps", "ansps"):
-        out[f"{key}_mean"] = float(np.mean([r.metrics[key] for r in results]))
-    times = [r.metrics["arriving_time"] for r in results if r.metrics["arriving_time"] is not None]
+        out[f"{key}_mean"] = float(np.mean([m[key] for m in metrics]))
+    times = [m["arriving_time"] for m in metrics if m["arriving_time"] is not None]
     out["arriving_time_mean"] = float(np.mean(times)) if times else None
     return out

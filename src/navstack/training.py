@@ -160,7 +160,7 @@ def rollout_lower(
     collect: bool = False,
 ):
     """One lower-layer episode (``run_episode`` in lower-only mode) scored
-    under ``profile``; returns (return, trajectory, obs_matrix, rewards)
+    under ``profile``; returns (return, EpisodeResult, obs_matrix, rewards)
     where the last two are None unless ``collect``.  Raises RuntimeError if
     the episode failed, so an error never passes for a short return."""
     recorder = _ObservationRecorder(policy) if collect else None
@@ -173,8 +173,8 @@ def rollout_lower(
     for r in rewards:  # left to right: np.sum's pairwise order changes the bits
         total += r
     if collect:
-        return total, res.trajectory, np.array(recorder.rows), np.array(rewards)
-    return total, res.trajectory, None, None
+        return total, res, np.array(recorder.rows), np.array(rewards)
+    return total, res, None, None
 
 
 def _eval_candidate(policy, scenario_set, seeds, profile, obs_config, time_limit) -> float:

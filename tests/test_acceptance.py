@@ -41,14 +41,13 @@ from navstack.rewards import (
     GO_STRAIGHT,
     OBSTACLE_AVOIDANCE,
     RewardProfile,
-    Trajectory,
     Transition,
     episode_metrics,
     step_reward,
 )
 from navstack.scenarios import blind_alley, double_branch, training_scenarios
-from navstack.scripted import CompositePolicy, scripted_bundle
-from navstack.stack import StackConfig, run_episode
+from navstack.scripted import scripted_bundle
+from navstack.stack import EpisodeResult, StackConfig, run_episode
 from navstack.training import rollout_lower, train_pipeline
 from navstack.world import ACTION_HIGH, ACTION_LOW
 
@@ -149,19 +148,20 @@ def test_criterion_02_reward_table():
 
 
 def test_criterion_03_metric_formulas():
-    def traj(min_ranges, d_start, d_end, outcome="success"):
-        return Trajectory(np.asarray(min_ranges, float), d_start, d_end, outcome, 10.0,
-                          10.0 if outcome == "success" else None)
+    def record(min_ranges, d_start, d_end, outcome="success"):
+        n = len(min_ranges)
+        return EpisodeResult(outcome, 10.0, np.asarray(min_ranges, float), d_start, d_end,
+                             np.zeros((n, 3)), np.zeros((n, 3)), [], None, {})
 
     errs = []
     # direct evaluation: (10 - 0) / (10 * 100)
-    m = episode_metrics(traj([1.0] * 100, 10.0, 0.0))
+    m = episode_metrics(record([1.0] * 100, 10.0, 0.0))
     errs.append(abs(m["ansps"] - (10.0 - 0.0) / (10.0 * 100)))
-    m = episode_metrics(traj([0.3, 0.45, 0.6, 2.0], 8.0, 6.0))
+    m = episode_metrics(record([0.3, 0.45, 0.6, 2.0], 8.0, 6.0))
     expected_arsps = (1.0 + (0.15 / 0.45) + 0.0 + 0.0) / 4
     errs.append(abs(m["arsps"] - expected_arsps))
     errs.append(abs(m["ansps"] - (8.0 - 6.0) / (8.0 * 4)))
-    m = episode_metrics(traj([2.0] * 7, 5.0, 5.0, outcome="timeout"))
+    m = episode_metrics(record([2.0] * 7, 5.0, 5.0, outcome="timeout"))
     errs.append(abs(m["ansps"] - 0.0))
     errs.append(abs(m["arsps"] - 0.0))
     worst = max(errs)
@@ -365,7 +365,7 @@ def _first_branch_choice(result):
 
 def _branch_split(policy, gamma):
     counts = {"L": 0, "R": 0, None: 0}
-    cfg = StackConfig(timeout=20.0, gamma=gamma)
+    cfg = StackConfig(timeout=20.0, mode="upper-with-scripted-lower", gamma=gamma)
     for seed in range(100):
         res = run_episode(double_branch(seed), policy, cfg)
         counts[_first_branch_choice(res)] += 1
@@ -373,9 +373,9 @@ def _branch_split(policy, gamma):
 
 
 def test_criterion_08_double_branch_preference(trained):
-    policy = CompositePolicy(scripted_bundle(), trained["bundle"])
-    with_v = _branch_split(policy, gamma=1.0)
-    without_v = _branch_split(policy, gamma=0.0)
+    # the scripted lower layer drives; the trained critic prices the candidates
+    with_v = _branch_split(trained["bundle"], gamma=1.0)
+    without_v = _branch_split(trained["bundle"], gamma=0.0)
     right_rate = with_v["R"]
     control = without_v["R"]
     ok = right_rate >= 70 and 40 <= control <= 60
@@ -400,10 +400,8 @@ def test_criterion_09_training_pipeline(trained):
     wins = losses = 0
     for i, spec in enumerate(eval_static * 3):
         s = replace(spec, seed=50000 + i)
-        _, tj_t, _, _ = rollout_lower(s, trained_gs, FUSION, obs_cfg, 20.0)
-        _, tj_r, _, _ = rollout_lower(s, random_init, FUSION, obs_cfg, 20.0)
-        a = episode_metrics(tj_t)["ansps"]
-        b = episode_metrics(tj_r)["ansps"]
+        a = rollout_lower(s, trained_gs, FUSION, obs_cfg, 20.0)[1].metrics["ansps"]
+        b = rollout_lower(s, random_init, FUSION, obs_cfg, 20.0)[1].metrics["ansps"]
         if a > b:
             wins += 1
         elif a < b:
@@ -421,8 +419,7 @@ def test_criterion_09_training_pipeline(trained):
         n = 0
         for i, spec in enumerate(mixed * 3):
             s = replace(spec, seed=90000 + i)
-            _, traj, _, _ = rollout_lower(s, pol, FUSION, obs_cfg, 20.0)
-            succ += episode_metrics(traj)["success"]
+            succ += rollout_lower(s, pol, FUSION, obs_cfg, 20.0)[1].outcome == "success"
             n += 1
         rates[name] = succ / n
     total_seconds = trained["train_seconds"] + (time.time() - t0)

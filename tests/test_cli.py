@@ -369,6 +369,10 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
      "scenario field 'robot_radius' must be a finite number"),
     ("rooms", lambda d: d["static_shapes"][2].update(rect=[1.0, 1.0, float("-inf"), 2.0]),
      "static shape 2 field 'rect' must hold 4 numbers"),
+    ("double-branch", lambda d: d["obstacles"].__setitem__(0, None),
+     "scenario field 'obstacles' must be a list of objects"),
+    ("blind-alley", lambda d: d.update(static_shapes=5),
+     "scenario field 'static_shapes' must be a list of objects"),
 ])
 def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, message):
     from navstack.scenarios import make_scenario, scenario_to_dict
@@ -403,3 +407,58 @@ def test_scenario_rect_without_rect_field_names_it(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert f"static shape {index} is missing required field 'rect'" in capsys.readouterr().err
+
+
+def _null_file(tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text("null")
+    return path
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--scenario", lambda tmp: tmp),
+    ("--scenario", _null_file),
+    ("--bundle", lambda tmp: tmp),
+    ("--bundle", _null_file),
+], ids=["scenario-dir", "scenario-null", "bundle-dir", "bundle-null"])
+def test_simulate_input_that_is_no_object_file_names_the_option(tmp_path, capsys, flag, value):
+    args = {"--scenario": "blind-alley", "--bundle": "scripted", flag: str(value(tmp_path))}
+    code = main(["simulate", *(a for kv in args.items() for a in kv), "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config", "{null}", "--seed", "1"],
+    ["--config", "{dir}"],
+    ["--config", "{list}"],
+])
+def test_train_config_that_is_no_object_file_names_the_option(tmp_path, capsys, flags):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    paths = {"{null}": str(_null_file(tmp_path)), "{dir}": str(tmp_path), "{list}": str(tmp_path / "list.json")}
+    code = main(["train", "expert-gs", *(paths.get(f, f) for f in flags), "--out", str(tmp_path / "t")])
+    assert code == EXIT_USAGE
+    assert "--config" in capsys.readouterr().err
+
+
+def test_fusion_expert_directory_names_the_option(tmp_path, capsys):
+    code = main(["train", "fusion", "--expert-gs", str(tmp_path), "--expert-oa", str(tmp_path),
+                 "--out", str(tmp_path / "f")])
+    assert code == EXIT_USAGE
+    assert "--expert-gs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["observation"].update(beams=36), "expert 0 field 'sizes'"),
+    (lambda d: d["experts"][1].update(sizes=[149, 64, 64]), "expert 1 field 'sizes'"),
+    (lambda d: d["critic"]["w2"].__setitem__(3, float("nan")), "critic field 'w2'"),
+], ids=["beams-36", "three-sizes", "nan-weight"])
+def test_bad_bundle_is_usage_error_naming_the_network_and_field(tmp_path, capsys, zero_bundle_path, edit, message):
+    doc = json.loads(zero_bundle_path.read_text())
+    edit(doc)
+    path = tmp_path / "bad-bundle.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "--scenario", "blind-alley", "--bundle", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--bundle" in err and message in err

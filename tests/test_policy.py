@@ -525,6 +525,87 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_expert(path)
 
+    @pytest.mark.parametrize("text", ["null", "[1, 2]", '"bundle"'])
+    def test_non_object_file_rejected(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a checkpoint"):
+            load_bundle(path)
+        with pytest.raises(ValueError, match="not a checkpoint"):
+            load_expert(path)
+
+    @staticmethod
+    def _rewrite(tmp_path, doc, edit):
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["observation"].update(beams=36), "expert 0 field 'sizes' must be [77, h1, h2, 3]"),
+        (lambda d: d["experts"][1].update(sizes=[21, 6, 5]), "expert 1 field 'sizes' must hold 4 positive"),
+        (lambda d: d["experts"][1].update(sizes=[21, 0, 5, 3]), "expert 1 field 'sizes' must hold 4 positive"),
+        (lambda d: d["experts"][2].update(sizes=[21, 6, 5, 3.0]), "expert 2 field 'sizes' must hold 4 positive"),
+        (lambda d: d["experts"][3].update(b2=[0.0]), "expert 3 field 'b2' must hold 3 numbers"),
+        (lambda d: d["experts"][0].pop("w1"), "expert 0 field 'w1' must hold 30 numbers"),
+        (lambda d: d["gating"]["w1"].__setitem__(4, float("nan")), "gating field 'w1' holds a non-finite"),
+        (lambda d: d["gating"].update(sizes=[21, 6, 5, 3]), "gating field 'sizes' must be [21, h1, h2, 4]"),
+        (lambda d: d["critic"]["b2"].__setitem__(0, float("inf")), "critic field 'b2' holds a non-finite"),
+        (lambda d: d["critic"].update(sizes=[20, 6, 5, 1]), "critic field 'sizes' must be [21, h1, h2, 1]"),
+        (lambda d: d.update(experts=d["experts"][:3]), "field 'experts' must hold 4 networks"),
+        (lambda d: d.update(critic=None), "critic must be a JSON object"),
+        (lambda d: d.pop("observation"), "field 'observation' must be an object"),
+        (lambda d: d["observation"].update(beams=0), "observation field 'beams' must be an integer >= 1"),
+        (lambda d: d["observation"].update(history=-1), "observation field 'history' must be an integer >= 0"),
+        (lambda d: d["observation"].update(max_range=float("nan")), "observation field 'max_range'"),
+    ])
+    def test_bad_bundle_names_the_network_and_field(self, tmp_path, edit, message):
+        rng = np.random.default_rng(18)
+        bundle = PolicyBundle(
+            obs_config=ObservationConfig(beams=8),
+            bank=make_bank(rng),
+            gating=GatingParams(random_mlp((21, 6, 5, 4), rng)),
+            critic=CriticParams(random_mlp((21, 6, 5, 1), rng)),
+        )
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, path)
+        with pytest.raises(ValueError) as err:
+            load_bundle(self._rewrite(tmp_path, json.loads(path.read_text()), edit))
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["observation"].update(beams=9), "expert field 'sizes' must be [23, h1, h2, 3]"),
+        (lambda d: d["params"].update(sizes=[21, 6, 5, 4]), "expert field 'sizes' must be [21, h1, h2, 3]"),
+        (lambda d: d["params"].update(sizes=[21, 6, True, 3]), "expert field 'sizes' must hold 4 positive"),
+        (lambda d: d["params"]["w0"].__setitem__(0, float("nan")), "expert field 'w0' holds a non-finite"),
+        (lambda d: d["observation"].update(max_range=0), "observation field 'max_range'"),
+    ])
+    def test_bad_expert_names_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "expert.json"
+        params = random_mlp((21, 6, 5, 3), np.random.default_rng(19))
+        save_expert(params, "go-straight", ObservationConfig(beams=8), path)
+        with pytest.raises(ValueError) as err:
+            load_expert(self._rewrite(tmp_path, json.loads(path.read_text()), edit))
+        assert message in str(err.value)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"beams": 0}, "beams"),
+    ({"beams": -3}, "beams"),
+    ({"beams": 2.5}, "beams"),
+    ({"beams": True}, "beams"),
+    ({"history": -1}, "history"),
+    ({"history": 1.0}, "history"),
+    ({"max_range": 0.0}, "max_range"),
+    ({"max_range": -6.0}, "max_range"),
+    ({"max_range": float("inf")}, "max_range"),
+    ({"max_range": float("nan")}, "max_range"),
+    ({"max_range": "6"}, "max_range"),
+])
+def test_observation_config_rejects_bad_fields(kwargs, field):
+    with pytest.raises(ValueError, match=f"observation field '{field}'"):
+        ObservationConfig(**kwargs)
+
 
 def test_single_expert_policy_matches_one_hot_rollout_step():
     rng = np.random.default_rng(17)

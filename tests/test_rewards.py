@@ -11,12 +11,12 @@ from navstack.rewards import (
     OBSTACLE_AVOIDANCE,
     PROFILES,
     RewardProfile,
-    Trajectory,
     Transition,
     episode_metrics,
     metrics_csv_row,
     step_reward,
 )
+from navstack.stack import EpisodeResult
 
 
 class TestPresets:
@@ -69,23 +69,30 @@ class TestStepReward:
         assert math.isfinite(r)
 
 
-def make_traj(min_ranges, d_start, d_end, outcome="success", sim_time=10.0):
-    return Trajectory(
+def make_result(min_ranges, d_start, d_end, outcome="success", sim_time=10.0):
+    """An episode record with the fields the metrics read; the robot
+    stands still at the origin."""
+    n = len(min_ranges)
+    return EpisodeResult(
+        outcome=outcome,
+        sim_time=sim_time,
         min_ranges=np.asarray(min_ranges, dtype=float),
         d_start=d_start,
         d_end=d_end,
-        outcome=outcome,
-        sim_time=sim_time,
-        arrive_time=sim_time if outcome == "success" else None,
+        poses=np.zeros((n, 3)),
+        actions=np.zeros((n, 3)),
+        exploration_selections=[],
+        goal_known_time=None,
+        cadence={},
     )
 
 
 class TestRiskScore:
-    """The per-step risk ramp, read through ARSPS on one-step trajectories."""
+    """The per-step risk ramp, read through ARSPS on one-step episodes."""
 
     @staticmethod
     def risk(min_range):
-        return episode_metrics(make_traj([min_range], 5.0, 4.0))["arsps"]
+        return episode_metrics(make_result([min_range], 5.0, 4.0))["arsps"]
 
     def test_clear_space_is_zero(self):
         assert self.risk(0.6) == 0.0
@@ -106,32 +113,32 @@ class TestRiskScore:
 
 class TestEpisodeMetrics:
     def test_clear_run_has_zero_arsps(self):
-        m = episode_metrics(make_traj([1.0, 2.0, 3.0], 3.0, 0.0))
+        m = episode_metrics(make_result([1.0, 2.0, 3.0], 3.0, 0.0))
         assert m["arsps"] == 0.0
 
     def test_ansps_reference_value(self):
         # direct evaluation: (10 - 0) / (10 * 100)
-        m = episode_metrics(make_traj([1.0] * 100, 10.0, 0.0))
+        m = episode_metrics(make_result([1.0] * 100, 10.0, 0.0))
         assert m["ansps"] == pytest.approx((10.0 - 0.0) / (10.0 * 100), abs=1e-12)
 
     def test_stationary_robot_zero_ansps(self):
-        m = episode_metrics(make_traj([1.0] * 50, 4.0, 4.0, outcome="timeout"))
+        m = episode_metrics(make_result([1.0] * 50, 4.0, 4.0, outcome="timeout"))
         assert m["ansps"] == 0.0
         assert m["arriving_time"] is None
 
     def test_arsps_is_mean_risk(self):
-        m = episode_metrics(make_traj([0.3, 0.6], 5.0, 4.0))
+        m = episode_metrics(make_result([0.3, 0.6], 5.0, 4.0))
         assert m["arsps"] == pytest.approx(0.5 * (1.0 + 0.0), abs=1e-12)
         assert m["arsps"] >= 0.0
 
     def test_flags(self):
-        assert episode_metrics(make_traj([1], 1, 0, "crash"))["crash"]
-        assert episode_metrics(make_traj([1], 1, 0, "timeout"))["timeout"]
-        m = episode_metrics(make_traj([1], 1, 0.0, "success", sim_time=7.5))
+        assert episode_metrics(make_result([1], 1, 0, "crash"))["crash"]
+        assert episode_metrics(make_result([1], 1, 0, "timeout"))["timeout"]
+        m = episode_metrics(make_result([1], 1, 0.0, "success", sim_time=7.5))
         assert m["success"] and m["arriving_time"] == 7.5
 
     def test_csv_row_layout(self):
-        m = episode_metrics(make_traj([1.0] * 10, 5.0, 1.0))
+        m = episode_metrics(make_result([1.0] * 10, 5.0, 1.0))
         row = metrics_csv_row("rooms", 42, m)
         assert row[0] == "rooms"
         assert row[1] == 42

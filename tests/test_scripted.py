@@ -11,11 +11,9 @@ from navstack.scripted import (
     CAUTION_RANGE,
     GO_GAIN,
     TURN_GAIN,
-    CompositePolicy,
     ScriptedAvoid,
     ScriptedBlend,
     ScriptedGoStraight,
-    scripted_bundle,
 )
 from navstack.world import ACTION_HIGH, ACTION_LOW
 
@@ -63,18 +61,6 @@ def test_blend_value_prefers_clear_goal_direction():
     cluttered[15] = 0.4
     blend = ScriptedBlend()
     assert blend.value(obs(clear)) > blend.value(obs(cluttered))
-
-
-def test_composite_routes_action_and_value():
-    class V:
-        def value(self, o):
-            return 42.0
-
-    comp = CompositePolicy(scripted_bundle(), V())
-    o = obs(np.full(8, 6.0))
-    assert comp.value(o) == 42.0
-    assert np.array_equal(comp.action(o), scripted_bundle().action(o))
-    assert comp.alpha(o) is None
 
 
 # The scripted actions and value as they were written with np.clip, np.sum

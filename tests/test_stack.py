@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,19 @@ from navstack import exploration, planning, stack
 from navstack.exploration import MIN_CLUSTER_SIZE
 from navstack.mapping import OccupancyGrid
 from navstack.policy import ObservationConfig
+from navstack.rewards import PROFILES
 from navstack.scenarios import blind_alley, make_scenario, training_scenarios
 from navstack.scripted import ScriptedGoStraight, scripted_bundle
-from navstack.stack import TRACE_FILE, StackConfig, episode_seed, run_episode, run_suite, summarize
+from navstack.stack import (
+    TRACE_FILE,
+    EpisodeResult,
+    StackConfig,
+    episode_seed,
+    run_episode,
+    run_suite,
+    summarize,
+)
+from navstack.training import rollout_lower
 from navstack.world import CONTROL_DT, ScenarioSpec
 
 LOWER_ONLY = StackConfig(mode="lower-only", timeout=20.0)
@@ -19,6 +30,12 @@ LOWER_ONLY = StackConfig(mode="lower-only", timeout=20.0)
 class Exploding:
     def action(self, obs):
         raise RuntimeError("wiring fault")
+
+
+class Straight8(ScriptedGoStraight):
+    """The goal chaser on an 8-beam observation layout of its own."""
+
+    obs_config = ObservationConfig(beams=8)
 
 
 def open_goal_spec(goal=(7.0, 5.0)):
@@ -100,6 +117,46 @@ class TestRunEpisode:
             blind_alley(1), scripted_bundle(), StackConfig(mode="upper-with-scripted-lower")
         )
         assert res.outcome == "success"
+
+    def test_scripted_lower_reads_the_policy_layout(self, tmp_path):
+        """With the scripted lower layer the policy still sets the observation
+        layout, and its critic, not its action or alpha, is what the stack reads."""
+        seen = []
+
+        class Critic8:
+            obs_config = ObservationConfig(beams=8)
+
+            def action(self, obs):
+                raise AssertionError("the scripted lower layer acts in this mode")
+
+            def alpha(self, obs):
+                raise AssertionError("the trace's alpha is the acting policy's")
+
+            def value(self, obs):
+                seen.append(len(obs.ranges))
+                return 0.0
+
+        path = tmp_path / "trace.jsonl"
+        cfg = StackConfig(mode="upper-with-scripted-lower", timeout=5.0)
+        res = run_episode(blind_alley(0), Critic8(), cfg, trace_path=path)
+        assert res.outcome != "failed", res.error
+        assert seen and set(seen) == {8}
+        assert all(json.loads(line)["alpha"] is None for line in path.read_text().splitlines())
+
+    def test_one_record_per_episode(self):
+        """Steps, poses, actions, ranges and metrics count the same ticks in
+        both modes, and a training rollout returns the episode's record."""
+        spec = blind_alley(0)
+        for mode in ("full", "lower-only"):
+            res = run_episode(spec, scripted_bundle(), StackConfig(mode=mode, timeout=5.0))
+            assert isinstance(res, EpisodeResult)
+            counts = (len(res.poses), len(res.actions), len(res.min_ranges), res.metrics["steps"])
+            assert res.steps > 0 and counts == (res.steps,) * 4
+        rolled = rollout_lower(spec, scripted_bundle(), PROFILES["fusion"], ObservationConfig(), 5.0)[1]
+        assert isinstance(rolled, EpisodeResult)
+        for name in ("outcome", "sim_time", "d_start", "d_end", "min_ranges", "poses", "actions"):
+            assert np.array_equal(getattr(rolled, name), getattr(res, name))
+        assert rolled.metrics == res.metrics
 
     def test_scoring_skips_frontier_clusters_below_min_size(self, monkeypatch):
         calls = []
@@ -183,8 +240,6 @@ class TestRunEpisode:
         res = run_episode(open_goal_spec(), scripted_bundle(), StackConfig(timeout=5.0), trace_path=path)
         lines = path.read_text().splitlines()
         assert len(lines) == res.steps
-        import json
-
         row = json.loads(lines[0])
         assert {"tick", "t", "pose", "action", "alpha", "waypoint", "exploration_point"} <= set(row)
 
@@ -245,17 +300,15 @@ class TestRunSuite:
 class TestSummarize:
     def test_deterministic(self):
         cfg = StackConfig(mode="lower-only", timeout=5.0)
-        obs = ObservationConfig(beams=8)
         tasks = training_scenarios("static", 2, 1)
-        _, a = run_suite(tasks, ScriptedGoStraight(), 2, seed=4, config=cfg, obs_config=obs)
-        _, b = run_suite(tasks, ScriptedGoStraight(), 2, seed=4, config=cfg, obs_config=obs)
+        _, a = run_suite(tasks, Straight8(), 2, seed=4, config=cfg)
+        _, b = run_suite(tasks, Straight8(), 2, seed=4, config=cfg)
         assert summarize(a) == summarize(b)
 
     def test_scripted_straight_in_open_room(self):
         spec = ScenarioSpec(name="open", bounds=(0.0, 0.0, 10.0, 10.0), robot_start=(3.0, 5.0, 0.0),
                             goal=(6.0, 5.0), seed=0)
-        _, results = run_suite([spec], ScriptedGoStraight(), 5, seed=2, config=LOWER_ONLY,
-                               obs_config=ObservationConfig(beams=8))
+        _, results = run_suite([spec], Straight8(), 5, seed=2, config=LOWER_ONLY)
         out = summarize(results)
         assert out["success_rate"] == 1.0
         assert out["crash_rate"] == out["timeout_rate"] == out["failed_rate"] == 0.0

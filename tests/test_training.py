@@ -187,11 +187,11 @@ class TestCotrain:
                 return act_with_alpha(bank, np.array([1.0, 0.0, 0.0, 0.0]), obs)
 
         spec = small_tasks()[0]
-        _, traj_forced, _, _ = rollout_lower(spec, Forced(), PROFILES["fusion"], OBS8, 3.0)
-        _, traj_a, _, _ = rollout_lower(spec, SingleExpertPolicy(OBS8, a), PROFILES["fusion"], OBS8, 3.0)
-        assert traj_forced.outcome == traj_a.outcome
-        assert traj_forced.n_steps == traj_a.n_steps
-        assert np.array_equal(traj_forced.min_ranges, traj_a.min_ranges)
+        _, forced, _, _ = rollout_lower(spec, Forced(), PROFILES["fusion"], OBS8, 3.0)
+        _, single, _, _ = rollout_lower(spec, SingleExpertPolicy(OBS8, a), PROFILES["fusion"], OBS8, 3.0)
+        assert forced.outcome == single.outcome
+        assert forced.steps == single.steps
+        assert np.array_equal(forced.min_ranges, single.min_ranges)
 
     def test_fusion_vector_layout_round_trip(self):
         a, b = self._experts()
