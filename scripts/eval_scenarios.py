@@ -12,11 +12,10 @@ fallback ("--bundle scripted") or any trained fusion bundle.
 import argparse
 from pathlib import Path
 
+from navstack.cli import UsageError, _load_policy_arg
 from navstack.fileio import write_csv
-from navstack.policy import load_bundle
 from navstack.rewards import METRICS_CSV_HEADER
 from navstack.scenarios import BUILTIN_NAMES, make_scenario
-from navstack.scripted import scripted_bundle
 from navstack.stack import StackConfig, run_suite, summarize
 
 
@@ -31,10 +30,15 @@ def main() -> None:
     args = ap.parse_args()
     if args.episodes < 1:
         ap.error("--episodes must be at least 1")
+    try:
+        policy = _load_policy_arg(args.bundle)
+    except UsageError as exc:
+        ap.error(str(exc))
+    try:
+        cfg = StackConfig(timeout=args.timeout, gamma=args.gamma)
+    except ValueError as exc:  # its message starts with the field, which is the option's name
+        ap.error(f"--{exc}")
     args.out.mkdir(parents=True, exist_ok=True)
-
-    policy = scripted_bundle() if args.bundle == "scripted" else load_bundle(args.bundle)
-    cfg = StackConfig(timeout=args.timeout, gamma=args.gamma)
 
     all_rows = []
     print(f"{'scenario':>14} {'success':>8} {'crash':>6} {'timeout':>8} {'failed':>7} {'time[s]':>8} "

@@ -65,6 +65,19 @@ def _load_policy_arg(value: str):
     return _load("--bundle", value, load_bundle)
 
 
+def _load_expert_arg(stage: str, value: str):
+    """The (params, obs_config) of the checkpoint that ``--{stage}`` names,
+    which must hold an expert trained under that stage's reward preset."""
+    from .policy import load_expert
+    from .training import STAGES
+
+    option, preset = f"--{stage}", STAGES[stage][0]
+    params, profile, obs_config = _load(option, value, load_expert)
+    if profile != preset:
+        raise UsageError(f"{option} {value!r} holds an expert trained under {profile!r}, not {preset!r}")
+    return params, obs_config
+
+
 def _write_manifest(out_dir: Path, args: argparse.Namespace, files: list[Path]) -> None:
     from .fileio import json_text, sha256_file
 
@@ -150,13 +163,7 @@ def _train_config(args: argparse.Namespace):
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .fileio import write_jsonl
-    from .policy import (
-        ObservationConfig,
-        PolicyBundle,
-        load_expert,
-        save_bundle,
-        save_expert,
-    )
+    from .policy import ObservationConfig, PolicyBundle, save_bundle, save_expert
     from .scenarios import training_scenarios
     from .training import STAGES, cotrain_fusion, train_expert
 
@@ -176,8 +183,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.stage == "fusion":
         if not args.expert_gs or not args.expert_oa:
             raise UsageError("fusion stage requires --expert-gs and --expert-oa checkpoints")
-        gs, _, obs_cfg = _load("--expert-gs", args.expert_gs, load_expert)
-        oa, _, obs_b = _load("--expert-oa", args.expert_oa, load_expert)
+        gs, obs_cfg = _load_expert_arg("expert-gs", args.expert_gs)
+        oa, obs_b = _load_expert_arg("expert-oa", args.expert_oa)
         if obs_b != obs_cfg:
             raise UsageError("expert checkpoints disagree on the observation layout")
         bank, gating, critic = cotrain_fusion(gs, oa, tasks, cfg, obs_cfg, on_generation=on_gen)

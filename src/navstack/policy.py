@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .rewards import PROFILES
 from .world import ACTION_HIGH, ACTION_LOW, clamp_action
 
 PARAMS_SCHEMA = 1
@@ -427,5 +428,8 @@ def save_expert(params: MlpParams, profile: str, obs_config: ObservationConfig, 
 
 def load_expert(path: str | Path) -> tuple[MlpParams, str, ObservationConfig]:
     doc = _checkpoint(path, "expert")
+    profile = doc.get("profile")
+    if not (isinstance(profile, str) and profile in PROFILES):
+        raise ValueError(f"expert field 'profile' must be one of {sorted(PROFILES)}, got {profile!r}")
     obs_config = _obs_from_dict(doc.get("observation"))
-    return _mlp_from_dict(doc.get("params"), "expert", obs_config.dim, 3), doc["profile"], obs_config
+    return _mlp_from_dict(doc.get("params"), "expert", obs_config.dim, 3), profile, obs_config

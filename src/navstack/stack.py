@@ -301,18 +301,20 @@ def run_suite(
     Each episode reads its observation layout from ``policy``.
 
     With ``trace_dir``, episode k writes ``TRACE_FILE.format(k)`` there.
-    ``jobs > 1`` runs the episodes in a process pool; its map keeps
-    submission order, so the results equal the serial run's.
+    ``jobs > 1`` runs the episodes in a process pool of at most one worker
+    per episode; its map keeps submission order, so the results equal the
+    serial run's.
     """
     ep_specs = [replace(spec, seed=episode_seed(seed, si, ei))
                 for si, spec in enumerate(specs) for ei in range(episodes)]
     n = len(ep_specs)
     traces = [None] * n if trace_dir is None else [Path(trace_dir) / TRACE_FILE.format(k) for k in range(n)]
     args = (ep_specs, [policy] * n, [config] * n, [None] * n, traces)  # None: the policy's obs_config
-    if min(jobs, n) > 1:
+    workers = min(jobs, n)  # the fork start method forks every worker when the pool starts
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only by a parallel run
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_episode, *args))
     else:
         results = list(map(run_episode, *args))

@@ -103,8 +103,9 @@ def pack(mlps) -> np.ndarray:
     return np.concatenate([a.reshape(-1) for p in mlps for a in p.arrays()])
 
 
-def _views(vec: np.ndarray, layout) -> list[MlpParams]:
-    """The networks of ``layout`` as views into a packed vector."""
+def unpack(vec: np.ndarray, layout) -> list[MlpParams]:
+    """The networks of ``layout`` as views into a packed vector: a network
+    changed in place changes ``vec``."""
     mlps = []
     off = 0
     for sizes in layout:
@@ -121,12 +122,6 @@ def _views(vec: np.ndarray, layout) -> list[MlpParams]:
 
 def _copy(p: MlpParams) -> MlpParams:
     return MlpParams(*(a.copy() for a in p.arrays()))
-
-
-def unpack(vec: np.ndarray, layout) -> list[MlpParams]:
-    """The networks of ``layout`` from a packed vector.  Every array is a
-    copy, so a network can be changed in place without touching ``vec``."""
-    return [_copy(p) for p in _views(vec, layout)]
 
 
 def scale_vector(layout, input_scales: np.ndarray) -> np.ndarray:
@@ -177,15 +172,20 @@ def rollout_lower(
     return total, res, None, None
 
 
-def _eval_candidate(policy, scenario_set, seeds, profile, obs_config, time_limit) -> float:
-    total = 0.0
-    for sd in seeds:
-        # The seed also picks the scenario, so every generation samples the
-        # whole task set instead of replaying its head.
-        spec = replace(scenario_set[int(sd) % len(scenario_set)], seed=int(sd))
-        ret, _, _, _ = rollout_lower(spec, policy, profile, obs_config, time_limit)
-        total += ret
-    return total / len(seeds)
+def _objective(make_policy, scenario_set, profile, obs_config, time_limit):
+    """A stage's CEM objective ``score(vec, seeds)``: the mean return of
+    ``make_policy(vec)`` over one episode per seed.  ``rollout_lower`` is
+    looked up in this module at call time, so a patched one is the one run."""
+    def score(vec: np.ndarray, seeds) -> float:
+        policy = make_policy(vec)
+        total = 0.0
+        for sd in seeds:
+            # The seed also picks the scenario, so every generation samples the
+            # whole task set instead of replaying its head.
+            spec = replace(scenario_set[int(sd) % len(scenario_set)], seed=int(sd))
+            total += rollout_lower(spec, policy, profile, obs_config, time_limit)[0]
+        return total / len(seeds)
+    return score
 
 
 def _episode_seeds(master: np.random.Generator, count: int) -> np.ndarray:
@@ -209,43 +209,33 @@ def train_expert(
     TrainingError if the run never improves on its own starting point, or if
     the result fails to beat the all-zero policy on held-out seeds.
     """
-    profile = PROFILES[profile_name]
-    sizes = (obs_config.dim, HIDDEN[0], HIDDEN[1], 3)
-    layout = [sizes]
+    layout = [(obs_config.dim, HIDDEN[0], HIDDEN[1], 3)]
     master = np.random.Generator(np.random.PCG64(config.seed))
-    mean = pack([MlpParams.random(*sizes, rng=master, input_scales=obs_config.feature_scales())])
+    mean = pack([MlpParams.random(*layout[0], rng=master, input_scales=obs_config.feature_scales())])
     if config.generations == 0:
         return unpack(mean, layout)[0]
 
     def make_policy(vec: np.ndarray) -> SingleExpertPolicy:
         return SingleExpertPolicy(obs_config, unpack(vec, layout)[0])
 
+    score = _objective(make_policy, scenario_set, PROFILES[profile_name], obs_config, config.episode_time_limit)
     scales = scale_vector(layout, obs_config.feature_scales())
-    best_vec, best_ret, init_ret, _ = _cem(
-        mean,
-        scales,
-        make_policy,
-        scenario_set,
-        profile,
-        obs_config,
-        config,
-        master,
-        on_generation,
-    )
+    best_vec, best_ret, init_ret, _ = _cem(mean, scales, score, config, master, on_generation)
     if best_ret <= init_ret:
         raise TrainingError(
             f"{profile_name}: no improvement over the initial policy "
             f"({best_ret:.3f} <= {init_ret:.3f})"
         )
-    _require_beats_zero(make_policy(best_vec), sizes, scenario_set, profile, obs_config, config)
+    _require_beats_zero(score, best_vec, config.seed)
     return unpack(best_vec, layout)[0]
 
 
-def _require_beats_zero(policy, sizes, scenario_set, profile, obs_config, config) -> None:
-    holdout = _episode_seeds(np.random.Generator(np.random.PCG64(config.seed + 7919)), 16)
-    zero = SingleExpertPolicy(obs_config, MlpParams.zeros(*sizes))
-    trained = _eval_candidate(policy, scenario_set, holdout, profile, obs_config, config.episode_time_limit)
-    baseline = _eval_candidate(zero, scenario_set, holdout, profile, obs_config, config.episode_time_limit)
+def _require_beats_zero(score, vec: np.ndarray, seed: int) -> None:
+    """Raise TrainingError unless ``vec`` outscores the all-zero vector on
+    16 held-out seeds drawn from ``seed``."""
+    holdout = _episode_seeds(np.random.Generator(np.random.PCG64(seed + 7919)), 16)
+    trained = score(vec, holdout)
+    baseline = score(np.zeros_like(vec), holdout)
     if trained <= baseline:
         raise TrainingError(
             f"trained return {trained:.3f} does not beat the zero policy {baseline:.3f} on held-out seeds"
@@ -274,10 +264,10 @@ def _perturbed(mean, sigma, scales, noise):
     return (mean + sigma * scales * row for row in noise)
 
 
-def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation,
-         _after_update=None):
-    """Shared CEM loop; returns (best_vec, best_return, initial_return,
-    final_mean).
+def _cem(mean, scales, score, config, master, on_generation, _after_update=None):
+    """Shared CEM loop: maximises ``score(vec, seeds)``, the mean return of
+    candidate ``vec`` on the generation's episode seeds.  Returns (best_vec,
+    best_return, initial_return, final_mean).
 
     Perturbations are sigma * scales * N(0, 1): proportional to each
     parameter's init magnitude.  Episode seeds are shared across the
@@ -290,7 +280,10 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
     same bits.  ``_after_update(gen, seeds, elite_vecs, mean)``, when
     given, runs after each mean update and returns the mean to carry on
     with; ``elite_vecs`` is an iterator that builds each elite vector, best
-    first, from the pre-update mean and sigma as it is read.
+    first, from the pre-update mean and sigma as it is read.  Every
+    candidate, elite vector and updated mean is a fresh array, so ``score``
+    may keep views of a candidate and ``_after_update`` may write into the
+    mean it gets: neither reaches an earlier vector or the caller's ``mean``.
     """
     sigma = config.noise_std
     dim = mean.shape[0]
@@ -303,10 +296,7 @@ def _cem(mean, scales, make_policy, scenario_set, profile, obs_config, config, m
         returns = np.empty(config.population)
         for i in range(config.population):
             states.append(master.bit_generator.state)
-            vec = mean + sigma * scales * _noise_row(master, i, dim)
-            returns[i] = _eval_candidate(
-                make_policy(vec), scenario_set, seeds, profile, obs_config, config.episode_time_limit
-            )
+            returns[i] = score(mean + sigma * scales * _noise_row(master, i, dim), seeds)
         if init_ret is None:
             init_ret = float(returns[0])
         order = np.argsort(-returns, kind="stable")
@@ -363,7 +353,7 @@ def init_fusion_vector(
 def _fusion_parts(vec: np.ndarray, layout) -> tuple[ExpertBank, GatingParams, CriticParams]:
     """The stage-2 networks of ``vec``, each a copy.  The bank copies the
     experts straight from ``vec`` into its fusion matrices."""
-    *experts, gating, critic = _views(vec, layout)
+    *experts, gating, critic = unpack(vec, layout)
     return ExpertBank(tuple(experts)), GatingParams(_copy(gating)), CriticParams(_copy(critic))
 
 
@@ -431,8 +421,9 @@ def cotrain_fusion(
     buffer_g = _RowWindow(CRITIC_ROWS)
 
     def refit_critic(gen, seeds, elite_vecs, mean):
-        # Elite rollouts feed the critic's regression targets (re-run on the
-        # generation's seeds, so the data matches what was scored).
+        # Elite rollouts feed the critic's regression targets.  Elite j runs
+        # task (gen + j) % len with the generation's seed j % len(seeds), not
+        # the seed-picked tasks it was scored on.
         for j, vec in enumerate(islice(elite_vecs, 4)):
             spec = replace(scenario_mix[(gen + j) % len(scenario_mix)], seed=int(seeds[j % len(seeds)]))
             _, _, obs_m, rews = rollout_lower(
@@ -441,17 +432,14 @@ def cotrain_fusion(
             if len(obs_m):
                 buffer_obs.append(obs_m)
                 buffer_g.append(_discounted_returns(rews))
-        if buffer_obs.n:
-            mlps = unpack(mean, layout)  # the critic is last
-            _refit_critic_head(mlps[-1], buffer_obs.rows(), buffer_g.rows())
-            mean = pack(mlps)
+        if buffer_obs.n:  # writes the head into ``mean``; the critic is last
+            _refit_critic_head(unpack(mean, layout)[-1], buffer_obs.rows(), buffer_g.rows())
         return mean
 
+    score = _objective(make_policy, scenario_mix, profile, obs_config, config.episode_time_limit)
     scales = scale_vector(layout, obs_config.feature_scales())
-    best_vec, best_ret, init_ret, mean = _cem(
-        mean, scales, make_policy, scenario_mix, profile, obs_config, config, master, on_generation,
-        _after_update=refit_critic,
-    )
+    best_vec, best_ret, init_ret, mean = _cem(mean, scales, score, config, master, on_generation,
+                                              _after_update=refit_critic)
     if best_ret <= init_ret:
         raise TrainingError(
             f"fusion co-training did not improve ({best_ret:.3f} <= {init_ret:.3f})"

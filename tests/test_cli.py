@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from navstack.policy import (
     load_bundle,
     load_expert,
     save_bundle,
+    save_expert,
 )
 
 
@@ -446,6 +449,49 @@ def test_fusion_expert_directory_names_the_option(tmp_path, capsys):
                  "--out", str(tmp_path / "f")])
     assert code == EXIT_USAGE
     assert "--expert-gs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profiles, flag", [
+    (("obstacle-avoidance", "obstacle-avoidance"), "--expert-gs"),
+    (("go-straight", "go-straight"), "--expert-oa"),
+    (("obstacle-avoidance", "go-straight"), "--expert-gs"),
+    (("go-straight", "fusion"), "--expert-oa"),
+], ids=["gs-is-oa", "oa-is-gs", "swapped", "oa-is-fusion"])
+def test_fusion_expert_of_another_stage_names_the_option(tmp_path, capsys, profiles, flag):
+    cfg = ObservationConfig()
+    paths = [tmp_path / f"expert-{k}.json" for k in range(2)]
+    for profile, path in zip(profiles, paths):
+        save_expert(MlpParams.zeros(cfg.dim, 64, 64, 3), profile, cfg, path)
+    (tmp_path / "zero.json").write_text(json.dumps({"generations": 0}))  # so a missed check trains nothing
+    code = main(["train", "fusion", "--config", str(tmp_path / "zero.json"), "--tasks", "1",
+                 "--expert-gs", str(paths[0]), "--expert-oa", str(paths[1]), "--out", str(tmp_path / "f")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and "expert" in err
+    assert not (tmp_path / "f" / "fusion-bundle.json").exists()
+
+
+@pytest.mark.parametrize("flags, option", [
+    (["--bundle", "{missing}"], "--bundle"),
+    (["--bundle", "{dir}"], "--bundle"),
+    (["--bundle", "{text}"], "--bundle"),
+    (["--timeout", "nan"], "--timeout"),
+    (["--gamma", "-1"], "--gamma"),
+], ids=["bundle-missing", "bundle-dir", "bundle-not-json", "timeout-nan", "gamma-negative"])
+def test_eval_script_bad_input_exits_2_naming_the_option(tmp_path, monkeypatch, capsys, flags, option):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "eval_scenarios.py"
+    spec = importlib.util.spec_from_file_location("eval_scenarios", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "text.json").write_text("not json")
+    paths = {"{missing}": str(tmp_path / "missing.json"), "{dir}": str(tmp_path), "{text}": str(tmp_path / "text.json")}
+    argv = [str(script), *(paths.get(f, f) for f in flags), "--episodes", "1", "--out", str(tmp_path / "e")]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main()
+    assert exit_info.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -579,6 +579,9 @@ class TestPersistence:
         (lambda d: d["params"].update(sizes=[21, 6, True, 3]), "expert field 'sizes' must hold 4 positive"),
         (lambda d: d["params"]["w0"].__setitem__(0, float("nan")), "expert field 'w0' holds a non-finite"),
         (lambda d: d["observation"].update(max_range=0), "observation field 'max_range'"),
+        (lambda d: d.pop("profile"), "expert field 'profile' must be one of"),
+        (lambda d: d.update(profile=7), "expert field 'profile' must be one of"),
+        (lambda d: d.update(profile="go-sideways"), "expert field 'profile' must be one of"),
     ])
     def test_bad_expert_names_the_field(self, tmp_path, edit, message):
         path = tmp_path / "expert.json"

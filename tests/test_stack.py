@@ -296,6 +296,31 @@ class TestRunSuite:
             name = TRACE_FILE.format(k)
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_pool_has_at_most_one_worker_per_episode(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process: it starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = StackConfig(timeout=0.2)
+        for jobs, episodes in ((8, 2), (2, 3), (3, 3)):
+            run_suite([open_goal_spec()], scripted_bundle(), episodes, seed=1, config=cfg, jobs=jobs)
+        assert sizes == [2, 2, 3]
+
 
 class TestSummarize:
     def test_deterministic(self):

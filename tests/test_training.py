@@ -29,6 +29,7 @@ from navstack.training import (
     _discounted_returns,
     _episode_seeds,
     _fusion_parts,
+    _objective,
     _refit_critic_head,
     _require_beats_zero,
     _RowWindow,
@@ -84,7 +85,7 @@ class TestPacking:
             for a, b in zip(p.arrays(), q.arrays()):
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
-                assert not np.shares_memory(b, vec)
+                assert np.shares_memory(b, vec)
         assert np.array_equal(pack(back), vec)
 
     def test_unpack_rejects_a_vector_of_another_length(self):
@@ -141,10 +142,11 @@ class TestTrainExpert:
             assert np.array_equal(x, y)
 
     def test_beats_zero_gate_fires_for_zero_policy(self):
-        sizes = (OBS8.dim, 64, 64, 3)
-        zero = SingleExpertPolicy(OBS8, MlpParams.zeros(*sizes))
+        layout = [(OBS8.dim, 64, 64, 3)]
+        score = _objective(lambda vec: SingleExpertPolicy(OBS8, unpack(vec, layout)[0]), small_tasks(),
+                           PROFILES["go-straight"], OBS8, TINY.episode_time_limit)
         with pytest.raises(TrainingError):
-            _require_beats_zero(zero, sizes, small_tasks(), PROFILES["go-straight"], OBS8, TINY)
+            _require_beats_zero(score, pack([MlpParams.zeros(*layout[0])]), TINY.seed)
 
 
 class TestRollout:
@@ -155,6 +157,21 @@ class TestRollout:
 
         with pytest.raises(RuntimeError, match="wiring fault"):
             rollout_lower(small_tasks()[0], Exploding(), PROFILES["fusion"], OBS8, 1.0)
+
+    def test_objective_runs_the_rollout_patched_into_training(self):
+        """Profilers patch ``training.rollout_lower``; the objective must see it."""
+        seeds, original = [], training.rollout_lower
+
+        def recording(spec, *args):
+            seeds.append(spec.seed)
+            return original(spec, *args)
+
+        layout = [(OBS8.dim, 64, 64, 3)]
+        score = _objective(lambda vec: SingleExpertPolicy(OBS8, unpack(vec, layout)[0]), small_tasks(),
+                           PROFILES["go-straight"], OBS8, 1.0)
+        with mock.patch.object(training, "rollout_lower", recording):
+            score(pack([MlpParams.zeros(*layout[0])]), np.array([3, 4]))
+        assert seeds == [3, 4]
 
 
 class TestCotrain:
@@ -333,13 +350,7 @@ class TestFusionParts:
 # The CEM loop against the bulk-noise loop it replaced
 
 
-def _eval_candidate(*args):
-    """The oracle scores candidates through whatever ``training`` uses."""
-    return training._eval_candidate(*args)
-
-
-def _cem_bulk(mean, scales, make_policy, scenario_set, profile, obs_config, config, master, on_generation,
-              _after_update=None):
+def _cem_bulk(mean, scales, score, config, master, on_generation, _after_update=None):
     """The bulk-noise ``_cem``, kept verbatim: one (population, dim) noise
     matrix per generation, drawn before the first candidate is scored."""
     sigma = config.noise_std
@@ -354,9 +365,7 @@ def _cem_bulk(mean, scales, make_policy, scenario_set, profile, obs_config, conf
         returns = np.empty(config.population)
         for i in range(config.population):
             vec = mean + sigma * scales * noise[i]
-            returns[i] = _eval_candidate(
-                make_policy(vec), scenario_set, seeds, profile, obs_config, config.episode_time_limit
-            )
+            returns[i] = score(vec, seeds)
         if init_ret is None:
             init_ret = float(returns[0])
         order = np.argsort(-returns, kind="stable")
@@ -384,15 +393,14 @@ def _cem_bulk(mean, scales, make_policy, scenario_set, profile, obs_config, conf
 
 
 def _scored_by(levels):
-    """A stand-in for ``_eval_candidate`` that scores the candidate vector
-    itself (``make_policy`` is the identity): ``levels`` return values per
-    generation, so small ``levels`` make ties."""
-    def evaluate(vec, scenario_set, seeds, profile, obs_config, time_limit):
+    """An objective of the candidate vector alone: ``levels`` return values
+    per generation, so small ``levels`` make ties."""
+    def score(vec, seeds):
         return float(math.floor(levels * math.tanh(float(vec[::2].sum() - vec[1::2].sum())))) + int(seeds[0]) % 3
-    return evaluate
+    return score
 
 
-def _run_cem(cem, mean, scales, config, take):
+def _run_cem(cem, mean, scales, score, config, take):
     """One CEM run; returns everything it produced, in bytes where it is an array."""
     records, updates = [], []
 
@@ -403,7 +411,7 @@ def _run_cem(cem, mean, scales, config, take):
 
     master = np.random.Generator(np.random.PCG64(config.seed))
     best_vec, best_ret, init_ret, final = cem(
-        mean, scales, lambda vec: vec, None, None, None, config, master, records.append,
+        mean, scales, score, config, master, records.append,
         _after_update=after_update if take is not None else None,
     )
     return best_vec.tobytes(), best_ret, init_ret, final.tobytes(), records, updates, master.bit_generator.state
@@ -434,9 +442,8 @@ class TestCemMatchesBulkNoise:
         rng = np.random.default_rng(seed)
         mean = pack([MlpParams.random(*sizes, rng=rng) for sizes in layout])
         scales = np.concatenate([scale_vector([sizes], rng.uniform(0.5, 6.0, sizes[0])) for sizes in layout])
-        with mock.patch.object(training, "_eval_candidate", _scored_by(levels)):
-            got = _run_cem(_cem, mean, scales, config, take)
-            want = _run_cem(_cem_bulk, mean, scales, config, take)
+        got = _run_cem(_cem, mean, scales, _scored_by(levels), config, take)
+        want = _run_cem(_cem_bulk, mean, scales, _scored_by(levels), config, take)
         assert got == want
 
     def test_byte_identical_to_bulk_noise_on_real_rollouts(self):
@@ -444,12 +451,13 @@ class TestCemMatchesBulkNoise:
         layout = [sizes]
         scales = scale_vector(layout, OBS8.feature_scales())
         mean = pack([MlpParams.random(*sizes, rng=np.random.default_rng(2), input_scales=OBS8.feature_scales())])
+        score = _objective(lambda vec: SingleExpertPolicy(OBS8, unpack(vec, layout)[0]), small_tasks(),
+                           PROFILES["go-straight"], OBS8, TINY.episode_time_limit)
         runs = []
         for cem in (_cem, _cem_bulk):
             records = []
             master = np.random.Generator(np.random.PCG64(TINY.seed))
-            out = cem(mean, scales, lambda vec: SingleExpertPolicy(OBS8, unpack(vec, layout)[0]), small_tasks(),
-                      PROFILES["go-straight"], OBS8, TINY, master, records.append)
+            out = cem(mean, scales, score, TINY, master, records.append)
             runs.append((out[0].tobytes(), out[1], out[2], out[3].tobytes(), records))
         assert runs[0] == runs[1]
 
@@ -474,14 +482,13 @@ class TestCemMatchesBulkNoise:
         mean, scales = np.zeros(dim), np.ones(dim)
         matrix_bytes = config.population * dim * 8
         peaks = {}
-        with mock.patch.object(training, "_eval_candidate", _scored_by(4)):
-            for name, cem in (("lean", _cem), ("bulk", _cem_bulk)):
-                master = np.random.Generator(np.random.PCG64(config.seed))
-                tracemalloc.start()
-                try:
-                    cem(mean, scales, lambda vec: vec, None, None, None, config, master, None)
-                    peaks[name] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+        for name, cem in (("lean", _cem), ("bulk", _cem_bulk)):
+            master = np.random.Generator(np.random.PCG64(config.seed))
+            tracemalloc.start()
+            try:
+                cem(mean, scales, _scored_by(4), config, master, None)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peaks["bulk"] >= matrix_bytes  # the measure sees the matrix the old loop drew
         assert peaks["lean"] < matrix_bytes / 2
