@@ -171,15 +171,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--tasks must be at least 1")
     cfg = _train_config(args)
     obs_cfg = ObservationConfig()
-    out = _ensure_out(args.out)
-    log_rows: list[dict] = []
-
-    def on_gen(row: dict) -> None:
-        log_rows.append(row)
-        log.info("gen %d best %.3f mean %.3f", row["generation"], row["best_return"], row["mean_return"])
-
-    profile, kind = STAGES[args.stage]
-    tasks = training_scenarios(kind, args.tasks, cfg.seed)
     if args.stage == "fusion":
         if not args.expert_gs or not args.expert_oa:
             raise UsageError("fusion stage requires --expert-gs and --expert-oa checkpoints")
@@ -187,6 +178,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         oa, obs_b = _load_expert_arg("expert-oa", args.expert_oa)
         if obs_b != obs_cfg:
             raise UsageError("expert checkpoints disagree on the observation layout")
+    profile, kind = STAGES[args.stage]
+    tasks = training_scenarios(kind, args.tasks, cfg.seed)
+    out = _ensure_out(args.out)  # only once every input has been checked
+    log_rows: list[dict] = []
+
+    def on_gen(row: dict) -> None:
+        log_rows.append(row)
+        log.info("gen %d best %.3f mean %.3f", row["generation"], row["best_return"], row["mean_return"])
+
+    if args.stage == "fusion":
         bank, gating, critic = cotrain_fusion(gs, oa, tasks, cfg, obs_cfg, on_generation=on_gen)
         ckpt = out / "fusion-bundle.json"
         save_bundle(PolicyBundle(obs_cfg, bank, gating, critic), ckpt)

@@ -53,27 +53,75 @@ class ObservationConfig:
         ])
 
 
-@dataclass(frozen=True)
 class Observation:
-    """Fixed layout [ranges | motion | goal | velocity]."""
+    """One float64 feature vector in the fixed layout
+    [ranges | motion | goal | velocity].
 
-    ranges: np.ndarray    # (beams,) lidar ranges, meters
-    motion: np.ndarray    # (beams,) weighted history differences
-    goal: np.ndarray      # (2,) goal offset in the robot frame
-    velocity: np.ndarray  # (3,) commanded (v_x, v_y, omega_z)
+    ``vector()`` returns the vector itself, not a copy; ``ranges`` (beams,
+    lidar ranges, meters), ``motion`` (beams, weighted history
+    differences), ``goal`` (2, goal offset in the robot frame) and
+    ``velocity`` (3, commanded v_x, v_y, omega_z) are views of it, made
+    when read.  The vector is read-only, so the parts are too, and a
+    policy, its gate and a recorder can share it.
+    """
+
+    __slots__ = ("_vector", "_beams")
+
+    def __init__(self, ranges, motion, goal, velocity):
+        ranges, motion = np.ravel(ranges), np.ravel(motion)
+        goal, velocity = np.ravel(goal), np.ravel(velocity)
+        if (ranges.size, goal.size, velocity.size) != (motion.size, 2, 3):
+            raise ValueError("an observation needs equal-length ranges and motion, a 2-element goal "
+                             "and a 3-element velocity")
+        self._bind(np.concatenate([ranges, motion, goal, velocity], dtype=float), ranges.size)
+
+    @classmethod
+    def _of(cls, vec: np.ndarray, beams: int) -> "Observation":
+        """The observation whose vector is ``vec`` (laid out for ``beams``), adopted without a copy."""
+        obs = cls.__new__(cls)
+        obs._bind(vec, beams)
+        return obs
+
+    def _bind(self, vec: np.ndarray, beams: int) -> None:
+        vec.setflags(write=False)
+        self._vector = vec
+        self._beams = beams
+
+    @property
+    def ranges(self) -> np.ndarray:
+        return self._vector[:self._beams]
+
+    @property
+    def motion(self) -> np.ndarray:
+        return self._vector[self._beams:2 * self._beams]
+
+    @property
+    def goal(self) -> np.ndarray:
+        return self._vector[2 * self._beams:2 * self._beams + 2]
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self._vector[2 * self._beams + 2:]
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.ranges, self.motion, self.goal, self.velocity])
+        return self._vector
 
     def with_goal(self, goal_robot_frame) -> "Observation":
-        return Observation(self.ranges, self.motion, np.asarray(goal_robot_frame, dtype=float), self.velocity)
+        vec = self._vector.copy()
+        beams = self._beams
+        vec[2 * beams:2 * beams + 2] = goal_robot_frame
+        return Observation._of(vec, beams)
 
 
-def goal_in_robot_frame(pose, goal_world) -> np.ndarray:
+def _robot_frame(pose, goal_world) -> tuple[float, float]:
     dx = goal_world[0] - pose[0]
     dy = goal_world[1] - pose[1]
     c, s = math.cos(pose[2]), math.sin(pose[2])
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def goal_in_robot_frame(pose, goal_world) -> np.ndarray:
+    return np.array(_robot_frame(pose, goal_world))
 
 
 def build_observation(scans, pose, goal_world, velocity, history: int) -> Observation:
@@ -81,24 +129,26 @@ def build_observation(scans, pose, goal_world, velocity, history: int) -> Observ
 
     The motion feature is sum_{k=1..n} (scan_t - scan_{t-k}) / k; when fewer
     than n past scans exist the missing ones are padded with the current
-    scan, so the corresponding terms vanish.
+    scan, so the corresponding terms vanish.  Each part is written straight
+    into the observation's vector.
     """
     if len(scans) < 1:
         raise ValueError("need at least the current scan")
     current = np.asarray(scans[-1], dtype=float)
-    motion = np.zeros(current.shape)
+    beams = current.size
+    vec = np.zeros(2 * beams + 5)  # the motion sum starts from +0.0, so a -0.0 first term reads +0.0
+    vec[:beams] = current
+    motion = vec[beams:2 * beams]
     for k in range(1, history + 1):
+        # A padded term is still current - current: an infinite range makes it NaN, not 0.
         past = np.asarray(scans[-1 - k], dtype=float) if len(scans) > k else current
         term = current - past
         if k > 1:  # dividing by 1 is exact, so the k = 1 term skips it
             term /= k
         motion += term
-    return Observation(
-        ranges=current,
-        motion=motion,
-        goal=goal_in_robot_frame(pose, goal_world),
-        velocity=np.array(velocity, dtype=float),
-    )
+    vec[2 * beams], vec[2 * beams + 1] = _robot_frame(pose, goal_world)
+    vec[2 * beams + 2:] = velocity
+    return Observation._of(vec, beams)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +228,17 @@ def _vec(obs) -> np.ndarray:
 
 
 def forward(params: MlpParams, obs) -> np.ndarray:
-    """Raw network output (deterministic): tanh, tanh, linear."""
-    x = _vec(obs)
-    h = np.tanh(x @ params.w0 + params.b0)
-    h = np.tanh(h @ params.w1 + params.b1)
-    return h @ params.w2 + params.b2
+    """Raw network output (deterministic): tanh, tanh, linear.  Each layer
+    adds its bias and takes tanh in place, on the product's own array."""
+    h = _vec(obs) @ params.w0
+    h += params.b0
+    np.tanh(h, out=h)
+    h = h @ params.w1
+    h += params.b1
+    np.tanh(h, out=h)
+    y = h @ params.w2
+    y += params.b2
+    return y
 
 
 @dataclass
@@ -233,9 +289,11 @@ class CriticParams:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
+    # np.max and ndarray.sum wrap these very reductions
+    e = z - np.maximum.reduce(z)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
 
 
 def gate(gating: GatingParams, obs) -> np.ndarray:
@@ -255,13 +313,19 @@ def fuse(bank: ExpertBank, alpha) -> MlpParams:
     return MlpParams(*(np.dot(row, m).reshape(shape) for m, shape in bank.terms))
 
 
-_ACTION_SPAN = ACTION_HIGH - ACTION_LOW
+# (t + 1) * 0.5 * span == (t + 1) * (0.5 * span) bit for bit: halving is
+# exact, and t + 1 is 0 or >= 2**-53 for t = tanh(raw), so no subnormal arises.
+_HALF_ACTION_SPAN = 0.5 * (ACTION_HIGH - ACTION_LOW)
 
 
 def scale_to_limits(raw: np.ndarray) -> np.ndarray:
     """Map raw network outputs through tanh onto the command limits; the
     clamp keeps rounding from stepping past them."""
-    return clamp_action(ACTION_LOW + (np.tanh(raw) + 1.0) * 0.5 * _ACTION_SPAN)
+    t = np.tanh(raw)
+    t += 1.0
+    t *= _HALF_ACTION_SPAN
+    t += ACTION_LOW
+    return clamp_action(t)
 
 
 def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One control step as the reward function sees it."""
 
     d_prev: float      # robot-goal distance before the step, meters
@@ -84,14 +84,16 @@ def episode_rewards(profile: RewardProfile, result, goal) -> list[float]:
     which also carries the episode's collision, reach or timeout event.
     """
     gx, gy = goal
-    dists = [result.d_start] + [math.hypot(p[0] - gx, p[1] - gy) for p in result.poses[1:]] + [result.d_end]
+    # Python floats from tolist(): the same values as the numpy scalars that
+    # indexing gives, without a numpy scalar per step.
+    dists = [result.d_start] + [math.hypot(x - gx, y - gy) for x, y, _ in result.poses[1:].tolist()]
+    dists.append(result.d_end)
+    min_ranges = result.min_ranges.tolist()
+    omegas = result.actions[:, 2].tolist()
     last = result.steps - 1
     return [
         step_reward(profile, Transition(
-            d_prev=dists[k],
-            d_now=dists[k + 1],
-            min_range=float(result.min_ranges[k]),
-            omega_z=float(result.actions[k, 2]),
+            dists[k], dists[k + 1], min_ranges[k], omegas[k],
             collision=k == last and result.outcome == "crash",
             reached=k == last and result.outcome == "success",
             timeout=k == last and result.outcome == "timeout",

@@ -330,6 +330,15 @@ def _number(doc: dict, owner: str, field: str, default=None):
     return value
 
 
+def _radius(doc: dict, owner: str, field: str, default=None) -> float:
+    """``_number`` that must also be > 0: a disc of radius <= 0 never
+    collides with the robot, yet the lidar sees it."""
+    value = _number(doc, owner, field, default)
+    if not value > 0:
+        raise ValueError(f"{owner} field {field!r} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def _numbers(doc: dict, owner: str, field: str, count: int) -> tuple[float, ...]:
     """``doc[field]`` as ``count`` finite floats; a ValueError naming the
     field and its owner otherwise."""
@@ -371,7 +380,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         owner = f"obstacle {i}"
         _require(o, owner, "radius", "max_speed")
         obstacles.append(ObstacleSpec(
-            radius=float(_number(o, owner, "radius")),
+            radius=_radius(o, owner, "radius"),
             max_speed=float(_number(o, owner, "max_speed")),
             resample_prob=float(_number(o, owner, "resample_prob", DEFAULT_RESAMPLE_PROB)),
             region=_numbers(o, owner, "region", 4) if o.get("region") is not None else None,
@@ -384,7 +393,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         obstacles=tuple(obstacles),
         robot_start=_numbers(doc, "scenario", "robot_start", 3),
         goal=_numbers(doc, "scenario", "goal", 2),
-        robot_radius=float(_number(doc, "scenario", "robot_radius", ROBOT_RADIUS)),
+        robot_radius=_radius(doc, "scenario", "robot_radius", ROBOT_RADIUS),
         seed=int(_number(doc, "scenario", "seed", 0)),
     )
 

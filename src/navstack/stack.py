@@ -218,7 +218,7 @@ def run_episode(
             action = actor.action(obs)
             poses.append(pose.copy())
             actions.append(np.asarray(action, dtype=float).copy())
-            min_ranges.append(float(scan.min()))
+            min_ranges.append(float(np.minimum.reduce(scan)))
 
             if trace_file:
                 alpha = getattr(actor, "alpha", lambda _o: None)(obs)

@@ -135,7 +135,8 @@ def scale_vector(layout, input_scales: np.ndarray) -> np.ndarray:
 
 
 class _ObservationRecorder:
-    """Passes actions through and keeps every observation's feature vector."""
+    """Passes actions through and keeps every observation's feature vector:
+    the observation's own array, the very one the policy reads."""
 
     def __init__(self, policy):
         self.policy = policy

@@ -150,16 +150,20 @@ def spawn(spec: ScenarioSpec) -> WorldState:
     """Build the initial world for a scenario.
 
     Raises ValueError when the start or goal is invalid (outside bounds, or
-    inside a static shape inflated by the robot radius), when a radius,
-    speed, resample probability or region is not finite (a NaN fails every
-    comparison, so it would slip past the collision checks), or when an
-    obstacle cannot be placed collision-free.
+    inside a static shape inflated by the robot radius), when a speed,
+    resample probability or region is not finite (a NaN fails every
+    comparison, so it would slip past the collision checks), when a radius
+    is not a finite number > 0 (a robot of radius <= 0 never collides, since
+    ``check_collision`` tests d < radius, while the lidar sees a walker of
+    radius r < 0 as a disc of radius |r|, since ``ray_disc_hits`` uses r**2),
+    or when an obstacle cannot be placed collision-free.
     """
-    if not math.isfinite(spec.robot_radius):
-        raise ValueError(f"robot_radius must be finite, got {spec.robot_radius}")
+    if not (math.isfinite(spec.robot_radius) and spec.robot_radius > 0):
+        raise ValueError(f"robot_radius must be a finite number > 0, got {spec.robot_radius}")
     for i, ob in enumerate(spec.obstacles):
-        fields = {"radius": (ob.radius,), "max_speed": (ob.max_speed,),
-                  "resample_prob": (ob.resample_prob,), "region": ob.region or ()}
+        if not (math.isfinite(ob.radius) and ob.radius > 0):
+            raise ValueError(f"obstacle {i} radius must be a finite number > 0, got {ob.radius}")
+        fields = {"max_speed": (ob.max_speed,), "resample_prob": (ob.resample_prob,), "region": ob.region or ()}
         for name, values in fields.items():
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"obstacle {i} {name} must be finite, got {getattr(ob, name)}")
@@ -323,7 +327,7 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
 
     if world.segments.size:
         t_seg, valid = ray_segment_hits(x, y, cos, sin, world.segment_terms)
-        t = t_seg.min(axis=0, initial=max_range, where=valid)
+        t = np.minimum.reduce(t_seg, axis=0, initial=max_range, where=valid)
     else:
         t = np.full(beams, max_range)
     # t only falls from max_range, so no upper clamp is needed
@@ -332,7 +336,7 @@ def raycast(world: WorldState, beams: int, max_range: float) -> np.ndarray:
         dirs[:, 0] = cos
         dirs[:, 1] = sin
         t_disc = ray_disc_hits(np.array([x, y]), dirs, world.obstacle_pos, world.radii)
-        np.minimum(t, t_disc.min(axis=0), out=t)
+        np.minimum(t, np.minimum.reduce(t_disc, axis=0), out=t)
     return np.maximum(t, 1e-6, out=t)
 
 

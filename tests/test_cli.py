@@ -192,6 +192,16 @@ class TestTrain:
         code = main(["train", "fusion", "--out", str(tmp_path / "f")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ["fusion"],
+        ["fusion", "--expert-gs", "nope.json", "--expert-oa", "nope.json"],
+        ["expert-gs", "--tasks", "0"],
+    ])
+    def test_rejected_input_leaves_no_out_directory(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", *flags, "--out", "X"]) == EXIT_USAGE
+        assert not (tmp_path / "X").exists()
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"poppulation": 8}))
@@ -370,6 +380,14 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
      "obstacle 0 field 'max_speed' must be a finite number"),
     ("blind-alley", lambda d: d.update(robot_radius=float("inf")),
      "scenario field 'robot_radius' must be a finite number"),
+    ("blind-alley", lambda d: d.update(robot_radius=-0.3),
+     "scenario field 'robot_radius' must be a finite number > 0"),
+    ("blind-alley", lambda d: d.update(robot_radius=0.0),
+     "scenario field 'robot_radius' must be a finite number > 0"),
+    ("double-branch", lambda d: d["obstacles"][0].update(radius=-0.5),
+     "obstacle 0 field 'radius' must be a finite number > 0"),
+    ("double-branch", lambda d: d["obstacles"][0].update(radius=0),
+     "obstacle 0 field 'radius' must be a finite number > 0"),
     ("rooms", lambda d: d["static_shapes"][2].update(rect=[1.0, 1.0, float("-inf"), 2.0]),
      "static shape 2 field 'rect' must hold 4 numbers"),
     ("double-branch", lambda d: d["obstacles"].__setitem__(0, None),

@@ -92,6 +92,54 @@ class TestBuildObservation:
             build_observation([], (0, 0, 0), (1, 0), (0, 0, 0), 3)
 
 
+def _built_and_constructed():
+    rng = np.random.default_rng(4)
+    scans = [rng.uniform(0.1, 6.0, 8) for _ in range(4)]
+    built = build_observation(scans, np.array([1.0, 2.0, 0.3]), (4.0, -1.0), np.array([0.2, 0.0, -0.1]), 3)
+    return built, random_obs(rng)
+
+
+class TestObservationVector:
+    def test_vector_is_the_observation_itself(self):
+        for obs in _built_and_constructed():
+            assert obs.vector() is obs.vector()
+
+    def test_parts_are_read_only_views_of_the_vector(self):
+        for obs in _built_and_constructed():
+            v = obs.vector()
+            assert v.dtype == np.float64 and not v.flags.writeable
+            for part in (obs.ranges, obs.motion, obs.goal, obs.velocity):
+                assert np.shares_memory(part, v)
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0] = 1.0
+
+    def test_with_goal_leaves_the_original_untouched(self):
+        for obs in _built_and_constructed():
+            before = obs.vector().tobytes()
+            moved = obs.with_goal((1.5, -2.0))
+            assert obs.vector().tobytes() == before
+            assert not np.shares_memory(moved.vector(), obs.vector())
+            assert moved.goal.tolist() == [1.5, -2.0]
+            for field in ("ranges", "motion", "velocity"):
+                assert getattr(moved, field).tobytes() == getattr(obs, field).tobytes()
+
+    def test_constructor_copies_its_parts(self):
+        ranges = np.linspace(1.0, 2.0, 4)
+        obs = Observation(ranges, np.zeros(4), np.ones(2), np.zeros(3))
+        ranges[0] = 9.0
+        assert obs.ranges[0] == 1.0
+
+    @pytest.mark.parametrize("parts", [
+        (np.ones(4), np.ones(3), np.ones(2), np.ones(3)),
+        (np.ones(4), np.ones(4), np.ones(3), np.ones(3)),
+        (np.ones(4), np.ones(4), np.ones(2), np.ones(2)),
+    ])
+    def test_constructor_rejects_parts_off_the_layout(self, parts):
+        with pytest.raises(ValueError, match="observation"):
+            Observation(*parts)
+
+
 def _build_observation_oracle(scans, pose, goal_world, velocity, history: int = 3) -> Observation:
     """The observation built from a zero vector with one division per
     motion term, kept verbatim."""
@@ -227,6 +275,70 @@ def test_softmax_sums_to_one_and_permutes(logits):
     assert abs(s.sum() - 1.0) <= 1e-9
     perm = np.array([2, 0, 3, 1])
     assert np.allclose(softmax(z[perm]), s[perm], atol=1e-12)
+
+
+def _forward_oracle(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The forward pass with a fresh array per operation, kept verbatim."""
+    h = np.tanh(x @ params.w0 + params.b0)
+    h = np.tanh(h @ params.w1 + params.b1)
+    return h @ params.w2 + params.b2
+
+
+def _softmax_oracle(z: np.ndarray) -> np.ndarray:
+    """The softmax through np.max and ndarray.sum, kept verbatim."""
+    z = z - np.max(z)
+    e = np.exp(z)
+    return e / e.sum()
+
+
+# Ordinary numbers, so the tanh layers see more than NaN, mixed with every
+# special float64: NaN, +-inf, -0.0 and subnormals.
+_entries = st.one_of(st.floats(-3.0, 3.0), _any_float, st.sampled_from([-0.0, 5e-324, -1e-310, math.inf, -math.inf]))
+
+
+@st.composite
+def _mlps_and_inputs(draw, outputs=None):
+    x, h1, h2 = (draw(st.integers(1, 6)) for _ in range(3))
+    y = outputs or draw(st.integers(1, 4))
+
+    def array(shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(_entries, min_size=n, max_size=n)), dtype=float).reshape(shape)
+
+    return MlpParams(*(array(shape) for shape in MlpParams.shapes((x, h1, h2, y)))), array((x,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mlps_and_inputs())
+def test_forward_matches_oracle_bit_for_bit(case):
+    params, x = case
+    before = x.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = forward(params, x), _forward_oracle(params, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=6))
+def test_softmax_matches_oracle_bit_for_bit(logits):
+    z = np.array(logits)
+    before = z.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = softmax(z), _softmax_oracle(z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == before  # the caller's logits are left alone
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mlps_and_inputs(outputs=4))
+def test_gate_matches_oracle_bit_for_bit(case):
+    params, x = case
+    with np.errstate(all="ignore"):
+        got, want = gate(GatingParams(params), x), _softmax_oracle(_forward_oracle(params, x))
+    assert got.tobytes() == want.tobytes()
 
 
 def make_bank(rng, sizes=(21, 6, 5, 3)):

@@ -13,10 +13,11 @@ from navstack.rewards import (
     RewardProfile,
     Transition,
     episode_metrics,
+    episode_rewards,
     metrics_csv_row,
     step_reward,
 )
-from navstack.stack import EpisodeResult
+from navstack.stack import OUTCOMES, EpisodeResult
 
 
 class TestPresets:
@@ -144,3 +145,52 @@ class TestEpisodeMetrics:
         assert row[1] == 42
         assert row[2] == 1 and row[3] == 0 and row[4] == 0
         assert row[8] == 10
+
+
+def _episode_rewards_oracle(profile: RewardProfile, result, goal) -> list[float]:
+    """The replay through numpy-scalar indexing, kept verbatim."""
+    gx, gy = goal
+    dists = [result.d_start] + [math.hypot(p[0] - gx, p[1] - gy) for p in result.poses[1:]] + [result.d_end]
+    last = result.steps - 1
+    return [
+        step_reward(profile, Transition(
+            d_prev=dists[k],
+            d_now=dists[k + 1],
+            min_range=float(result.min_ranges[k]),
+            omega_z=float(result.actions[k, 2]),
+            collision=k == last and result.outcome == "crash",
+            reached=k == last and result.outcome == "success",
+            timeout=k == last and result.outcome == "timeout",
+        ))
+        for k in range(result.steps)
+    ]
+
+
+# Every float64: NaN, +-inf, -0.0, subnormals and huge values included.
+_any_float = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.sampled_from([-0.0, 5e-324, -1e-310]))
+
+
+@st.composite
+def _episodes(draw):
+    n = draw(st.integers(0, 6))
+
+    def array(shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(_any_float, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    result = EpisodeResult(
+        outcome=draw(st.sampled_from(OUTCOMES)), sim_time=1.0, min_ranges=array((n,)),
+        d_start=draw(_any_float), d_end=draw(_any_float), poses=array((n, 3)), actions=array((n, 3)),
+        exploration_selections=[], goal_known_time=None, cadence={},
+    )
+    return draw(st.sampled_from(sorted(PROFILES))), result, (draw(_any_float), draw(_any_float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_episodes())
+def test_episode_rewards_match_oracle_bit_for_bit(case):
+    name, result, goal = case
+    got = episode_rewards(PROFILES[name], result, goal)
+    want = _episode_rewards_oracle(PROFILES[name], result, goal)
+    assert [type(r) for r in got] == [type(r) for r in want]
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()

@@ -21,6 +21,7 @@ from navstack.policy import (
 )
 from navstack.rewards import PROFILES
 from navstack.scenarios import training_scenarios
+from navstack.stack import StackConfig, run_episode
 from navstack.training import (
     CRITIC_ROWS,
     TrainConfig,
@@ -172,6 +173,28 @@ class TestRollout:
         with mock.patch.object(training, "rollout_lower", recording):
             score(pack([MlpParams.zeros(*layout[0])]), np.array([3, 4]))
         assert seeds == [3, 4]
+
+
+    def test_recorder_keeps_the_vector_the_policy_reads(self):
+        """Each recorded row is the observation's own vector, the very array
+        the policy reads, not a second build."""
+        params = MlpParams.random(OBS8.dim, 8, 8, 3, np.random.default_rng(5), OBS8.feature_scales())
+        inner = SingleExpertPolicy(OBS8, params)
+        seen = []
+
+        class Spy:
+            def action(self, obs):
+                seen.append(obs.vector())
+                return inner.action(obs)
+
+        recorder = training._ObservationRecorder(Spy())
+        run_episode(small_tasks()[0], recorder, StackConfig(mode="lower-only", timeout=1.0), OBS8)
+        assert len(recorder.rows) == len(seen) > 0
+        assert all(row is vec for row, vec in zip(recorder.rows, seen))
+
+        _, res, obs_matrix, _ = rollout_lower(small_tasks()[0], inner, PROFILES["fusion"], OBS8, 1.0, collect=True)
+        assert obs_matrix.shape == (res.steps, OBS8.dim)
+        assert obs_matrix.tobytes() == np.array(seen).tobytes()
 
 
 class TestCotrain:

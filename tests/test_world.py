@@ -117,6 +117,18 @@ class TestSpawn:
         with pytest.raises(ValueError, match=field):
             spawn(spec)
 
+    @pytest.mark.parametrize("field", ["radius", "robot_radius"])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.3])
+    def test_radius_not_positive_rejected(self, field, bad):
+        # a robot of radius <= 0 never collides (d < r never holds), while
+        # the lidar still sees a walker of radius -r as a disc of radius r
+        ob = ObstacleSpec(radius=bad if field == "radius" else 0.3, max_speed=0.5)
+        spec = ScenarioSpec(name="bad", bounds=(0.0, 0.0, 10.0, 10.0), obstacles=(ob,),
+                            robot_start=(5.0, 5.0, 0.0), goal=(9.0, 9.0),
+                            robot_radius=bad if field == "robot_radius" else ROBOT_RADIUS)
+        with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+            spawn(spec)
+
     def test_obstacles_placed_clear(self):
         spec = ScenarioSpec(
             name="obs",
