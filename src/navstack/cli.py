@@ -247,7 +247,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_frontier_debug(args: argparse.Namespace) -> int:
-    from .exploration import CANDIDATE_CSV_HEADER
+    from .exploration import CANDIDATE_CSV_HEADER, candidate_csv_rows
     from .fileio import write_csv
     from .stack import StackConfig, run_episode
 
@@ -261,15 +261,12 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
         timeout=args.steps / StackConfig.control_hz,
     )
     out = _ensure_out(args.out)
-    result = run_episode(spec, policy, cfg, collect_candidates=True)
-    rows = []
-    for tick, table in result.scored_tables:
-        for row in table:
-            rows.append((tick, *row))
+    result = run_episode(spec, policy, cfg)
+    rows = [(tick, *row) for tick, scored in result.candidates for row in candidate_csv_rows(scored, cfg.gamma)]
     csv_path = out / "candidates.csv"
     write_csv(csv_path, ("tick", *CANDIDATE_CSV_HEADER), rows)
     _write_manifest(out, args, [csv_path])
-    print(f"{len(rows)} candidate rows over {len(result.scored_tables)} exploration cycles -> {csv_path}")
+    print(f"{len(rows)} candidate rows over {len(result.candidates)} exploration cycles -> {csv_path}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .rewards import PROFILES
-from .world import ACTION_HIGH, ACTION_LOW, clamp_action
+from .world import ACTION_HIGH, ACTION_LOW
 
 PARAMS_SCHEMA = 1
 NUM_EXPERTS = 4
@@ -113,15 +113,12 @@ class Observation:
         return Observation._of(vec, beams)
 
 
-def _robot_frame(pose, goal_world) -> tuple[float, float]:
+def goal_in_robot_frame(pose, goal_world) -> tuple[float, float]:
+    """The world point ``goal_world`` as an offset in the frame of ``pose``."""
     dx = goal_world[0] - pose[0]
     dy = goal_world[1] - pose[1]
     c, s = math.cos(pose[2]), math.sin(pose[2])
     return c * dx + s * dy, -s * dx + c * dy
-
-
-def goal_in_robot_frame(pose, goal_world) -> np.ndarray:
-    return np.array(_robot_frame(pose, goal_world))
 
 
 def build_observation(scans, pose, goal_world, velocity, history: int) -> Observation:
@@ -146,7 +143,7 @@ def build_observation(scans, pose, goal_world, velocity, history: int) -> Observ
         if k > 1:  # dividing by 1 is exact, so the k = 1 term skips it
             term /= k
         motion += term
-    vec[2 * beams], vec[2 * beams + 1] = _robot_frame(pose, goal_world)
+    vec[2 * beams], vec[2 * beams + 1] = goal_in_robot_frame(pose, goal_world)
     vec[2 * beams + 2:] = velocity
     return Observation._of(vec, beams)
 
@@ -186,17 +183,18 @@ class MlpParams:
     @classmethod
     def random(cls, x: int, h1: int, h2: int, y: int, rng: np.random.Generator,
                input_scales: np.ndarray | None = None) -> "MlpParams":
-        """Random init with O(1) pre-activations.
+        """Random init with O(1) pre-activations: weights are N(0, 1) times
+        their ``init_stds`` entries, drawn w0, w1, w2 in turn; biases are 0.
 
         ``input_scales`` gives the typical magnitude of each input feature;
         first-layer weights shrink accordingly so meter-scale inputs do not
         saturate the tanh units.
         """
-        w0_std = cls.init_stds((x, h1, h2, y), input_scales)[0]
+        w0, _, w1, _, w2, _ = cls.init_stds((x, h1, h2, y), input_scales)
         return cls(
-            rng.normal(0.0, 1.0, (x, h1)) * w0_std, np.zeros(h1),
-            rng.normal(0.0, 1.0 / math.sqrt(h1), (h1, h2)), np.zeros(h2),
-            rng.normal(0.0, 1.0 / math.sqrt(h2), (h2, y)), np.zeros(y),
+            rng.normal(0.0, 1.0, w0.shape) * w0, np.zeros(h1),
+            rng.normal(0.0, 1.0, w1.shape) * w1, np.zeros(h2),
+            rng.normal(0.0, 1.0, w2.shape) * w2, np.zeros(y),
         )
 
     @staticmethod
@@ -228,17 +226,12 @@ def _vec(obs) -> np.ndarray:
 
 
 def forward(params: MlpParams, obs) -> np.ndarray:
-    """Raw network output (deterministic): tanh, tanh, linear.  Each layer
-    adds its bias and takes tanh in place, on the product's own array."""
-    h = _vec(obs) @ params.w0
-    h += params.b0
-    np.tanh(h, out=h)
-    h = h @ params.w1
-    h += params.b1
-    np.tanh(h, out=h)
-    y = h @ params.w2
-    y += params.b2
-    return y
+    """Raw network output (deterministic): tanh, tanh, linear.  The bias
+    adds are not in place: on a one-element array numpy's in-place add
+    keeps the bias's NaN where ``a + b`` keeps the product's."""
+    h = np.tanh(_vec(obs) @ params.w0 + params.b0)
+    h = np.tanh(h @ params.w1 + params.b1)
+    return h @ params.w2 + params.b2
 
 
 @dataclass
@@ -319,13 +312,14 @@ _HALF_ACTION_SPAN = 0.5 * (ACTION_HIGH - ACTION_LOW)
 
 
 def scale_to_limits(raw: np.ndarray) -> np.ndarray:
-    """Map raw network outputs through tanh onto the command limits; the
-    clamp keeps rounding from stepping past them."""
+    """Map raw network outputs through tanh onto the command limits.  No
+    clamp: rounding is monotone and 2 * _HALF_ACTION_SPAN + ACTION_LOW ==
+    ACTION_HIGH exactly, so the result lies within them (a NaN stays NaN)."""
     t = np.tanh(raw)
     t += 1.0
     t *= _HALF_ACTION_SPAN
     t += ACTION_LOW
-    return clamp_action(t)
+    return t
 
 
 def act_with_alpha(bank: ExpertBank, alpha, obs) -> np.ndarray:
@@ -452,16 +446,20 @@ def _checkpoint(path: str | Path, kind: str) -> dict:
     return doc
 
 
-def save_bundle(bundle: PolicyBundle, path: str | Path) -> None:
-    doc = {
-        "schema": PARAMS_SCHEMA,
-        "kind": "fusion_bundle",
-        "observation": _obs_to_dict(bundle.obs_config),
-        "experts": [_mlp_to_dict(e) for e in bundle.bank.experts],
-        "gating": _mlp_to_dict(bundle.gating.params),
-        "critic": _mlp_to_dict(bundle.critic.params),
-    }
+def _write_checkpoint(path: str | Path, kind: str, obs_config: ObservationConfig, **fields) -> None:
+    """Write a checkpoint of ``kind``: the schema, kind and observation
+    header plus ``fields``, as one line of key-sorted JSON."""
+    doc = {"schema": PARAMS_SCHEMA, "kind": kind, "observation": _obs_to_dict(obs_config), **fields}
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def save_bundle(bundle: PolicyBundle, path: str | Path) -> None:
+    _write_checkpoint(
+        path, "fusion_bundle", bundle.obs_config,
+        experts=[_mlp_to_dict(e) for e in bundle.bank.experts],
+        gating=_mlp_to_dict(bundle.gating.params),
+        critic=_mlp_to_dict(bundle.critic.params),
+    )
 
 
 def load_bundle(path: str | Path) -> PolicyBundle:
@@ -480,14 +478,7 @@ def load_bundle(path: str | Path) -> PolicyBundle:
 
 
 def save_expert(params: MlpParams, profile: str, obs_config: ObservationConfig, path: str | Path) -> None:
-    doc = {
-        "schema": PARAMS_SCHEMA,
-        "kind": "expert",
-        "profile": profile,
-        "observation": _obs_to_dict(obs_config),
-        "params": _mlp_to_dict(params),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    _write_checkpoint(path, "expert", obs_config, profile=profile, params=_mlp_to_dict(params))
 
 
 def load_expert(path: str | Path) -> tuple[MlpParams, str, ObservationConfig]:

@@ -23,7 +23,6 @@ from .planning import plan_grid, plan_path
 from .world import DEFAULT_RESAMPLE_PROB, MAX_FORWARD_SPEED, ObstacleSpec, ROBOT_RADIUS, ScenarioSpec, point_static_clearance
 
 SCENARIO_SCHEMA = 1
-BUILTIN_NAMES = ("blind-alley", "double-branch", "rooms", "square")
 
 
 def blind_alley(seed: int = 0) -> ScenarioSpec:
@@ -94,9 +93,9 @@ def double_branch(seed: int = 0) -> ScenarioSpec:
 def rooms(seed: int = 0) -> ScenarioSpec:
     """Static clutter: interior walls with door gaps plus box roadblocks;
     start and goal are sampled mutually reachable."""
-    rng = np.random.default_rng(seed)
     bounds = (0.0, 0.0, 10.0, 10.0)
-    for _ in range(60):
+
+    def draw(rng: np.random.Generator) -> ScenarioSpec:
         wx = rng.uniform(3.0, 7.0)
         gap_y = rng.uniform(1.5, 7.0)
         wy = rng.uniform(3.0, 7.0)
@@ -107,28 +106,10 @@ def rooms(seed: int = 0) -> ScenarioSpec:
             (0.0, wy, gap_x, wy),
             (gap_x + 1.6, wy, 10.0, wy),
         )
-        blocks = tuple(
-            (bx, by, bx + w, by + h)
-            for bx, by, w, h in (
-                (rng.uniform(0.8, 8.4), rng.uniform(0.8, 8.4), rng.uniform(0.4, 0.9), rng.uniform(0.4, 0.9))
-                for _ in range(3)
-            )
-        )
-        spec = ScenarioSpec(
-            name="rooms",
-            bounds=bounds,
-            static_rects=blocks,
-            static_segments=walls,
-            robot_start=(0.0, 0.0, 0.0),
-            goal=(0.0, 0.0),
-            seed=seed,
-        )
-        picked = _sample_start_goal(spec, rng, min_separation=5.0)
-        if picked is not None:
-            start_xy, goal_xy = picked
-            theta = rng.uniform(-math.pi, math.pi)
-            return replace(spec, robot_start=(start_xy[0], start_xy[1], theta), goal=goal_xy)
-    raise RuntimeError(f"rooms generator failed to find a connected layout for seed {seed}")
+        blocks = _draw_blocks(rng, 3, (0.8, 8.4), (0.4, 0.9))
+        return ScenarioSpec(name="rooms", bounds=bounds, static_rects=blocks, static_segments=walls, seed=seed)
+
+    return _sampled_layout(seed, draw, 5.0, lambda rng, start, goal: rng.uniform(-math.pi, math.pi))
 
 
 def square(seed: int = 0) -> ScenarioSpec:
@@ -157,6 +138,7 @@ _BUILTINS = {
     "rooms": rooms,
     "square": square,
 }
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def make_scenario(name: str, seed: int = 0) -> ScenarioSpec:
@@ -208,63 +190,42 @@ def _sample_start_goal(spec: ScenarioSpec, rng: np.random.Generator, min_separat
     return None
 
 
+def _draw_blocks(rng: np.random.Generator, count: int, corner, side) -> tuple:
+    """``count`` boxes (x0, y0, x1, y1), each drawn as x0, y0 in ``corner``, then width, height in ``side``."""
+    draws = ((rng.uniform(*corner), rng.uniform(*corner), rng.uniform(*side), rng.uniform(*side))
+             for _ in range(count))
+    return tuple((bx, by, bx + w, by + h) for bx, by, w, h in draws)
+
+
+def _sampled_layout(seed: int, draw, min_separation: float, heading) -> ScenarioSpec:
+    """The first of up to 60 layouts ``draw(rng)`` in which
+    ``_sample_start_goal`` finds a start and a goal, with the robot facing
+    ``heading(rng, start, goal)``.  One generator seeded with ``seed``
+    makes every draw, in that order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        spec = draw(rng)
+        picked = _sample_start_goal(spec, rng, min_separation)
+        if picked is not None:
+            start, goal = picked
+            return replace(spec, robot_start=(*start, heading(rng, start, goal)), goal=goal)
+    raise RuntimeError(f"{spec.name} generator failed to find a connected layout for seed {seed}")
+
+
 # ---------------------------------------------------------------------------
 # Training task sets
 
 
-def training_scenarios(kind: str, count: int, base_seed: int = 0) -> list[ScenarioSpec]:
-    """Task sets for the trainer.
-
-    "static": small rooms with roadblocks and no walkers (the go-straight
-    diet).  "dynamic": a small box of walkers (the obstacle-avoidance diet).
-    "static+dynamic": alternating mix of the two, used to measure whether a
-    blended policy keeps both skills.  "families": round-robin over the four
-    built-in scenario generators for the co-training stage.
-    """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
-    if kind == "families":
-        return [make_scenario(BUILTIN_NAMES[i % 4], base_seed * 1000 + i) for i in range(count)]
-    if kind == "static+dynamic":
-        out = []
-        for i in range(count):
-            maker = _static_task if i % 2 == 0 else _dynamic_task
-            out.append(maker(base_seed * 1000 + i))
-        return out
-    if kind == "static":
-        return [_static_task(base_seed * 1000 + i) for i in range(count)]
-    if kind == "dynamic":
-        return [_dynamic_task(base_seed * 1000 + i) for i in range(count)]
-    raise KeyError(f"unknown training set kind {kind!r}")
-
-
 def _task_box(seed: int, obstacles: tuple[ObstacleSpec, ...], blocks: int, name: str) -> ScenarioSpec:
-    rng = np.random.default_rng(seed)
     bounds = (0.0, 0.0, 7.0, 7.0)
-    for _ in range(60):
-        rects = tuple(
-            (bx, by, bx + w, by + h)
-            for bx, by, w, h in (
-                (rng.uniform(1.0, 5.2), rng.uniform(1.0, 5.2), rng.uniform(0.4, 0.8), rng.uniform(0.4, 0.8))
-                for _ in range(blocks)
-            )
-        )
-        spec = ScenarioSpec(
-            name=name,
-            bounds=bounds,
-            static_rects=rects,
-            static_segments=tuple(rect_edges(bounds)),
-            obstacles=obstacles,
-            robot_start=(0.0, 0.0, 0.0),
-            goal=(0.0, 0.0),
-            seed=seed,
-        )
-        picked = _sample_start_goal(spec, rng, min_separation=3.5)
-        if picked is not None:
-            (sx, sy), goal = picked
-            heading = math.atan2(goal[1] - sy, goal[0] - sx) + rng.uniform(-0.6, 0.6)
-            return replace(spec, robot_start=(sx, sy, heading), goal=goal)
-    raise RuntimeError(f"training task generator failed for seed {seed}")
+
+    def draw(rng: np.random.Generator) -> ScenarioSpec:
+        rects = _draw_blocks(rng, blocks, (1.0, 5.2), (0.4, 0.8))
+        return ScenarioSpec(name=name, bounds=bounds, static_rects=rects,
+                            static_segments=tuple(rect_edges(bounds)), obstacles=obstacles, seed=seed)
+
+    return _sampled_layout(seed, draw, 3.5, lambda rng, start, goal: (
+        math.atan2(goal[1] - start[1], goal[0] - start[0]) + rng.uniform(-0.6, 0.6)))
 
 
 def _static_task(seed: int) -> ScenarioSpec:
@@ -274,6 +235,32 @@ def _static_task(seed: int) -> ScenarioSpec:
 def _dynamic_task(seed: int) -> ScenarioSpec:
     walkers = tuple(ObstacleSpec(radius=0.3, max_speed=0.8) for _ in range(3))
     return _task_box(seed, obstacles=walkers, blocks=0, name="train-dynamic")
+
+
+_TASK_MAKERS = {  # each kind's makers: task i is makers[i % len(makers)](base_seed * 1000 + i)
+    "static": (_static_task,),
+    "dynamic": (_dynamic_task,),
+    "static+dynamic": (_static_task, _dynamic_task),
+    "families": tuple(_BUILTINS.values()),
+}
+
+
+def training_scenarios(kind: str, count: int, base_seed: int = 0) -> list[ScenarioSpec]:
+    """Task sets for the trainer, made by ``_TASK_MAKERS``.
+
+    "static": small rooms with roadblocks and no walkers (the go-straight
+    diet).  "dynamic": a small box of walkers (the obstacle-avoidance diet).
+    "static+dynamic": alternating mix of the two, used to measure whether a
+    blended policy keeps both skills.  "families": round-robin over the four
+    built-in scenario generators, in ``BUILTIN_NAMES`` order, for the
+    co-training stage.
+    """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    if kind not in _TASK_MAKERS:
+        raise KeyError(f"unknown training set kind {kind!r}")
+    makers = _TASK_MAKERS[kind]
+    return [makers[i % len(makers)](base_seed * 1000 + i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

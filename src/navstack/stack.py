@@ -23,7 +23,6 @@ import numpy as np
 from . import world as sim
 from .exploration import (
     ExplorationState,
-    candidate_csv_rows,
     score_candidates,
     select_exploration_point,
     should_reselect,
@@ -86,7 +85,7 @@ class EpisodeResult:
     exploration_selections: list  # (sim_time, cell, world_xy)
     goal_known_time: float | None
     cadence: dict
-    scored_tables: list = field(default_factory=list)  # (tick, rows) when instrumented
+    candidates: list = field(default_factory=list)  # (tick, scored candidates) per scoring cycle
     error: str | None = None
 
     @property
@@ -104,7 +103,6 @@ def run_episode(
     config: StackConfig = StackConfig(),
     obs_config: ObservationConfig | None = None,
     trace_path=None,
-    collect_candidates: bool = False,
 ) -> EpisodeResult:
     """Run one episode and return its record.
 
@@ -114,11 +112,11 @@ def run_episode(
     In "upper-with-scripted-lower" mode the scripted blend acts while
     value() stays with ``policy`` (the blend's own when ``policy`` has
     none); in "lower-only" mode nothing is mapped and the policy is steered
-    at the goal itself.  Simulator or planner errors mark the episode
-    failed (distinct from a crash) instead of propagating.
+    at the goal itself.  Simulator or planner errors and malformed actions
+    mark the episode failed (distinct from a crash) instead of propagating.
     """
     actor = scripted_bundle() if config.mode == "upper-with-scripted-lower" else policy
-    critic_source = policy if hasattr(policy, "value") else actor
+    value = getattr(policy, "value", None) or getattr(actor, "value", None)
     if obs_config is None:
         obs_config = getattr(policy, "obs_config", None) or ObservationConfig()
 
@@ -141,7 +139,7 @@ def run_episode(
 
     poses, actions, min_ranges = [], [], []
     selections: list = []
-    scored_tables: list = []
+    candidates: list = []
     cadence = {"map": 0, "plan": 0, "explore_scheduled": 0, "explore_triggered": 0}
     trace_file = open(trace_path, "w") if trace_path else None
 
@@ -183,10 +181,9 @@ def run_episode(
                             cadence["explore_triggered"] += 1
                         dist = distance_field(plan, robot_cell)
                         obs_now = build_observation(scans, pose, goal, world.robot.velocity, obs_config.history)
-                        critic = _candidate_critic(critic_source, obs_now, pose)
+                        critic = _candidate_critic(value, obs_now, pose)
                         scored = score_candidates(frontier, grid, goal, critic, dist)
-                        if collect_candidates:
-                            scored_tables.append((tick, candidate_csv_rows(scored, config.gamma)))
+                        candidates.append((tick, scored))
                         cell = None
                         if scored:
                             cell = select_exploration_point(scored, config.gamma)
@@ -215,9 +212,11 @@ def run_episode(
 
             target_world = (waypoint or (pose[0], pose[1])) if upper else goal
             obs = build_observation(scans, pose, target_world, world.robot.velocity, obs_config.history)
-            action = actor.action(obs)
+            action = np.asarray(actor.action(obs), dtype=float)
+            if action.shape != (3,):
+                raise ValueError(f"the policy's action has shape {action.shape}, not (3,)")
             poses.append(pose.copy())
-            actions.append(np.asarray(action, dtype=float).copy())
+            actions.append(action.copy())
             min_ranges.append(float(np.minimum.reduce(scan)))
 
             if trace_file:
@@ -226,7 +225,7 @@ def run_episode(
                     "tick": tick,
                     "t": world.sim_time,
                     "pose": [float(v) for v in pose],
-                    "action": [float(v) for v in np.asarray(action)],
+                    "action": [float(v) for v in action],
                     "alpha": [float(v) for v in alpha] if alpha is not None else None,
                     "waypoint": list(waypoint) if waypoint is not None else None,
                     "exploration_point": list(exp_state.current_point) if exp_state.current_point else None,
@@ -258,7 +257,7 @@ def run_episode(
         exploration_selections=selections,
         goal_known_time=goal_known_time,
         cadence=cadence,
-        scored_tables=scored_tables,
+        candidates=candidates,
         error=error,
     )
 
@@ -267,10 +266,10 @@ def _euclid(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _candidate_critic(policy, obs_now, pose):
-    """Bind the live observation; candidates arrive as world points and are
+def _candidate_critic(value, obs_now, pose):
+    """Bind the live observation to the critic ``value`` (None: every
+    candidate scores 0.0); candidates arrive as world points and are
     rotated into the robot frame before the critic sees them."""
-    value = getattr(policy, "value", None)
     if value is None:
         return lambda _pt: 0.0
 

@@ -34,6 +34,7 @@ from .scenarios import training_scenarios
 from .stack import StackConfig, run_episode
 
 DISCOUNT = 0.99
+RIDGE = 1.0  # the critic head refit's ridge penalty
 HIDDEN = (64, 64)
 CRITIC_ROWS = 40_000  # the newest elite rows the critic head is refit on
 
@@ -358,13 +359,12 @@ def _fusion_parts(vec: np.ndarray, layout) -> tuple[ExpertBank, GatingParams, Cr
     return ExpertBank(tuple(experts)), GatingParams(_copy(gating)), CriticParams(_copy(critic))
 
 
-def _refit_critic_head(p: MlpParams, obs_matrix: np.ndarray, targets: np.ndarray,
-                       ridge: float = 1.0) -> None:
-    """Ridge-fit the critic network's linear output layer on hidden features."""
+def _refit_critic_head(p: MlpParams, obs_matrix: np.ndarray, targets: np.ndarray) -> None:
+    """Ridge-fit (penalty ``RIDGE``) the critic network's linear output layer on hidden features."""
     h = np.tanh(obs_matrix @ p.w0 + p.b0)
     h = np.tanh(h @ p.w1 + p.b1)
     phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
-    a = phi.T @ phi + ridge * np.eye(phi.shape[1])
+    a = phi.T @ phi + RIDGE * np.eye(phi.shape[1])
     w = np.linalg.solve(a, phi.T @ targets)
     p.w2[:, 0] = w[:-1]
     p.b2[0] = w[-1]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navstack.policy import (
+    PARAMS_SCHEMA,
     CriticParams,
     ExpertBank,
     GatingParams,
@@ -15,6 +16,8 @@ from navstack.policy import (
     ObservationConfig,
     PolicyBundle,
     SingleExpertPolicy,
+    _mlp_to_dict,
+    _obs_to_dict,
     act,
     act_with_alpha,
     build_observation,
@@ -31,7 +34,7 @@ from navstack.policy import (
     scale_to_limits,
     softmax,
 )
-from navstack.world import ACTION_HIGH, ACTION_LOW
+from navstack.world import ACTION_HIGH, ACTION_LOW, clamp_action
 
 
 def random_mlp(sizes, rng):
@@ -195,15 +198,42 @@ def _scale_to_limits_oracle(raw: np.ndarray) -> np.ndarray:
     return np.clip(scaled, ACTION_LOW, ACTION_HIGH)
 
 
+def _clamped_scale_to_limits_oracle(raw: np.ndarray) -> np.ndarray:
+    """The in-place mapping with its final clamp, kept verbatim."""
+    t = np.tanh(raw)
+    t += 1.0
+    t *= 0.5 * (ACTION_HIGH - ACTION_LOW)
+    t += ACTION_LOW
+    return clamp_action(t)
+
+
+# Subnormals, the float extremes and raw values where tanh rounds to +-1 or just short of it.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                18.0, -18.0, 19.1, -19.1, 40.0, -40.0, 1.7976931348623157e308, -1.7976931348623157e308,
+                math.inf, -math.inf, math.nan]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.one_of(_any_float, st.sampled_from([0.0, -0.0, 40.0, -40.0])),
+@given(st.lists(st.lists(st.one_of(_any_float, st.sampled_from(_EDGE_FLOATS)),
                          min_size=3, max_size=3), min_size=1, max_size=4),
        st.booleans())
 def test_scale_to_limits_matches_oracle_bit_for_bit(rows, flat):
     raw = np.array(rows[0] if flat else rows)
-    got, want = scale_to_limits(raw), _scale_to_limits_oracle(raw)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    got = scale_to_limits(raw)
+    for want in (_scale_to_limits_oracle(raw), _clamped_scale_to_limits_oracle(raw)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scale_to_limits_needs_no_clamp():
+    """Dense raw values around the points where tanh saturates, each in
+    every action slot: the unclamped mapping equals the clamped one."""
+    assert (2 * (0.5 * (ACTION_HIGH - ACTION_LOW)) + ACTION_LOW).tobytes() == ACTION_HIGH.tobytes()
+    edges = np.concatenate([np.linspace(-25.0, 25.0, 200_001), _EDGE_FLOATS])
+    raw = np.repeat(edges, 3).reshape(-1, 3)
+    got = scale_to_limits(raw)
+    assert got.tobytes() == _clamped_scale_to_limits_oracle(raw).tobytes()
+    assert np.all(got[:-1] >= ACTION_LOW) and np.all(got[:-1] <= ACTION_HIGH)  # the last row is NaN
 
 
 @settings(max_examples=50, deadline=None)
@@ -598,7 +628,83 @@ class TestHeatmap:
         assert np.allclose(values, values[::-1, :], atol=1e-12)
 
 
+def _random_oracle(x, h1, h2, y, rng, input_scales=None) -> MlpParams:
+    """``MlpParams.random`` with its second and third scales written out, kept verbatim."""
+    w0_std = MlpParams.init_stds((x, h1, h2, y), input_scales)[0]
+    return MlpParams(
+        rng.normal(0.0, 1.0, (x, h1)) * w0_std, np.zeros(h1),
+        rng.normal(0.0, 1.0 / math.sqrt(h1), (h1, h2)), np.zeros(h2),
+        rng.normal(0.0, 1.0 / math.sqrt(h2), (h2, y)), np.zeros(y),
+    )
+
+
+@pytest.mark.parametrize("sizes, scaled", [
+    ((149, 64, 64, 3), True),    # expert
+    ((149, 64, 64, 4), True),    # gating
+    ((149, 64, 64, 1), True),    # critic
+    ((13, 6, 5, 3), False),
+])
+@pytest.mark.parametrize("seed", range(30))
+def test_random_init_matches_oracle_bit_for_bit(sizes, scaled, seed):
+    scales = ObservationConfig().feature_scales() if scaled else None
+    got = MlpParams.random(*sizes, rng=np.random.default_rng(seed), input_scales=scales)
+    want = _random_oracle(*sizes, np.random.default_rng(seed), scales)
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(1, 12)] * 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_random_init_matches_oracle_on_any_sizes(sizes, seed, scaled):
+    scales = np.random.default_rng(seed).uniform(0.1, 10.0, sizes[0]) if scaled else None
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = MlpParams.random(*sizes, rng=rng, input_scales=scales)
+    want = _random_oracle(*sizes, oracle_rng, scales)
+    assert [a.tobytes() for a in got.arrays()] == [b.tobytes() for b in want.arrays()]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the same draws, no more
+
+
+def _save_bundle_oracle(bundle: PolicyBundle, path) -> None:
+    """The bundle writer with its header written out, kept verbatim."""
+    doc = {
+        "schema": PARAMS_SCHEMA,
+        "kind": "fusion_bundle",
+        "observation": _obs_to_dict(bundle.obs_config),
+        "experts": [_mlp_to_dict(e) for e in bundle.bank.experts],
+        "gating": _mlp_to_dict(bundle.gating.params),
+        "critic": _mlp_to_dict(bundle.critic.params),
+    }
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _save_expert_oracle(params: MlpParams, profile: str, obs_config: ObservationConfig, path) -> None:
+    """The expert writer with its header written out, kept verbatim."""
+    doc = {
+        "schema": PARAMS_SCHEMA,
+        "kind": "expert",
+        "profile": profile,
+        "observation": _obs_to_dict(obs_config),
+        "params": _mlp_to_dict(params),
+    }
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_checkpoints_match_oracle_byte_for_byte(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ObservationConfig(beams=8, max_range=4.5, history=seed)
+        bundle = PolicyBundle(cfg, make_bank(rng), GatingParams(random_mlp((21, 6, 5, 4), rng)),
+                              CriticParams(random_mlp((21, 6, 5, 1), rng)))
+        save_bundle(bundle, tmp_path / "got.json")
+        _save_bundle_oracle(bundle, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        for profile in ("go-straight", "obstacle-avoidance"):
+            params = random_mlp((21, 6, 5, 3), rng)
+            save_expert(params, profile, cfg, tmp_path / "got.json")
+            _save_expert_oracle(params, profile, cfg, tmp_path / "want.json")
+            assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_bundle_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         bundle = PolicyBundle(

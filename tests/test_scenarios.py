@@ -8,9 +8,12 @@ import pytest
 
 from navstack.mapping import CellClass, classify
 from navstack.planning import plan_grid, plan_path
+from navstack.geometry import rect_edges
 from navstack.scenarios import (
     BUILTIN_NAMES,
+    _dynamic_task,
     _sample_start_goal,
+    _static_task,
     blind_alley,
     double_branch,
     ground_truth_grid,
@@ -23,7 +26,7 @@ from navstack.scenarios import (
     square,
     training_scenarios,
 )
-from navstack.world import MAX_FORWARD_SPEED, spawn
+from navstack.world import MAX_FORWARD_SPEED, ObstacleSpec, ScenarioSpec, spawn
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -205,3 +208,122 @@ class TestTrainingSets:
     def test_empty_set_rejected_naming_count(self, count):
         with pytest.raises(ValueError, match="count"):
             training_scenarios("static", count, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the generators with their retry loops, block draws and task-set
+# branches written out per generator, kept verbatim.
+
+
+def _rooms_oracle(seed: int = 0) -> ScenarioSpec:
+    rng = np.random.default_rng(seed)
+    bounds = (0.0, 0.0, 10.0, 10.0)
+    for _ in range(60):
+        wx = rng.uniform(3.0, 7.0)
+        gap_y = rng.uniform(1.5, 7.0)
+        wy = rng.uniform(3.0, 7.0)
+        gap_x = rng.uniform(1.5, 7.0)
+        walls = tuple(rect_edges(bounds)) + (
+            (wx, 0.0, wx, gap_y),
+            (wx, gap_y + 1.6, wx, 10.0),
+            (0.0, wy, gap_x, wy),
+            (gap_x + 1.6, wy, 10.0, wy),
+        )
+        blocks = tuple(
+            (bx, by, bx + w, by + h)
+            for bx, by, w, h in (
+                (rng.uniform(0.8, 8.4), rng.uniform(0.8, 8.4), rng.uniform(0.4, 0.9), rng.uniform(0.4, 0.9))
+                for _ in range(3)
+            )
+        )
+        spec = ScenarioSpec(
+            name="rooms",
+            bounds=bounds,
+            static_rects=blocks,
+            static_segments=walls,
+            robot_start=(0.0, 0.0, 0.0),
+            goal=(0.0, 0.0),
+            seed=seed,
+        )
+        picked = _sample_start_goal(spec, rng, min_separation=5.0)
+        if picked is not None:
+            start_xy, goal_xy = picked
+            theta = rng.uniform(-math.pi, math.pi)
+            return replace(spec, robot_start=(start_xy[0], start_xy[1], theta), goal=goal_xy)
+    raise RuntimeError(f"rooms generator failed to find a connected layout for seed {seed}")
+
+
+def _task_box_oracle(seed: int, obstacles, blocks: int, name: str) -> ScenarioSpec:
+    rng = np.random.default_rng(seed)
+    bounds = (0.0, 0.0, 7.0, 7.0)
+    for _ in range(60):
+        rects = tuple(
+            (bx, by, bx + w, by + h)
+            for bx, by, w, h in (
+                (rng.uniform(1.0, 5.2), rng.uniform(1.0, 5.2), rng.uniform(0.4, 0.8), rng.uniform(0.4, 0.8))
+                for _ in range(blocks)
+            )
+        )
+        spec = ScenarioSpec(
+            name=name,
+            bounds=bounds,
+            static_rects=rects,
+            static_segments=tuple(rect_edges(bounds)),
+            obstacles=obstacles,
+            robot_start=(0.0, 0.0, 0.0),
+            goal=(0.0, 0.0),
+            seed=seed,
+        )
+        picked = _sample_start_goal(spec, rng, min_separation=3.5)
+        if picked is not None:
+            (sx, sy), goal = picked
+            heading = math.atan2(goal[1] - sy, goal[0] - sx) + rng.uniform(-0.6, 0.6)
+            return replace(spec, robot_start=(sx, sy, heading), goal=goal)
+    raise RuntimeError(f"training task generator failed for seed {seed}")
+
+
+def _static_task_oracle(seed: int) -> ScenarioSpec:
+    return _task_box_oracle(seed, obstacles=(), blocks=2, name="train-static")
+
+
+def _dynamic_task_oracle(seed: int) -> ScenarioSpec:
+    walkers = tuple(ObstacleSpec(radius=0.3, max_speed=0.8) for _ in range(3))
+    return _task_box_oracle(seed, obstacles=walkers, blocks=0, name="train-dynamic")
+
+
+def _training_scenarios_oracle(kind: str, count: int, base_seed: int = 0) -> list[ScenarioSpec]:
+    makers = {"blind-alley": blind_alley, "double-branch": double_branch, "rooms": _rooms_oracle, "square": square}
+    names = ("blind-alley", "double-branch", "rooms", "square")
+    if kind == "families":
+        return [makers[names[i % 4]](base_seed * 1000 + i) for i in range(count)]
+    if kind == "static+dynamic":
+        out = []
+        for i in range(count):
+            maker = _static_task_oracle if i % 2 == 0 else _dynamic_task_oracle
+            out.append(maker(base_seed * 1000 + i))
+        return out
+    if kind == "static":
+        return [_static_task_oracle(base_seed * 1000 + i) for i in range(count)]
+    if kind == "dynamic":
+        return [_dynamic_task_oracle(base_seed * 1000 + i) for i in range(count)]
+    raise KeyError(f"unknown training set kind {kind!r}")
+
+
+# repr tells -0.0 from 0.0 and a numpy float from a Python one, which == does not.
+@pytest.mark.parametrize("make, oracle", [
+    (rooms, _rooms_oracle),
+    (_static_task, _static_task_oracle),
+    (_dynamic_task, _dynamic_task_oracle),
+], ids=["rooms", "train-static", "train-dynamic"])
+def test_sampled_layouts_match_oracle(make, oracle):
+    for seed in range(200):
+        assert repr(make(seed)) == repr(oracle(seed)), seed
+
+
+# The acceptance pipeline's base seeds (PIPELINE_TASK_SEEDS) and criterion 9's.
+@pytest.mark.parametrize("kind", ["static", "dynamic", "static+dynamic", "families"])
+@pytest.mark.parametrize("base_seed", [0, 3, 4, 5, 77, 91])
+def test_training_scenarios_match_oracle(kind, base_seed):
+    assert BUILTIN_NAMES == ("blind-alley", "double-branch", "rooms", "square")
+    got = training_scenarios(kind, 12, base_seed)
+    assert [repr(s) for s in got] == [repr(s) for s in _training_scenarios_oracle(kind, 12, base_seed)]

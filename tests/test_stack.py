@@ -93,6 +93,18 @@ class TestRunEpisode:
         assert res.outcome == "failed"
         assert "wiring fault" in res.error
 
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("mode", ["lower-only", "full"])
+    def test_malformed_action_marks_failed(self, size, mode):
+        class Malformed:
+            def action(self, obs):
+                return np.zeros(size)
+
+        res = run_episode(make_scenario("square", 0), Malformed(), StackConfig(mode=mode, timeout=1.0))
+        assert res.outcome == "failed"
+        assert f"shape ({size},)" in res.error
+        assert res.steps == 0 and res.actions.shape == (0, 3) and res.poses.shape == (0, 3)
+
     def test_selections_stop_after_goal_known(self):
         res = run_episode(blind_alley(4), scripted_bundle(), StackConfig())
         assert res.outcome == "success"
@@ -169,15 +181,15 @@ class TestRunEpisode:
 
         monkeypatch.setattr(exploration, "cluster_representatives", recording)
         spec = blind_alley(1)
-        res = run_episode(spec, scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
-        assert len(calls) == len(res.scored_tables) > 0  # one clustering per scoring cycle
+        res = run_episode(spec, scripted_bundle(), StackConfig(timeout=30.0))
+        assert len(calls) == len(res.candidates) > 0  # one clustering per scoring cycle
         speckles = 0
-        for (mask, reps), (_tick, rows) in zip(calls, res.scored_tables):
+        for (mask, reps), (_tick, scored) in zip(calls, res.candidates):
             assert mask.shape == OccupancyGrid.for_bounds(spec.bounds).p.shape
             labels, _ = label(mask, structure=np.ones((3, 3), dtype=int))
             sizes = np.bincount(labels.ravel())
             speckles += int(np.sum(sizes[1:] < MIN_CLUSTER_SIZE))
-            assert {(row[0], row[1]) for row in rows} <= set(reps)
+            assert {s.cell for s in scored} <= set(reps)
             for r, c in reps:
                 assert sizes[labels[r, c]] >= MIN_CLUSTER_SIZE
         assert speckles > 0  # the map did grow clusters the stack must skip
@@ -194,15 +206,15 @@ class TestRunEpisode:
             return floods[-1]
 
         monkeypatch.setattr(stack, "distance_field", recording)
-        res = run_episode(blind_alley(1), scripted_bundle(), StackConfig(timeout=30.0), collect_candidates=True)
-        assert len(floods) == len(res.scored_tables) > 0  # one flood per scoring cycle
-        scored = 0
-        for flood, (_tick, rows) in zip(floods, res.scored_tables):
+        res = run_episode(blind_alley(1), scripted_bundle(), StackConfig(timeout=30.0))
+        assert len(floods) == len(res.candidates) > 0  # one flood per scoring cycle
+        count = 0
+        for flood, (_tick, scored) in zip(floods, res.candidates):
             field = flood.array()
-            for row in rows:
-                assert np.float64(row[3]).tobytes() == field[row[0], row[1]].tobytes()
-                scored += 1
-        assert scored > len(floods)
+            for s in scored:
+                assert np.float64(s.d2).tobytes() == field[s.cell].tobytes()
+                count += 1
+        assert count > len(floods)
 
     def test_map_entropy_once_per_plan_tick(self, monkeypatch):
         calls = []
