@@ -12,7 +12,7 @@ fallback ("--bundle scripted") or any trained fusion bundle.
 import argparse
 from pathlib import Path
 
-from navstack.cli import UsageError, _load_policy_arg
+from navstack.cli import UsageError, _load_policy_arg, seed_arg
 from navstack.fileio import write_csv
 from navstack.rewards import METRICS_CSV_HEADER
 from navstack.scenarios import BUILTIN_NAMES, make_scenario
@@ -23,7 +23,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bundle", default="scripted")
     ap.add_argument("--episodes", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=seed_arg, default=0)
     ap.add_argument("--timeout", type=float, default=StackConfig.timeout)
     ap.add_argument("--gamma", type=float, default=StackConfig.gamma)
     ap.add_argument("--out", type=Path, default=Path("runs/benchmark"))

@@ -32,6 +32,13 @@ class UsageError(RuntimeError):
     pass
 
 
+def seed_arg(text: str) -> int:
+    """The argparse type of a ``--seed``: an integer >= 0, in decimal digits."""
+    if not re.fullmatch("[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load(option: str, value: str, loader, missing: str = "is not a file"):
     """``loader(path)`` on the file an option names.  A path that is not a
     file, or a file that does not hold what ``loader`` reads, is a usage
@@ -83,12 +90,8 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, files: list[Path]) 
 
     doc = {
         "schema": 1,
-        "command": vars(args)["command"],
-        "arguments": {
-            k: (str(v) if isinstance(v, Path) else v)
-            for k, v in sorted(vars(args).items())
-            if k not in ("func",)
-        },
+        "command": args.command,
+        "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "artifacts": {f.name: sha256_file(f) for f in sorted(files)},
     }
     (out_dir / "manifest.json").write_text(json_text(doc) + "\n")
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p = sub.add_parser("simulate", help="run episodes and write traces + metrics")
     sim_p.add_argument("--scenario", required=True, help="built-in name or scenario JSON path")
     sim_p.add_argument("--bundle", default="scripted", help="bundle JSON path or 'scripted'")
-    sim_p.add_argument("--seed", type=int, default=None)
+    sim_p.add_argument("--seed", type=seed_arg, default=None)
     sim_p.add_argument("--episodes", type=int, default=1)
     sim_p.add_argument("--mode", default=StackConfig.mode, choices=MODES)
     sim_p.add_argument("--gamma", type=float, default=StackConfig.gamma)
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p = sub.add_parser("train", help="train experts or the fusion stage")
     train_p.add_argument("stage", choices=tuple(STAGES))
     train_p.add_argument("--config", default=None, help="JSON with TrainConfig overrides")
-    train_p.add_argument("--seed", type=int, default=None)
+    train_p.add_argument("--seed", type=seed_arg, default=None)
     train_p.add_argument("--tasks", type=int, default=8, help="scenario count in the training set")
     train_p.add_argument("--expert-gs", default=None)
     train_p.add_argument("--expert-oa", default=None)
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     heat_p.add_argument("--pose", required=True, help="x,y,theta placing the robot")
     heat_p.add_argument("--region", default="-3,-3,3,3", help="robot-frame rectangle x0,y0,x1,y1")
     heat_p.add_argument("--stride", type=float, default=0.25)
-    heat_p.add_argument("--seed", type=int, default=None)
+    heat_p.add_argument("--seed", type=seed_arg, default=None)
     heat_p.add_argument("--out", required=True, help="output PGM path")
     heat_p.set_defaults(func=cmd_heatmap)
 
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     dbg_p.add_argument("--bundle", default="scripted")
     dbg_p.add_argument("--steps", type=int, default=300, help="control ticks to run")
     dbg_p.add_argument("--gamma", type=float, default=StackConfig.gamma)
-    dbg_p.add_argument("--seed", type=int, default=None)
+    dbg_p.add_argument("--seed", type=seed_arg, default=None)
     dbg_p.add_argument("--out", required=True)
     dbg_p.set_defaults(func=cmd_frontier_debug)
     return parser

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import CellClass, OccupancyGrid, classify
+from .mapping import CellClass, OccupancyGrid, classify, frontier_cells
 from .planning import Flood
 from .world import ARRIVAL_RADIUS
 
@@ -32,6 +32,7 @@ class ExplorationState:
     current_point: tuple[int, int] | None = None
     entropy_at_selection: float = math.nan
     goal_known: bool = False
+    fallback_held: bool = False  # the stale point was held through one empty cycle
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,27 @@ def select_exploration_point(scored, gamma: float) -> tuple[int, int]:
     totals = _normalized_scores(scored, gamma)
     best = min(range(len(scored)), key=lambda i: (totals[i], scored[i].d, scored[i].cell))
     return scored[best].cell
+
+
+def update_exploration_point(state: ExplorationState, scored, frontier: np.ndarray, grid: OccupancyGrid,
+                             pose, gamma: float, entropy: float) -> tuple[int, int] | None:
+    """Write one cycle's exploration point into ``state`` and return it, or
+    None when the current point stays.  The best of ``scored`` wins; with no
+    candidate a stale point is held for one cycle, then the frontier cell
+    nearest the robot is taken, and with no frontier left the point stays."""
+    if scored:
+        cell = select_exploration_point(scored, gamma)
+    elif state.current_point is not None and not state.fallback_held:
+        state.fallback_held = True
+        return None
+    elif frontiers := frontier_cells(frontier):
+        cell = min(frontiers, key=lambda rc: math.dist(grid.cell_center(rc), pose[:2]))
+    else:
+        return None
+    state.current_point = cell
+    state.entropy_at_selection = entropy
+    state.fallback_held = False
+    return cell
 
 
 def should_reselect(

@@ -1,4 +1,4 @@
-"""Byte-stable file output: fixed float formatting, JSON lines, CSV, hashes.
+"""Byte-stable file output: JSON that reads back exactly, CSV, PGM, hashes.
 
 Every artifact the CLI writes goes through these helpers so that reruns
 with the same seed produce byte-identical files.
@@ -14,33 +14,28 @@ import numpy as np
 
 
 def fmt(value) -> str:
-    """Fixed text form: floats at 17 significant digits, ints bare."""
+    """Fixed text form: floats at 17 significant digits, booleans 1 or 0,
+    anything else (ints, strings) as ``str`` gives it."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
 
 
-def json_text(obj) -> str:
-    """Compact JSON with the fixed float format (sorted object keys)."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer, float, np.floating)):
-        return fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json_text(str(k))}: {json_text(v)}" for k, v in sorted(obj.items()))
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(json_text(v) for v in seq) + "]"
+def _plain(obj):
+    """``json.dumps``'s fallback: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def json_text(obj) -> str:
+    """Compact JSON with sorted object keys.  Floats take Python's shortest
+    exact form (``0.1``, ``1.0``, ``-0.0``) and non-finite ones ``NaN``,
+    ``Infinity`` and ``-Infinity``, so ``json.loads`` reads back every value
+    and its type."""
+    return json.dumps(obj, sort_keys=True, default=_plain)
 
 
 def write_jsonl(path: str | Path, rows) -> None:

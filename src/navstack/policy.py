@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import json_text
 from .rewards import PROFILES
 from .world import ACTION_HIGH, ACTION_LOW
 
@@ -450,7 +451,7 @@ def _write_checkpoint(path: str | Path, kind: str, obs_config: ObservationConfig
     """Write a checkpoint of ``kind``: the schema, kind and observation
     header plus ``fields``, as one line of key-sorted JSON."""
     doc = {"schema": PARAMS_SCHEMA, "kind": kind, "observation": _obs_to_dict(obs_config), **fields}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(doc) + "\n")
 
 
 def save_bundle(bundle: PolicyBundle, path: str | Path) -> None:

@@ -372,6 +372,9 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
             resample_prob=float(_number(o, owner, "resample_prob", DEFAULT_RESAMPLE_PROB)),
             region=_numbers(o, owner, "region", 4) if o.get("region") is not None else None,
         ))
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"scenario field 'seed' must be an integer >= 0, got {seed!r}")
     return ScenarioSpec(
         name=doc.get("name", "custom"),
         bounds=_numbers(doc, "scenario", "bounds", 4),
@@ -381,7 +384,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
         robot_start=_numbers(doc, "scenario", "robot_start", 3),
         goal=_numbers(doc, "scenario", "goal", 2),
         robot_radius=_radius(doc, "scenario", "robot_radius", ROBOT_RADIUS),
-        seed=int(_number(doc, "scenario", "seed", 0)),
+        seed=seed,
     )
 
 

@@ -21,18 +21,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import world as sim
-from .exploration import (
-    ExplorationState,
-    score_candidates,
-    select_exploration_point,
-    should_reselect,
-)
+from .exploration import ExplorationState, score_candidates, should_reselect, update_exploration_point
 from .fileio import json_text
 from .mapping import (
     CellClass,
     OccupancyGrid,
     classify,
-    frontier_cells,
     frontier_mask,
     integrate_scan,
     map_entropy,
@@ -135,7 +129,6 @@ def run_episode(
     waypoint: tuple[float, float] | None = None
     goal_mode = False
     goal_known_time: float | None = None
-    fallback_held = False
 
     poses, actions, min_ranges = [], [], []
     selections: list = []
@@ -165,7 +158,7 @@ def run_episode(
                 decision = should_reselect(exp_state, grid, goal, pose, frontier, entropy)
                 if decision == "goal_now_known":
                     exp_state.goal_known = True
-                    goal_known_time = world.sim_time if goal_known_time is None else goal_known_time
+                    goal_known_time = world.sim_time
                 if not goal_mode and exp_state.goal_known:
                     if classify(grid, goal_cell) == CellClass.FREE:
                         # A found path is the real plan for this tick too.
@@ -184,21 +177,9 @@ def run_episode(
                         critic = _candidate_critic(value, obs_now, pose)
                         scored = score_candidates(frontier, grid, goal, critic, dist)
                         candidates.append((tick, scored))
-                        cell = None
-                        if scored:
-                            cell = select_exploration_point(scored, config.gamma)
-                        elif exp_state.current_point is not None and not fallback_held:
-                            fallback_held = True  # hold the stale point one cycle
-                        elif frontiers := frontier_cells(frontier):
-                            cell = min(
-                                frontiers,
-                                key=lambda rc: _euclid(grid.cell_center(rc), (pose[0], pose[1])),
-                            )
+                        cell = update_exploration_point(exp_state, scored, frontier, grid, pose, config.gamma, entropy)
                         if cell is not None:
-                            exp_state.current_point = cell
-                            exp_state.entropy_at_selection = entropy
                             selections.append((world.sim_time, cell, grid.cell_center(cell)))
-                            fallback_held = False
 
                 target = goal_cell if goal_mode else exp_state.current_point
                 if target is not None:
@@ -224,11 +205,11 @@ def run_episode(
                 row = {
                     "tick": tick,
                     "t": world.sim_time,
-                    "pose": [float(v) for v in pose],
-                    "action": [float(v) for v in action],
-                    "alpha": [float(v) for v in alpha] if alpha is not None else None,
-                    "waypoint": list(waypoint) if waypoint is not None else None,
-                    "exploration_point": list(exp_state.current_point) if exp_state.current_point else None,
+                    "pose": pose,
+                    "action": action,
+                    "alpha": alpha,
+                    "waypoint": waypoint,
+                    "exploration_point": exp_state.current_point,
                 }
                 trace_file.write(json_text(row) + "\n")
 
@@ -260,10 +241,6 @@ def run_episode(
         candidates=candidates,
         error=error,
     )
-
-
-def _euclid(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def _candidate_critic(value, obs_now, pose):

@@ -55,22 +55,16 @@ class TrainConfig:
     episode_time_limit: float = 12.0
 
     def __post_init__(self) -> None:
-        for name in ("population", "generations", "episodes_per_eval", "seed"):
+        for name, low in (("population", 4), ("generations", 0), ("episodes_per_eval", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.population < 4:
-            raise ValueError("population must be >= 4")
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (0 < self.elite_fraction < 1):
             raise ValueError("elite_fraction must be in (0, 1)")
         for name in ("noise_std", "noise_decay", "episode_time_limit"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.episodes_per_eval < 1:
-            raise ValueError("episodes_per_eval must be >= 1")
 
     @property
     def n_elite(self) -> int:

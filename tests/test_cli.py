@@ -222,6 +222,7 @@ class TestTrain:
         ("population", 4.0),
         ("episodes_per_eval", True),
         ("seed", 0.5),
+        ("seed", -1),
     ])
     def test_bad_config_value_is_usage_error_naming_it(self, tmp_path, capsys, field, value):
         cfg = {"population": 4, "generations": 1, "episodes_per_eval": 1, "episode_time_limit": 1.0}
@@ -232,6 +233,7 @@ class TestTrain:
                      "--out", str(tmp_path / "t")])
         assert code == EXIT_USAGE
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
 
 class TestHeatmap:
@@ -394,6 +396,8 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
      "scenario field 'obstacles' must be a list of objects"),
     ("blind-alley", lambda d: d.update(static_shapes=5),
      "scenario field 'static_shapes' must be a list of objects"),
+    ("double-branch", lambda d: d.update(seed=-1), "scenario field 'seed' must be an integer >= 0"),
+    ("square", lambda d: d.update(seed=1.5), "scenario field 'seed' must be an integer >= 0"),
 ])
 def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, message):
     from navstack.scenarios import make_scenario, scenario_to_dict
@@ -404,6 +408,22 @@ def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, mes
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "square", "--seed", "-5", "--out", "X"],
+    ["frontier-debug", "--scenario", "square", "--seed", "-2", "--out", "X"],
+    ["train", "expert-gs", "--seed", "-3", "--out", "X"],
+    ["heatmap", "--bundle", "{bundle}", "--scenario", "square", "--pose", "0,0,0", "--seed", "-1",
+     "--out", "X/h.pgm"],
+    ["simulate", "--scenario", "square", "--seed", "two", "--out", "X"],
+], ids=["simulate", "frontier-debug", "train", "heatmap", "not-a-number"])
+def test_bad_seed_is_usage_error_naming_it(tmp_path, monkeypatch, capsys, zero_bundle_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([str(zero_bundle_path) if a == "{bundle}" else a for a in argv]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
 
 
 def test_scenario_rect_with_three_numbers_names_it(tmp_path, capsys):
@@ -495,7 +515,8 @@ def test_fusion_expert_of_another_stage_names_the_option(tmp_path, capsys, profi
     (["--bundle", "{text}"], "--bundle"),
     (["--timeout", "nan"], "--timeout"),
     (["--gamma", "-1"], "--gamma"),
-], ids=["bundle-missing", "bundle-dir", "bundle-not-json", "timeout-nan", "gamma-negative"])
+    (["--seed", "-1"], "--seed"),
+], ids=["bundle-missing", "bundle-dir", "bundle-not-json", "timeout-nan", "gamma-negative", "seed-negative"])
 def test_eval_script_bad_input_exits_2_naming_the_option(tmp_path, monkeypatch, capsys, flags, option):
     script = Path(__file__).resolve().parent.parent / "scripts" / "eval_scenarios.py"
     spec = importlib.util.spec_from_file_location("eval_scenarios", script)

@@ -14,6 +14,7 @@ from navstack.exploration import (
     score_candidates,
     select_exploration_point,
     should_reselect,
+    update_exploration_point,
 )
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, frontier_mask, map_entropy
 from navstack.planning import distance_field, plan_grid
@@ -344,3 +345,48 @@ def test_candidate_rows_align_with_selection():
     scores = [r[-1] for r in rows]
     d_totals = [r[4] for r in rows]
     assert scores.index(min(scores)) == d_totals.index(min(d_totals))
+
+
+class TestUpdateExplorationPoint:
+    """Each branch of one cycle's choice, on a 40 x 40 grid whose frontier
+    holds (2, 2) and (30, 30), with the robot next to (30, 30)."""
+
+    FRONTIER = mask_of([(2, 2), (30, 30)])
+
+    def _update(self, state, scored, frontier=FRONTIER, entropy=7.0):
+        g = open_grid()
+        pose = (*g.cell_center((28, 30)), 0.0)
+        return update_exploration_point(state, scored, frontier, g, pose, 1.0, entropy)
+
+    def test_candidates_select(self):
+        scored = make_scored(np.random.default_rng(3), 5)
+        state = ExplorationState((10, 10), 3.0)
+        cell = self._update(state, scored)
+        assert cell == select_exploration_point(scored, 1.0)
+        assert (state.current_point, state.entropy_at_selection, state.fallback_held) == (cell, 7.0, False)
+
+    def test_stale_point_held_one_empty_cycle(self):
+        state = ExplorationState((10, 10), 3.0)
+        assert self._update(state, []) is None
+        assert (state.current_point, state.entropy_at_selection, state.fallback_held) == ((10, 10), 3.0, True)
+
+    @pytest.mark.parametrize("point, held", [((10, 10), True), (None, False)], ids=["after-hold", "no-point"])
+    def test_nearest_frontier_cell_taken(self, point, held):
+        state = ExplorationState(point, 3.0, False, held)
+        assert self._update(state, []) == (30, 30)
+        assert (state.current_point, state.entropy_at_selection, state.fallback_held) == ((30, 30), 7.0, False)
+
+    def test_no_frontier_keeps_the_point(self):
+        state = ExplorationState((10, 10), 3.0, False, True)
+        assert self._update(state, [], frontier=mask_of([])) is None
+        assert (state.current_point, state.entropy_at_selection, state.fallback_held) == ((10, 10), 3.0, True)
+
+    def test_adopting_a_point_ends_the_hold(self):
+        """After a hold, an adopted point gets its own held cycle."""
+        state = ExplorationState((10, 10), 3.0)
+        self._update(state, [])
+        scored = make_scored(np.random.default_rng(4), 3)
+        cell = self._update(state, scored)
+        assert not state.fallback_held
+        assert self._update(state, []) is None
+        assert state.current_point == cell and state.fallback_held
