@@ -6,6 +6,7 @@ with the same seed produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -45,10 +46,12 @@ def write_jsonl(path: str | Path, rows) -> None:
 
 
 def write_csv(path: str | Path, header, rows) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(v) for v in row) + "\n")
+    """Comma-separated rows ended by ``\\n``; a cell holding a comma, a quote
+    or a ``\\n`` is quoted, so ``csv.reader`` reads it back whole."""
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,12 +122,17 @@ def _floor_cells(start: float, origin: float, res: float, dirs: np.ndarray, t: n
     return np.floor(dirs, out=dirs).astype(np.int64)
 
 
-def _flat_in_grid(grid: OccupancyGrid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat indices of the (rows, cols) cells that lie in the grid."""
-    # Viewed unsigned, a negative index is huge, so one test per axis
-    # checks both of its bounds.
-    valid = (rows.view(np.uint64) < grid.rows) & (cols.view(np.uint64) < grid.cols)
-    return (rows * grid.cols + cols)[valid]
+@lru_cache(maxsize=8)
+def _sample_distances(n: int, step: float) -> np.ndarray:
+    """The n half-cell sample distances (k + 0.5) * step, read-only.  The
+    last one lies beyond every range the scan holds, so no beam samples it
+    and it is the spare slot a hit beam's extra sample takes."""
+    ts = (np.arange(n) + 0.5) * step
+    ts.flags.writeable = False
+    return ts
+
+
+_LOGIT_STEPS = np.array([LOGIT_MISS, LOGIT_HIT])
 
 
 def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> OccupancyGrid:
@@ -139,9 +145,15 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     border.  The pose and every range must be finite.  Returns the grid for
     chaining; the update is in place.
 
-    Each beam is sampled only out to its own range.  Both classes read their
-    cells before either is written, misses are written first and hits last,
-    so a cell in both classes ends with its hit update, and every copy of a
+    Each beam is one run of samples: its half-cell sample distances short of
+    its range and, for a hit beam, the range itself as one last sample.
+    Every sample of the scan goes through one cell computation and one
+    in-grid test.  The hits are the in-grid last samples of hit beams; the
+    misses are all in-grid samples and the robot cell, so a hit cell is
+    often a miss too.  Both classes read their cells before either is
+    written, and one log-odds chain steps the moving misses by LOGIT_MISS
+    and the hits by LOGIT_HIT.  Misses are written first and hits last, so
+    a cell in both classes ends with its hit update, and every copy of a
     cell repeated within a class writes the same value.  A miss leaves a
     cell at exactly ``P_MIN`` where it is, so those cells are skipped.
     """
@@ -165,33 +177,39 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
 
     # Sample along each beam at half-cell spacing; as a traversal this is the
     # cell set the beam sweeps, minus corner-only touches.  Beam i takes the
-    # counts[i] samples ts[:counts[i]], the ones short of its range.
+    # counts[i] samples short of its range, and a hit beam one more, whose
+    # distance is its range.
     step = 0.5 * res
-    ts = (np.arange(int(math.ceil(ranges.max() / step)) + 1) + 0.5) * step
+    ts = _sample_distances(max(int(math.ceil(ranges.max() / step)), 0) + 1, step)
+    hits = ranges < max_range
     counts = np.searchsorted(ts, ranges, side="left")
+    counts += hits
     ends = np.cumsum(counts)
     k = np.arange(ends[-1])
     k -= np.repeat(ends - counts, counts)
     t = ts[k]
-    miss = np.append(
-        _flat_in_grid(grid, _floor_cells(y, oy, res, np.repeat(sin, counts), t),
-                      _floor_cells(x, ox, res, np.repeat(cos, counts), t)),
-        cell[0] * grid.cols + cell[1],
-    )
-    hit_beams = ranges < max_range
-    hit_ranges = ranges[hit_beams]
-    hit = _flat_in_grid(grid, _floor_cells(y, oy, res, sin[hit_beams], hit_ranges),
-                        _floor_cells(x, ox, res, cos[hit_beams], hit_ranges))
+    last = ends[hits] - 1
+    t[last] = ranges[hits]
+    rows = _floor_cells(y, oy, res, np.repeat(sin, counts), t)
+    cols = _floor_cells(x, ox, res, np.repeat(cos, counts), t)
+    # Viewed unsigned, a negative index is huge, so one test per axis
+    # checks both of its bounds.
+    valid = (rows.view(np.uint64) < grid.rows) & (cols.view(np.uint64) < grid.cols)
+    rows *= grid.cols
+    rows += cols
+    hit = rows[last[valid[last]]]
+    miss = np.append(rows[valid], cell[0] * grid.cols + cell[1])
 
+    # Both classes are read before either is written: the miss write covers hit cells.
     flat_p = grid.p.reshape(-1)
-    hit_p = flat_p[hit]  # read before the miss write, which may cover hit cells
     miss_p = flat_p[miss]
     moving = miss_p != P_MIN
     miss = miss[moving]
-    if miss.size:
-        flat_p[miss] = np.minimum(np.maximum(_sigmoid(_logit(miss_p[moving]) + LOGIT_MISS), P_MIN), P_MAX)
-    if hit.size:
-        flat_p[hit] = np.minimum(np.maximum(_sigmoid(_logit(hit_p) + LOGIT_HIT), P_MIN), P_MAX)
+    n_miss = miss.size
+    p = np.concatenate((miss_p[moving], flat_p[hit]))
+    p = np.minimum(np.maximum(_sigmoid(_logit(p) + np.repeat(_LOGIT_STEPS, (n_miss, hit.size))), P_MIN), P_MAX)
+    flat_p[miss] = p[:n_miss]
+    flat_p[hit] = p[n_miss:]
     return grid
 
 

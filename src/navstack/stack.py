@@ -59,8 +59,9 @@ class StackConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma!r}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0 and math.isfinite(self.timeout * self.control_hz)):
+            raise ValueError(f"timeout must be a finite number > 0 with a finite tick count at "
+                             f"{self.control_hz:g} Hz, got {self.timeout!r}")
 
 
 @dataclass

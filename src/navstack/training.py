@@ -65,6 +65,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if not math.isfinite(self.episode_time_limit * StackConfig.control_hz):
+            raise ValueError(f"episode_time_limit must have a finite tick count at "
+                             f"{StackConfig.control_hz:g} Hz, got {self.episode_time_limit!r}")
 
     @property
     def n_elite(self) -> int:

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import sys
@@ -107,6 +108,7 @@ class TestSimulate:
         (["--timeout", "nan"], "timeout"),
         (["--timeout", "0"], "timeout"),
         (["--timeout", "-1"], "timeout"),
+        (["--timeout", "1e308"], "timeout"),
         (["--episodes", "-1"], "--episodes"),
         (["--episodes", "0"], "--episodes"),
         (["--jobs", "0"], "--jobs"),
@@ -117,6 +119,22 @@ class TestSimulate:
                      *flags, "--out", str(tmp_path / "run")])
         assert code == EXIT_USAGE
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_scenario_name_with_a_comma_stays_one_cell(self, tmp_path):
+        from navstack.scenarios import make_scenario, scenario_to_dict
+
+        doc = scenario_to_dict(make_scenario("square", 0))
+        doc["name"] = "my,map"
+        path = tmp_path / "my-map.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = main(["simulate", "--scenario", str(path), "--episodes", "2", "--timeout", "2", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_EPISODE_FAILURE)
+        with open(out / "metrics.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[0] for row in rows[1:]] == ["my,map", "my,map"]
 
     def test_failed_episode_prints_its_error(self, tmp_path, monkeypatch, capsys):
         class Exploding:
@@ -218,6 +236,7 @@ class TestTrain:
         ("noise_decay", float("inf")),
         ("episode_time_limit", 0.0),
         ("episode_time_limit", float("nan")),
+        ("episode_time_limit", 1e308),
         ("generations", 1.5),
         ("population", 4.0),
         ("episodes_per_eval", True),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import struct
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navstack import policy
-from navstack.fileio import json_text, write_jsonl
+from navstack.fileio import fmt, json_text, write_csv, write_jsonl
 from navstack.policy import (
     CriticParams,
     ExpertBank,
@@ -163,3 +164,18 @@ def test_write_jsonl_writes_one_line_per_row(tmp_path):
     write_jsonl(tmp_path / "log.jsonl", rows)
     assert (tmp_path / "log.jsonl").read_text() == ('{"best_return": -0.0, "generation": 0}\n'
                                                     '{"best_return": 2.0, "generation": 1}\n')
+
+
+def test_write_csv_plain_cells_are_joined_by_commas(tmp_path):
+    rows = [("square", 3, 0.1, True, -0.0), ("rooms", 4, float("nan"), False, 2.5)]
+    write_csv(tmp_path / "m.csv", ("scenario", "seed", "x", "ok", "y"), rows)
+    want = "scenario,seed,x,ok,y\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "m.csv").read_text() == want
+
+
+def test_write_csv_quotes_cells_that_need_it(tmp_path):
+    names = ["my,map", 'say "hi"', "two\nlines"]
+    write_csv(tmp_path / "m.csv", ("name", "seed"), [(name, k) for k, name in enumerate(names)])
+    with open(tmp_path / "m.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [["name", "seed"]] + [[name, str(k)] for k, name in enumerate(names)]

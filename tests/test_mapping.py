@@ -209,6 +209,46 @@ class TestIntegrateScanOracle:
                  ((0.85, 0.45, 0.3), np.array([6.0, 6.0, 0.75]))]
         _assert_scans_match_oracle(np.full((6, 9), 0.5), scans, 6.0)
 
+    def test_zero_range_hit_is_its_beams_only_sample(self):
+        # The beam has no sample short of 0.0, so its one sample is the hit, in the robot cell.
+        g = _assert_scans_match_oracle(np.full((10, 10), 0.5), [((0.55, 0.55, 0.0), np.array([0.0]))], 3.0)
+        assert g.p[5, 5] == pytest.approx(1.0 / (1.0 + math.exp(-LOGIT_HIT)), abs=1e-12)
+        g.p[5, 5] = 0.5
+        assert np.all(g.p == 0.5)
+
+    def test_scan_of_negative_ranges_hits_behind_its_beams(self):
+        # No beam has a sample short of its range, so each run is its hit alone.
+        g = _assert_scans_match_oracle(np.full((10, 10), 0.5), [((0.55, 0.55, 0.0), np.array([-0.3, -0.12]))], 3.0)
+        assert g.p[5, 2] > 0.5 and g.p[5, 6] > 0.5
+
+    def test_hit_beyond_the_border_keeps_its_misses(self):
+        # The beam ends at x = 1.25, past the 1 m grid: its samples inside are misses, its hit is dropped.
+        g = _assert_scans_match_oracle(np.full((10, 10), 0.5), [((0.55, 0.55, 0.0), np.array([0.7]))], 3.0)
+        assert np.all(g.p[5, 5:] < 0.5)
+        assert not np.any(g.p > 0.5)
+
+    def test_scan_without_hits_only_frees(self):
+        g = _assert_scans_match_oracle(np.full((12, 12), 0.5), [((0.65, 0.55, 0.4), np.full(8, 0.4))], 0.4)
+        assert np.sum(g.p < 0.5) > 8
+        assert not np.any(g.p > 0.5)
+
+    def test_two_hits_on_a_cell_a_third_beam_misses(self):
+        # Beams 0 and 1 end in cell (10, 15), and beam 2, two degrees off beam 0, passes through it.
+        ranges = np.full(360, 1.0)
+        ranges[:2] = 0.5
+        g = _assert_scans_match_oracle(np.full((30, 30), 0.5), [((1.05, 1.05, 0.0), ranges)], 1.0)
+        assert g.p[10, 15] == pytest.approx(1.0 / (1.0 + math.exp(-LOGIT_HIT)), abs=1e-12)
+
+    def test_hits_on_cells_at_the_clamps(self):
+        # Beam 0 hits cell (5, 8), which starts at P_MIN; beam 1 hits cell (5, 2), which starts at P_MAX.
+        p0 = np.full((10, 10), 0.5)
+        p0[5, 8], p0[5, 2] = P_MIN, P_MAX
+        g = _assert_scans_match_oracle(p0, [((0.55, 0.55, 0.0), np.array([0.3, 0.3]))], 3.0)
+        logit = math.log(P_MIN / (1 - P_MIN)) + LOGIT_HIT
+        assert g.p[5, 8] == pytest.approx(1.0 / (1.0 + math.exp(-logit)), abs=1e-12)
+        assert g.p[5, 2] == P_MAX
+        assert np.all(g.p[5, 3:5] < 0.5) and np.all(g.p[5, 6:8] < 0.5)
+
 
 # Start values the update must treat exactly: the two clamp bounds (a miss
 # leaves P_MIN and a hit leaves P_MAX where they are), unknown, and the two
