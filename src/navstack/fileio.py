@@ -47,7 +47,8 @@ def write_jsonl(path: str | Path, rows) -> None:
 
 def write_csv(path: str | Path, header, rows) -> None:
     """Comma-separated rows ended by ``\\n``; a cell holding a comma, a quote
-    or a ``\\n`` is quoted, so ``csv.reader`` reads it back whole."""
+    or a ``\\n`` is quoted, so ``csv.reader`` reads it back whole.  A lone
+    ``\\r`` is not quoted and splits its row, so no cell may hold one."""
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(header)

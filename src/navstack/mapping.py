@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -122,16 +121,6 @@ def _floor_cells(start: float, origin: float, res: float, dirs: np.ndarray, t: n
     return np.floor(dirs, out=dirs).astype(np.int64)
 
 
-@lru_cache(maxsize=8)
-def _sample_distances(n: int, step: float) -> np.ndarray:
-    """The n half-cell sample distances (k + 0.5) * step, read-only.  The
-    last one lies beyond every range the scan holds, so no beam samples it
-    and it is the spare slot a hit beam's extra sample takes."""
-    ts = (np.arange(n) + 0.5) * step
-    ts.flags.writeable = False
-    return ts
-
-
 _LOGIT_STEPS = np.array([LOGIT_MISS, LOGIT_HIT])
 
 
@@ -178,9 +167,11 @@ def integrate_scan(grid: OccupancyGrid, pose, ranges, max_range: float) -> Occup
     # Sample along each beam at half-cell spacing; as a traversal this is the
     # cell set the beam sweeps, minus corner-only touches.  Beam i takes the
     # counts[i] samples short of its range, and a hit beam one more, whose
-    # distance is its range.
+    # distance is its range.  The last slot of ts lies beyond every range, so
+    # no beam samples it and it is the spare a hit sample takes, even when
+    # every range is negative.
     step = 0.5 * res
-    ts = _sample_distances(max(int(math.ceil(ranges.max() / step)), 0) + 1, step)
+    ts = (np.arange(max(int(math.ceil(ranges.max() / step)), 0) + 1) + 0.5) * step
     hits = ranges < max_range
     counts = np.searchsorted(ts, ranges, side="left")
     counts += hits

@@ -375,8 +375,13 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"scenario field 'seed' must be an integer >= 0, got {seed!r}")
+    # The name is the one free-text cell of metrics.csv, where a lone \r
+    # would split its row (see fileio.write_csv).
+    name = doc.get("name", "custom")
+    if not isinstance(name, str) or "\r" in name or "\n" in name:
+        raise ValueError(f"scenario field 'name' must be a string with no line break, got {name!r}")
     return ScenarioSpec(
-        name=doc.get("name", "custom"),
+        name=name,
         bounds=_numbers(doc, "scenario", "bounds", 4),
         static_rects=tuple(rects),
         static_segments=tuple(segments),

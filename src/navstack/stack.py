@@ -59,9 +59,15 @@ class StackConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma!r}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0 and math.isfinite(self.timeout * self.control_hz)):
-            raise ValueError(f"timeout must be a finite number > 0 with a finite tick count at "
-                             f"{self.control_hz:g} Hz, got {self.timeout!r}")
+        check_timeout("timeout", self.timeout)
+
+
+def check_timeout(name: str, value: float) -> None:
+    """Reject an episode length ``value``, the field ``name``, that is not
+    > 0 or whose tick count at ``StackConfig.control_hz`` is not finite."""
+    if not (value > 0 and math.isfinite(value * StackConfig.control_hz)):
+        raise ValueError(f"{name} must be a finite number > 0 with a finite tick count at "
+                         f"{StackConfig.control_hz:g} Hz, got {value!r}")
 
 
 @dataclass

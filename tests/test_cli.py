@@ -417,6 +417,9 @@ def test_scenario_missing_nested_field_names_its_owner(tmp_path, capsys, where, 
      "scenario field 'static_shapes' must be a list of objects"),
     ("double-branch", lambda d: d.update(seed=-1), "scenario field 'seed' must be an integer >= 0"),
     ("square", lambda d: d.update(seed=1.5), "scenario field 'seed' must be an integer >= 0"),
+    ("square", lambda d: d.update(name="cr\rhere"), "scenario field 'name' must be a string with no line break"),
+    ("square", lambda d: d.update(name="two\nlines"), "scenario field 'name' must be a string with no line break"),
+    ("square", lambda d: d.update(name=7), "scenario field 'name' must be a string with no line break"),
 ])
 def test_scenario_bad_field_value_names_it(tmp_path, capsys, scenario, edit, message):
     from navstack.scenarios import make_scenario, scenario_to_dict
