@@ -252,17 +252,19 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 def cmd_frontier_debug(args: argparse.Namespace) -> int:
     from .exploration import CANDIDATE_CSV_HEADER, candidate_csv_rows
     from .fileio import write_csv
-    from .stack import StackConfig, run_episode
+    from .stack import StackConfig, check_timeout, run_episode
 
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
+    try:
+        timeout = args.steps / StackConfig.control_hz
+        check_timeout("--steps", timeout)
+    except (OverflowError, ValueError) as exc:
+        raise UsageError(f"--steps is too large: its timeout at {StackConfig.control_hz:g} Hz "
+                         "must be a finite float with a finite tick count") from exc
     spec = _load_scenario_arg(args.scenario, args.seed)
     policy = _load_policy_arg(args.bundle)
-    cfg = StackConfig(
-        mode="upper-with-scripted-lower",
-        gamma=args.gamma,
-        timeout=args.steps / StackConfig.control_hz,
-    )
+    cfg = StackConfig(mode="upper-with-scripted-lower", gamma=args.gamma, timeout=timeout)
     out = _ensure_out(args.out)
     result = run_episode(spec, policy, cfg)
     rows = [(tick, *row) for tick, scored in result.candidates for row in candidate_csv_rows(scored, cfg.gamma)]

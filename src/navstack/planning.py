@@ -5,8 +5,9 @@ the robot radius; unknown cells block planning but not line of sight (a
 frontier target is by definition bordered by unknown space).  Both searches
 are exact: A* under the octile heuristic (admissible and consistent for
 unit/sqrt(2) steps) plans one path, and a heap-free Dijkstra flood with one
-FIFO queue per step cost prices every cell from the start.  Both, and the
-waypoint's sight test, read one ``PlanGrid`` snapshot of the map.
+FIFO queue per step cost, each a pair of growing lists read from a head
+index, prices every cell from the start.  Both, and the waypoint's sight
+test, read one ``PlanGrid`` snapshot of the map.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +84,10 @@ def _snap_start(blocked: np.ndarray, start: tuple[int, int]) -> tuple[int, int] 
 def _open_cells(blocked: np.ndarray) -> list[bool]:
     """Flat open flags of the grid padded by one blocked cell, so a neighbor
     is one fixed offset away with no bounds test."""
-    return (~np.pad(blocked, 1, constant_values=True)).ravel().tolist()
+    rows, cols = blocked.shape
+    is_open = np.zeros((rows + 2, cols + 2), dtype=bool)
+    np.logical_not(blocked, out=is_open[1:-1, 1:-1])
+    return is_open.ravel().tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,25 +122,26 @@ def _search(is_open: list[bool], width: int, start: tuple[int, int], target: tup
     goal = tr * width + tc
     steps = [(dr * width + dc, cost) for dr, dc, cost in _NEIGHBORS]
     source = (start[0] + 1) * width + start[1] + 1
-    dist = {source: 0.0}  # sparse: A* reads few of the grid's cells
+    dist = [math.inf] * len(is_open)
+    dist[source] = 0.0
     parent: dict[int, int] = {}
-    closed: set[int] = set()
+    closed = bytearray(len(is_open))
     counter = 0
     heap = [(0.0, counter, source)]  # the lone first entry's key is never compared
-    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
         _, _, i = pop(heap)
         if i == goal:
             break
-        if i in closed:
+        if closed[i]:
             continue
-        closed.add(i)
+        closed[i] = 1
         d = dist[i]
         for offset, cost in steps:
             j = i + offset
             if is_open[j]:
                 nd = d + cost
-                if nd < dist.get(j, inf):
+                if nd < dist[j]:
                     dist[j] = nd
                     parent[j] = i
                     counter += 1
@@ -210,10 +214,11 @@ def distance_field(plan: PlanGrid, start: tuple[int, int]) -> Flood:
     at once.
 
     Straight steps (+1) and diagonal steps (+sqrt 2) each feed their own
-    FIFO queue.  Each queue is filled in nondecreasing key order, so the
+    FIFO queue, a pair of growing lists (keys, cells) read from a head
+    index.  Each queue is filled in nondecreasing key order, so the
     smallest key is at the front of one of the two (Orlin et al. 2010), and
-    every step pops the smaller front.  A popped entry whose key is no
-    longer its cell's distance is stale and skipped.
+    every step pops the smaller front, the straight one on a tie.  A popped
+    entry whose key is no longer its cell's distance is stale and skipped.
     Each distance is the least solution of d[j] = min_i fl(d[i] + c_ij), so
     a heap gives the same bits; the merge rule only makes each cell expand
     once.
@@ -228,30 +233,74 @@ def distance_field(plan: PlanGrid, start: tuple[int, int]) -> Flood:
         return flood
     source = (snapped[0] + 1) * width + snapped[1] + 1
     dist[source] = 0.0
-    straight_steps = (-width, -1, 1, width)
-    diagonal_steps = (-width - 1, -width + 1, width - 1, width + 1)
-    straight, diagonal = deque([(0.0, source)]), deque()
-    pop_straight, pop_diagonal = straight.popleft, diagonal.popleft
-    push_straight, push_diagonal = straight.append, diagonal.append
-    while straight or diagonal:
-        if not straight or (diagonal and diagonal[0][0] < straight[0][0]):
-            d, i = pop_diagonal()
+    # The eight neighbour steps are unrolled.  Each tests the distance
+    # first, since most neighbours are already reached; a blocked cell's
+    # distance stays inf, so its open flag still turns it away.
+    s_key, s_cell, d_key, d_cell = [0.0], [source], [], []
+    push_s_key, push_s_cell = s_key.append, s_cell.append
+    push_d_key, push_d_cell = d_key.append, d_cell.append
+    s_head = d_head = 0
+    up_left, up_right, down_left, down_right = -width - 1, -width + 1, width - 1, width + 1
+    while True:
+        if s_head < len(s_key):
+            d = s_key[s_head]
+            if d_head < len(d_key) and d_key[d_head] < d:
+                d = d_key[d_head]
+                i = d_cell[d_head]
+                d_head += 1
+            else:
+                i = s_cell[s_head]
+                s_head += 1
+        elif d_head < len(d_key):
+            d = d_key[d_head]
+            i = d_cell[d_head]
+            d_head += 1
         else:
-            d, i = pop_straight()
+            break
         if d != dist[i]:
             continue
         nd = d + 1.0
-        for offset in straight_steps:
-            j = i + offset
-            if is_open[j] and nd < dist[j]:
-                dist[j] = nd
-                push_straight((nd, j))
+        j = i - width
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_s_key(nd)
+            push_s_cell(j)
+        j = i - 1
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_s_key(nd)
+            push_s_cell(j)
+        j = i + 1
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_s_key(nd)
+            push_s_cell(j)
+        j = i + width
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_s_key(nd)
+            push_s_cell(j)
         nd = d + SQRT2
-        for offset in diagonal_steps:
-            j = i + offset
-            if is_open[j] and nd < dist[j]:
-                dist[j] = nd
-                push_diagonal((nd, j))
+        j = i + up_left
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_d_key(nd)
+            push_d_cell(j)
+        j = i + up_right
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_d_key(nd)
+            push_d_cell(j)
+        j = i + down_left
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_d_key(nd)
+            push_d_cell(j)
+        j = i + down_right
+        if nd < dist[j] and is_open[j]:
+            dist[j] = nd
+            push_d_key(nd)
+            push_d_cell(j)
     return flood
 
 
@@ -261,8 +310,9 @@ def _segment_blocked(
     p1: tuple[float, float],
     occ: np.ndarray,
 ) -> bool:
+    rows, cols = occ.shape
     for r, c in supercover_cells(p0, p1, grid.origin, grid.resolution):
-        if 0 <= r < grid.rows and 0 <= c < grid.cols and occ[r, c]:
+        if 0 <= r < rows and 0 <= c < cols and occ[r, c]:
             return True
     return False
 

@@ -350,6 +350,15 @@ class TestFrontierDebug:
         lines = (out / "candidates.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
 
+    # 10**400 has no float; the largest float's steps make a finite timeout whose tick count is inf
+    @pytest.mark.parametrize("steps", [10**400, int(sys.float_info.max)], ids=["no-float", "inf-ticks"])
+    def test_steps_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, steps):
+        code = main(["frontier-debug", "--scenario", "square", "--steps", str(steps),
+                     "--out", str(tmp_path / "dbg")])
+        assert code == EXIT_USAGE
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "dbg").exists()
+
 
 def test_unknown_scenario_is_usage_error(tmp_path):
     assert main(["simulate", "--scenario", "mars", "--out", str(tmp_path / "x")]) == EXIT_USAGE

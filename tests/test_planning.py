@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
 
 from navstack import world as sim
+from navstack.geometry import supercover_cells
 from navstack.mapping import OccupancyGrid, P_MAX, P_MIN, integrate_scan
 from navstack.planning import (
     _NEIGHBORS,
@@ -149,10 +150,11 @@ def _octile(a, b):
     return (hi - lo) + lo * SQRT2
 
 
-def plan_path_oracle(grid, start, target, blocked):
+def plan_path_oracle(grid, start, target, blocked, closed=None):
     """Reference planner: A* over (row, col) tuples with g_score, parent and
     closed containers and its own bounds test; plan_path must match its
-    cells and length exactly."""
+    cells and length exactly.  ``closed``, when given, is the set it fills
+    with the cells it expands."""
     if not (grid.in_grid(start) and grid.in_grid(target)):
         return None
     snapped = _snap_start(blocked, start)
@@ -169,7 +171,7 @@ def plan_path_oracle(grid, start, target, blocked):
     counter = 0
     h0 = _octile(start, target)
     frontier: list[tuple[float, int, tuple[int, int]]] = [(h0, counter, start)]
-    closed = set()
+    closed = set() if closed is None else closed
     while frontier:
         f, _, cell = heapq.heappop(frontier)
         if cell == target:
@@ -351,6 +353,65 @@ def test_plan_path_matches_oracle_on_random_grids(seed, rows, cols, p_blocked, s
     assert_plan_matches_oracle(g, start, target, blocked)
 
 
+class CountingOpen(list):
+    """A search's open flags that count how often each one is read."""
+
+    def __init__(self, flags):
+        super().__init__(flags)
+        self.reads = [0] * len(flags)
+
+    def __getitem__(self, j):
+        self.reads[j] += 1
+        return super().__getitem__(j)
+
+
+def counting_snapshot(grid, blocked):
+    plan = snapshot(grid, blocked)
+    object.__setattr__(plan, "is_open", CountingOpen(plan.is_open))
+    return plan
+
+
+def neighbour_counts(flags, width):
+    """For each flat index of a padded grid, how many of its 8 neighbours
+    have their flag set."""
+    counts = [0] * len(flags)
+    for j in range(len(flags)):
+        for dr, dc, _ in _NEIGHBORS:
+            i = j + dr * width + dc
+            if 0 <= i < len(flags) and flags[i]:
+                counts[j] += 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.floats(0.0, 0.6),
+    st.tuples(st.integers(0, 29), st.integers(0, 29)),
+    st.tuples(st.integers(0, 29), st.integers(0, 29)),
+)
+@example(0, 3, 9, 0.5, (0, 5), (0, 0))  # a stale heap entry of a closed cell is popped before the target
+def test_plan_path_expands_each_cell_once(seed, rows, cols, p_blocked, start, target):
+    """A* expands the cells the oracle closes, each once, so a cell's open
+    flag is read at most once per closed neighbour."""
+    start, target = (start[0] % rows, start[1] % cols), (target[0] % rows, target[1] % cols)
+    g = grid_from_mask(rows=rows, cols=cols)
+    blocked = random_blocked(seed, rows, cols, p_blocked)
+    plan = counting_snapshot(g, blocked)
+    closed = set()
+    expected = plan_path_oracle(g, start, target, blocked, closed)
+    path = plan_path(plan, start, target)
+    assert (path is None) == (expected is None)
+    width = cols + 2
+    flags = [False] * len(plan.is_open)
+    for r, c in closed:
+        flags[(r + 1) * width + c + 1] = True
+    for j, (reads, bound) in enumerate(zip(plan.is_open.reads, neighbour_counts(flags, width))):
+        assert reads <= bound, divmod(j, width)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
@@ -466,6 +527,26 @@ class TestDistanceField:
             assert np.isinf(field[target])
         else:
             assert field[target] == pytest.approx(p.length, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.floats(0.0, 0.6),
+        st.tuples(st.integers(0, 29), st.integers(0, 29)),
+    )
+    @example(0, 4, 5, 0.5, (0, 0))  # popping the straight queue first would settle a cell twice
+    def test_each_reached_cell_expands_once(self, seed, rows, cols, p_blocked, start):
+        """The merge rule settles each reached cell once, so a cell's open
+        flag is read at most once per reached neighbour."""
+        g = grid_from_mask(rows=rows, cols=cols)
+        blocked = random_blocked(seed, rows, cols, p_blocked)
+        plan = counting_snapshot(g, blocked)
+        flood = distance_field(plan, (start[0] % rows, start[1] % cols))
+        reached = [math.isfinite(d) for d in flood.flat]
+        for j, (reads, bound) in enumerate(zip(plan.is_open.reads, neighbour_counts(reached, cols + 2))):
+            assert reads <= bound, divmod(j, cols + 2)
 
     def test_unreachable_is_inf(self):
         g = grid_from_mask()
@@ -671,3 +752,57 @@ class TestExtractWaypoint:
             assert chosen_idx
             for later in p.cells[chosen_idx[0] + 1:]:
                 assert blocked_between(g, start, later, occ)
+
+
+def _segment_blocked_oracle(grid, p0, p1, occ):
+    """Reference sight test, with bounds from ``grid.rows`` and
+    ``grid.cols`` at every cell; ``_segment_blocked`` must give its
+    verdicts."""
+    for r, c in supercover_cells(p0, p1, grid.origin, grid.resolution):
+        if 0 <= r < grid.rows and 0 <= c < grid.cols and occ[r, c]:
+            return True
+    return False
+
+
+def extract_waypoint_oracle(path, plan, current_pose):
+    """The waypoint over ``_segment_blocked_oracle``; ``extract_waypoint``
+    must return its center."""
+    if not path.cells:
+        raise ValueError("cannot extract a waypoint from an empty path")
+    grid, occ = plan.grid, plan.occ
+    p0 = (float(current_pose[0]), float(current_pose[1]))
+    for cell in reversed(path.cells):
+        center = grid.cell_center(cell)
+        if not _segment_blocked_oracle(grid, p0, center, occ):
+            return center
+    return grid.cell_center(path.cells[0])
+
+
+# a pose coordinate as a fraction of the grid's extent: inside, exactly on the border, or outside
+_POSE_FRACTION = st.one_of(st.floats(-0.4, 1.4), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 20),
+    st.integers(1, 20),
+    st.floats(0.0, 0.5),
+    st.tuples(_POSE_FRACTION, _POSE_FRACTION),
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), min_size=1, max_size=8),
+)
+@example(1, 6, 6, 0.3, (-0.3, 0.5), [(5, 5), (0, 0)])  # the pose left of the grid
+@example(2, 6, 6, 0.3, (1.0, 1.0), [(2, 2), (6, 7)])   # the pose on the far corner, a cell past it
+def test_extract_waypoint_matches_oracle(seed, rows, cols, p_occ, pose, cells):
+    """Sight lines from poses inside, on and outside the border, to path
+    cells of which some lie outside the grid, so that lines leave it."""
+    g = OccupancyGrid(RES, (-0.7, 1.3), np.full((rows, cols), P_MIN))
+    occ = random_blocked(seed, rows, cols, p_occ)
+    plan = snapshot(g, occ)
+    x = g.origin[0] + pose[0] * cols * RES
+    y = g.origin[1] + pose[1] * rows * RES
+    path = GridPath([(r % (rows + 4) - 2, c % (cols + 4) - 2) for r, c in cells], 0.0)
+    for cell in path.cells:
+        center = g.cell_center(cell)
+        assert _segment_blocked(g, (x, y), center, occ) == _segment_blocked_oracle(g, (x, y), center, occ)
+    assert extract_waypoint(path, plan, (x, y, 0.0)) == extract_waypoint_oracle(path, plan, (x, y, 0.0))
