@@ -52,15 +52,26 @@ def _load(option: str, value: str, loader, missing: str = "is not a file"):
         raise UsageError(f"{option} {value!r}: {exc}") from exc
 
 
+def _spawnable(spec, value: str):
+    """``spec``, once the simulator has spawned it: a scenario that cannot
+    spawn is a usage error naming the ``--scenario`` given as ``value``."""
+    from .world import spawn
+
+    try:
+        spawn(spec)
+    except ValueError as exc:
+        raise UsageError(f"--scenario {value!r} cannot spawn at seed {spec.seed}: {exc}") from exc
+    return spec
+
+
 def _load_scenario_arg(value: str, seed: int | None):
+    """The scenario ``--scenario`` names, at ``--seed`` when given."""
     from .scenarios import BUILTIN_NAMES, load_scenario, make_scenario
 
     if value in BUILTIN_NAMES:
         return make_scenario(value, seed if seed is not None else 0)
     spec = _load("--scenario", value, load_scenario, "is neither a built-in name nor a file")
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return spec
+    return _spawnable(spec if seed is None else replace(spec, seed=seed), value)
 
 
 def _load_policy_arg(value: str):
@@ -98,8 +109,13 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, files: list[Path]) 
 
 
 def _ensure_out(path_str: str) -> Path:
+    """The ``--out`` directory, made if missing; a path that cannot be one
+    (an existing file, or a path under one) is a usage error naming it."""
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path_str!r} cannot be a directory: {exc.strerror}") from exc
     return out
 
 
@@ -110,13 +126,15 @@ def _ensure_out(path_str: str) -> Path:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .fileio import json_text, write_csv
     from .rewards import METRICS_CSV_HEADER
-    from .stack import TRACE_FILE, StackConfig, run_suite
+    from .stack import TRACE_FILE, StackConfig, episode_seed, run_suite
 
     if args.episodes < 1:
         raise UsageError("--episodes must be at least 1")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     spec = _load_scenario_arg(args.scenario, args.seed)
+    for k in range(args.episodes):  # each episode places its walkers anew at its own seed
+        _spawnable(replace(spec, seed=episode_seed(spec.seed, 0, k)), args.scenario)
     policy = _load_policy_arg(args.bundle)
     cfg = StackConfig(mode=args.mode, gamma=args.gamma, timeout=args.timeout)
     out = _ensure_out(args.out)
@@ -149,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _train_config(args: argparse.Namespace):
-    from .training import TrainConfig
+    from .training import STAGES
 
     overrides = {}
     if args.config:
@@ -159,7 +177,7 @@ def _train_config(args: argparse.Namespace):
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        return TrainConfig(**overrides)
+        return replace(STAGES[args.stage][2], **overrides)
     except TypeError as exc:
         raise UsageError(f"bad training config: {exc}") from exc
 
@@ -167,8 +185,7 @@ def _train_config(args: argparse.Namespace):
 def cmd_train(args: argparse.Namespace) -> int:
     from .fileio import write_jsonl
     from .policy import ObservationConfig, PolicyBundle, save_bundle, save_expert
-    from .scenarios import training_scenarios
-    from .training import STAGES, cotrain_fusion, train_expert
+    from .training import STAGES, cotrain_fusion, stage_tasks, train_expert
 
     if args.tasks < 1:
         raise UsageError("--tasks must be at least 1")
@@ -181,8 +198,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         oa, obs_b = _load_expert_arg("expert-oa", args.expert_oa)
         if obs_b != obs_cfg:
             raise UsageError("expert checkpoints disagree on the observation layout")
-    profile, kind = STAGES[args.stage]
-    tasks = training_scenarios(kind, args.tasks, cfg.seed)
+    profile = STAGES[args.stage][0]
+    tasks = stage_tasks(args.stage, args.tasks)
     out = _ensure_out(args.out)  # only once every input has been checked
     log_rows: list[dict] = []
 
@@ -210,37 +227,46 @@ def cmd_train(args: argparse.Namespace) -> int:
 # heatmap
 
 
+def _finite_numbers(option: str, text: str, names: str) -> tuple[float, ...]:
+    """``text`` as the comma-separated finite numbers that ``names`` lists."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    count = len(names.split(","))
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise UsageError(f"{option} must be {count} finite numbers {names}, got {text!r}")
+    return values
+
+
 def cmd_heatmap(args: argparse.Namespace) -> int:
     from . import world as sim
     from .fileio import write_pgm
     from .policy import build_observation, safety_heatmap
 
-    try:
-        region = tuple(float(v) for v in args.region.split(","))
-    except ValueError:
-        region = ()
-    if len(region) != 4 or not all(map(math.isfinite, region)):
-        raise UsageError("--region must be four finite numbers x0,y0,x1,y1")
+    region = _finite_numbers("--region", args.region, "x0,y0,x1,y1")
     if not (math.isfinite(args.stride) and args.stride > 0):
         raise UsageError(f"--stride must be a finite number > 0, got {args.stride!r}")
+    pose = _finite_numbers("--pose", args.pose, "x,y,theta")
     bundle = _load_policy_arg(args.bundle)
     if not hasattr(bundle, "critic"):
         raise UsageError("heatmap needs a trained bundle with a critic")
-    spec = _load_scenario_arg(args.scenario, args.seed)
+    spec = replace(_load_scenario_arg(args.scenario, args.seed), robot_start=pose)
     try:
-        x, y, th = (float(v) for v in args.pose.split(","))
+        world = sim.spawn(spec)
     except ValueError as exc:
-        raise UsageError("--pose must be x,y,theta") from exc
-    spec = replace(spec, robot_start=(x, y, th))
-    world = sim.spawn(spec)
+        raise UsageError(f"--pose {args.pose!r} cannot spawn: {exc}") from exc
     obs_cfg = bundle.obs_config
     scan = sim.raycast(world, obs_cfg.beams, obs_cfg.max_range)
     obs = build_observation([scan], world.robot.pose, spec.goal, world.robot.velocity, obs_cfg.history)
     values = safety_heatmap(bundle.critic, obs, region, args.stride)
 
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_pgm(out_path, values)
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        write_pgm(out_path, values)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
     print(f"heatmap {values.shape[1]}x{values.shape[0]} -> {out_path}")
     return EXIT_OK
 
@@ -280,7 +306,7 @@ def cmd_frontier_debug(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .stack import MODES, StackConfig
-    from .training import STAGES
+    from .training import PIPELINE_TASKS, STAGES
 
     parser = argparse.ArgumentParser(prog="navstack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -299,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     train_p = sub.add_parser("train", help="train experts or the fusion stage")
     train_p.add_argument("stage", choices=tuple(STAGES))
-    train_p.add_argument("--config", default=None, help="JSON with TrainConfig overrides")
-    train_p.add_argument("--seed", type=seed_arg, default=None)
-    train_p.add_argument("--tasks", type=int, default=8, help="scenario count in the training set")
+    train_p.add_argument("--config", default=None, help="JSON of TrainConfig fields overriding the stage's config")
+    train_p.add_argument("--seed", type=seed_arg, default=None, help="CEM seed (default: the stage's)")
+    train_p.add_argument("--tasks", type=int, default=PIPELINE_TASKS, help="scenarios in the stage's task set")
     train_p.add_argument("--expert-gs", default=None)
     train_p.add_argument("--expert-oa", default=None)
     train_p.add_argument("--out", required=True)

@@ -45,13 +45,13 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    population: int = 64
-    elite_fraction: float = 0.125
-    noise_std: float = 0.4
-    noise_decay: float = 0.97
-    generations: int = 60
-    episodes_per_eval: int = 8
-    seed: int = 0
+    population: int = 32
+    elite_fraction: float = 0.2
+    noise_std: float = 0.5
+    noise_decay: float = 0.96
+    generations: int = 24
+    episodes_per_eval: int = 4
+    seed: int = 11
     episode_time_limit: float = 12.0
 
     def __post_init__(self) -> None:
@@ -72,21 +72,26 @@ class TrainConfig:
         return max(1, int(round(self.population * self.elite_fraction)))
 
 
-# Each training stage: the reward preset it trains under and the
-# ``scenarios.training_scenarios`` kind of its task set.
-STAGES = {
-    "expert-gs": ("go-straight", "static"),
-    "expert-oa": ("obstacle-avoidance", "dynamic"),
-    "fusion": ("fusion", "families"),
-}
-
-# The acceptance training pipeline (``train_pipeline``): stage-1 experts, then
-# stage-2 fusion, each on ``training_scenarios(kind, tasks, PIPELINE_TASK_SEEDS[kind])``.
-PIPELINE_STAGE1 = TrainConfig(population=32, elite_fraction=0.2, noise_std=0.5, noise_decay=0.96,
-                              generations=24, episodes_per_eval=4, seed=11, episode_time_limit=12.0)
+# The acceptance training pipeline (``train_pipeline``): stage-1 experts at
+# TrainConfig's defaults, then stage-2 fusion, each on its ``stage_tasks``.
+PIPELINE_STAGE1 = TrainConfig()
 PIPELINE_STAGE2 = replace(PIPELINE_STAGE1, population=28, noise_std=0.25, generations=16, episodes_per_eval=3, seed=12)
 PIPELINE_TASKS = 12
 PIPELINE_TASK_SEEDS = {"static": 3, "dynamic": 4, "families": 5}
+
+# Each training stage: the reward preset it trains under, the
+# ``scenarios.training_scenarios`` kind of its task set and its pipeline config.
+STAGES = {
+    "expert-gs": ("go-straight", "static", PIPELINE_STAGE1),
+    "expert-oa": ("obstacle-avoidance", "dynamic", PIPELINE_STAGE1),
+    "fusion": ("fusion", "families", PIPELINE_STAGE2),
+}
+
+
+def stage_tasks(stage: str, tasks: int = PIPELINE_TASKS) -> list:
+    """``stage``'s pipeline task set: ``tasks`` scenarios of its kind at the kind's fixed seed."""
+    kind = STAGES[stage][1]
+    return training_scenarios(kind, tasks, PIPELINE_TASK_SEEDS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +468,18 @@ def train_pipeline(
 ) -> tuple[MlpParams, MlpParams, PolicyBundle]:
     """Train expert-gs and expert-oa under ``PIPELINE_STAGE1``, then the
     fusion bank, gating and critic from them under ``PIPELINE_STAGE2``, each
-    stage on ``tasks`` scenarios of its ``STAGES`` kind.  Returns the
-    go-straight expert, the obstacle-avoidance expert and the fused bundle.
+    stage on its ``stage_tasks(stage, tasks)``.  Returns the go-straight
+    expert, the obstacle-avoidance expert and the fused bundle.
     ``on_generation(stage, row)`` gets each stage's CEM log rows."""
     obs_config = ObservationConfig()
     stage1, stage2 = pipeline_configs(generations, fusion_generations)
-
-    def task_set(stage):
-        kind = STAGES[stage][1]
-        return training_scenarios(kind, tasks, PIPELINE_TASK_SEEDS[kind])
 
     def hook(stage):
         return None if on_generation is None else partial(on_generation, stage)
 
     gs, oa = (
-        train_expert(STAGES[stage][0], task_set(stage), stage1, obs_config, hook(stage))
+        train_expert(STAGES[stage][0], stage_tasks(stage, tasks), stage1, obs_config, hook(stage))
         for stage in ("expert-gs", "expert-oa")
     )
-    bank, gating, critic = cotrain_fusion(gs, oa, task_set("fusion"), stage2, obs_config, hook("fusion"))
+    bank, gating, critic = cotrain_fusion(gs, oa, stage_tasks("fusion", tasks), stage2, obs_config, hook("fusion"))
     return gs, oa, PolicyBundle(obs_config, bank, gating, critic)

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestTrain:
 
     def test_fusion_stage_trains_on_the_family_mix(self, tmp_path):
         from navstack.scenarios import training_scenarios
-        from navstack.training import TrainConfig, cotrain_fusion
+        from navstack.training import PIPELINE_STAGE2, cotrain_fusion
 
         # zero-generation experts; one tiny fusion generation, so the task mix is used
         cfgs = {"zero": {"generations": 0},
@@ -192,7 +193,7 @@ class TestTrain:
 
         gs, oa = load_expert(gs_path)[0], load_expert(oa_path)[0]
         bank, gating, critic = cotrain_fusion(gs, oa, training_scenarios("families", 3, 5),
-                                              TrainConfig(**cfgs["fusion"], seed=5))
+                                              replace(PIPELINE_STAGE2, **cfgs["fusion"], seed=5))
         saved = load_bundle(out / "fusion-bundle.json")
         expected = [*bank.experts, gating.params, critic.params]
         got = [*saved.bank.experts, saved.gating.params, saved.critic.params]
@@ -219,6 +220,45 @@ class TestTrain:
         monkeypatch.chdir(tmp_path)
         assert main(["train", *flags, "--out", "X"]) == EXIT_USAGE
         assert not (tmp_path / "X").exists()
+
+    @pytest.mark.parametrize("stage", ["expert-gs", "expert-oa", "fusion"])
+    def test_stage_runs_its_pipeline_config_and_task_set(self, tmp_path, stage):
+        """``train <stage>`` calls the stage's trainer with its preset, its
+        ``stage_tasks`` and its pipeline config plus the ``--config`` fields;
+        ``--seed`` moves only the config's seed."""
+        from unittest import mock
+
+        from navstack import training
+        from navstack.training import STAGES, stage_tasks
+
+        cfg = ObservationConfig()
+        experts = []
+        for name, preset in (("expert-gs", "go-straight"), ("expert-oa", "obstacle-avoidance")):
+            experts += [f"--{name}", str(tmp_path / f"{name}.json")]
+            save_expert(MlpParams.zeros(cfg.dim, 64, 64, 3), preset, cfg, tmp_path / f"{name}.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"generations": 0, "population": 6}))
+        profile, _, stage_config = STAGES[stage]
+        trainer = "cotrain_fusion" if stage == "fusion" else "train_expert"
+        calls = []
+        for k, seed in enumerate([[], ["--seed", "7"]]):
+            with mock.patch.object(training, trainer, wraps=getattr(training, trainer)) as wrapped:
+                code = main(["train", stage, "--config", str(tmp_path / "cfg.json"), "--tasks", "2", *seed,
+                             *(experts if stage == "fusion" else []), "--out", str(tmp_path / f"out{k}")])
+            assert code == EXIT_OK
+            calls.append(wrapped.call_args.args)
+        want = replace(stage_config, generations=0, population=6)
+        if stage == "fusion":
+            assert [args[2:4] for args in calls] == [
+                (stage_tasks(stage, 2), want), (stage_tasks(stage, 2), replace(want, seed=7))]
+        else:
+            assert [args[:3] for args in calls] == [
+                (profile, stage_tasks(stage, 2), want), (profile, stage_tasks(stage, 2), replace(want, seed=7))]
+
+    def test_default_tasks_is_the_pipelines(self):
+        from navstack.cli import build_parser
+        from navstack.training import PIPELINE_TASKS
+
+        assert build_parser().parse_args(["train", "expert-gs", "--out", "x"]).tasks == PIPELINE_TASKS
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -307,6 +347,18 @@ class TestHeatmap:
                      "--pose", "oops", "--out", str(tmp_path / "h.pgm")])
         assert code == EXIT_USAGE
 
+    # a NaN heading turns every beam to max range; an infinite one is a math domain error;
+    # 0.1,0.1 puts the robot in blind-alley's corner walls
+    @pytest.mark.parametrize("pose", ["5.5,4.0,nan", "5.5,4.0,inf", "nan,4.0,0.0", "5.5,-inf,0.0",
+                                      "5.5,4.0", "5.5,4.0,0.0,1.0", "0.1,0.1,0.0"])
+    def test_pose_that_is_no_spawnable_finite_pose_names_it(self, tmp_path, zero_bundle_path, capsys, pose):
+        out = tmp_path / "h" / "h.pgm"
+        code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
+                     f"--pose={pose}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--pose" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestFrontierDebug:
     def test_gamma_zero_selection_minimizes_distance(self, tmp_path):
@@ -358,6 +410,69 @@ class TestFrontierDebug:
         assert code == EXIT_USAGE
         assert "--steps" in capsys.readouterr().err
         assert not (tmp_path / "dbg").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(robot_start=[20.0, 1.0, 0.0]),
+    lambda d: d["obstacles"][0].update(region=[1.0, 1.0, 1.2, 1.2]),
+    lambda d: d.update(bounds=[10.0, 10.0, 0.0, 0.0]),
+], ids=["start-outside", "walker-region-too-small", "flipped-bounds"])
+@pytest.mark.parametrize("command", ["simulate", "frontier-debug"])
+def test_scenario_that_cannot_spawn_names_the_option(tmp_path, capsys, edit, command):
+    from navstack.scenarios import make_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(make_scenario("square", 0))
+    edit(doc)
+    path = tmp_path / "unspawnable.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_checks_every_episodes_walkers_before_out(tmp_path, capsys):
+    """Square's eight walkers fit a 2.4 m box at seed 1 but not at every
+    episode seed: the episode that cannot spawn is found before any output."""
+    from navstack.scenarios import load_scenario, make_scenario, scenario_to_dict
+    from navstack.world import spawn
+
+    doc = scenario_to_dict(make_scenario("square", 0))
+    for walker in doc["obstacles"]:
+        walker["region"] = [3.0, 3.0, 5.4, 5.4]
+    path = tmp_path / "crowded.json"
+    path.write_text(json.dumps(doc))
+    spawn(replace(load_scenario(path), seed=1))  # the --seed itself spawns
+    code = main(["simulate", "--scenario", str(path), "--seed", "1", "--episodes", "6", "--timeout", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "square", "--timeout", "1"],
+    ["frontier-debug", "--scenario", "square", "--steps", "5"],
+    ["train", "expert-gs", "--config", "zero.json", "--tasks", "1"],
+], ids=["simulate", "frontier-debug", "train"])
+def test_out_that_cannot_be_a_directory_names_it(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("keep")
+    Path("zero.json").write_text(json.dumps({"generations": 0}))
+    assert main([*argv, "--out", out]) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert Path("file").read_text() == "keep"
+
+
+@pytest.mark.parametrize("out", [".", "file/h.pgm"], ids=["a-directory", "under-a-file"])
+def test_heatmap_out_that_cannot_be_written_names_it(tmp_path, monkeypatch, capsys, zero_bundle_path, out):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("keep")
+    code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
+                 "--pose", "5.5,4.0,0.0", "--out", out])
+    assert code == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert Path("file").read_text() == "keep"
 
 
 def test_unknown_scenario_is_usage_error(tmp_path):
