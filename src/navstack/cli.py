@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (episodes -> trace + metrics CSV), ``train``
 (stage checkpoints + JSONL log), ``heatmap`` (critic safety PGM), and
 ``frontier-debug`` (scored candidate tables per exploration cycle).  Every
-command is deterministic under --seed and writes a manifest describing its
-inputs and artifact hashes.  Exit codes: 0 ok, 1 episode-level failure,
-2 usage or configuration error.
+command is deterministic under --seed.  Each command but ``heatmap`` writes
+a manifest of its inputs and artifact hashes into its --out directory;
+``heatmap`` writes only its PGM, since its --out names a file.  Exit codes:
+0 ok, 1 episode-level failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     from .policy import build_observation, safety_heatmap
 
     region = _finite_numbers("--region", args.region, "x0,y0,x1,y1")
+    if region[2] < region[0] or region[3] < region[1]:
+        raise UsageError(f"--region must have x1 >= x0 and y1 >= y0, got {args.region!r}")
     if not (math.isfinite(args.stride) and args.stride > 0):
         raise UsageError(f"--stride must be a finite number > 0, got {args.stride!r}")
     pose = _finite_numbers("--pose", args.pose, "x,y,theta")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
+from numbers import Real
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("elite_fraction", "noise_std", "noise_decay", "episode_time_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0 < self.elite_fraction < 1):
             raise ValueError("elite_fraction must be in (0, 1)")
         for name in ("noise_std", "noise_decay"):
@@ -454,32 +458,15 @@ def cotrain_fusion(
 # The two-stage pipeline
 
 
-def pipeline_configs(generations: int, fusion_generations: int) -> tuple[TrainConfig, TrainConfig]:
-    """The stage-1 and stage-2 configs of ``train_pipeline`` at these generation counts."""
-    return (replace(PIPELINE_STAGE1, generations=generations),
-            replace(PIPELINE_STAGE2, generations=fusion_generations))
-
-
-def train_pipeline(
-    tasks: int = PIPELINE_TASKS,
-    generations: int = PIPELINE_STAGE1.generations,
-    fusion_generations: int = PIPELINE_STAGE2.generations,
-    on_generation=None,
-) -> tuple[MlpParams, MlpParams, PolicyBundle]:
+def train_pipeline() -> tuple[MlpParams, MlpParams, PolicyBundle]:
     """Train expert-gs and expert-oa under ``PIPELINE_STAGE1``, then the
     fusion bank, gating and critic from them under ``PIPELINE_STAGE2``, each
-    stage on its ``stage_tasks(stage, tasks)``.  Returns the go-straight
-    expert, the obstacle-avoidance expert and the fused bundle.
-    ``on_generation(stage, row)`` gets each stage's CEM log rows."""
+    stage on its ``stage_tasks(stage)``.  Returns the go-straight expert, the
+    obstacle-avoidance expert and the fused bundle."""
     obs_config = ObservationConfig()
-    stage1, stage2 = pipeline_configs(generations, fusion_generations)
-
-    def hook(stage):
-        return None if on_generation is None else partial(on_generation, stage)
-
     gs, oa = (
-        train_expert(STAGES[stage][0], stage_tasks(stage, tasks), stage1, obs_config, hook(stage))
+        train_expert(STAGES[stage][0], stage_tasks(stage), STAGES[stage][2], obs_config)
         for stage in ("expert-gs", "expert-oa")
     )
-    bank, gating, critic = cotrain_fusion(gs, oa, stage_tasks("fusion", tasks), stage2, obs_config, hook("fusion"))
+    bank, gating, critic = cotrain_fusion(gs, oa, stage_tasks("fusion"), STAGES["fusion"][2], obs_config)
     return gs, oa, PolicyBundle(obs_config, bank, gating, critic)

@@ -282,6 +282,10 @@ class TestTrain:
         ("episodes_per_eval", True),
         ("seed", 0.5),
         ("seed", -1),
+        ("noise_std", "0.5"),
+        ("noise_std", True),
+        ("elite_fraction", None),
+        ("episode_time_limit", "12"),
     ])
     def test_bad_config_value_is_usage_error_naming_it(self, tmp_path, capsys, field, value):
         cfg = {"population": 4, "generations": 1, "episodes_per_eval": 1, "episode_time_limit": 1.0}
@@ -297,10 +301,11 @@ class TestTrain:
 
 class TestHeatmap:
     def test_constant_critic_uniform_pgm(self, tmp_path, zero_bundle_path):
-        out = tmp_path / "heat.pgm"
+        out = tmp_path / "hm" / "heat.pgm"
         code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
                      "--pose", "5.5,4.0,0.0", "--out", str(out)])
         assert code == EXIT_OK
+        assert [p.name for p in out.parent.iterdir()] == ["heat.pgm"]  # no manifest beside a named file
         raw = out.read_bytes()
         assert raw.startswith(b"P5\n")
         pixels = raw.split(b"\n", 3)[3]
@@ -335,12 +340,18 @@ class TestHeatmap:
         (["--stride", "inf"], "--stride"),
         (["--region", "nan,-3,3,3"], "--region"),
         (["--region=-3,-3,inf,3"], "--region"),
+        (["--region", "3,3,-3,-3"], "--region"),
+        (["--region", "-3,3,3,-3"], "--region"),
+        (["--region", "3,-3,-3,3"], "--region"),
+        (["--region", "1,1,0.99,1"], "--region"),
     ])
     def test_bad_grid_flag_is_usage_error_naming_it(self, tmp_path, zero_bundle_path, capsys, flags, name):
+        out = tmp_path / "hm" / "h.pgm"
         code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",
-                     "--pose", "5.5,4.0,0.0", *flags, "--out", str(tmp_path / "h.pgm")])
+                     "--pose", "5.5,4.0,0.0", *flags, "--out", str(out)])
         assert code == EXIT_USAGE
         assert name in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_bad_pose_is_usage_error(self, tmp_path, zero_bundle_path):
         code = main(["heatmap", "--bundle", str(zero_bundle_path), "--scenario", "blind-alley",

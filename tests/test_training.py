@@ -1,10 +1,7 @@
-import importlib.util
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -121,6 +118,12 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["population", "generations", "episodes_per_eval", "seed"])
     @pytest.mark.parametrize("value", [1.5, 8.0, True])
     def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["elite_fraction", "noise_std", "noise_decay", "episode_time_limit"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+    def test_real_fields_reject_non_reals(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
@@ -297,49 +300,31 @@ class TestCriticWindow:
 
 class TestTrainPipeline:
     def test_equals_its_three_stage_calls(self):
-        # At zero generations each stage returns its starting networks, so the
-        # task sets show only in the call arguments.
-        seeds = training.PIPELINE_TASK_SEEDS
-        static, dynamic, families = (
-            training_scenarios(kind, 2, seeds[kind]) for kind in ("static", "dynamic", "families"))
-        stage1 = replace(training.PIPELINE_STAGE1, generations=0)
-        stage2 = replace(training.PIPELINE_STAGE2, generations=0)
-        gs = train_expert("go-straight", static, stage1)
-        oa = train_expert("obstacle-avoidance", dynamic, stage1)
-        bank, gating, critic = cotrain_fusion(gs, oa, families, stage2)
-        with mock.patch.object(training, "train_expert", wraps=train_expert) as experts, \
-                mock.patch.object(training, "cotrain_fusion", wraps=cotrain_fusion) as fusion:
-            got_gs, got_oa, bundle = training.train_pipeline(tasks=2, generations=0, fusion_generations=0)
+        # Each stage runs for real at zero generations, where it returns its
+        # starting networks, so the configs and task sets show in the calls.
+        def expert(profile, tasks, config, obs_config):
+            return train_expert(profile, tasks, replace(config, generations=0), obs_config)
+
+        def fuse(gs, oa, tasks, config, obs_config):
+            return cotrain_fusion(gs, oa, tasks, replace(config, generations=0), obs_config)
+
+        with mock.patch.object(training, "train_expert", side_effect=expert) as experts, \
+                mock.patch.object(training, "cotrain_fusion", side_effect=fuse) as fusion:
+            got_gs, got_oa, bundle = training.train_pipeline()
+        stage1, stage2 = training.PIPELINE_STAGE1, training.PIPELINE_STAGE2
+        static, dynamic, families = (training.stage_tasks(stage) for stage in ("expert-gs", "expert-oa", "fusion"))
         assert [call.args[:3] for call in experts.call_args_list] == [
             ("go-straight", static, stage1), ("obstacle-avoidance", dynamic, stage1)]
         assert fusion.call_args.args[2:4] == (families, stage2)
+        assert len(static) == len(dynamic) == len(families) == training.PIPELINE_TASKS
         assert bundle.obs_config == ObservationConfig()
+        gs = train_expert("go-straight", static, replace(stage1, generations=0))
+        oa = train_expert("obstacle-avoidance", dynamic, replace(stage1, generations=0))
+        bank, gating, critic = cotrain_fusion(gs, oa, families, replace(stage2, generations=0))
         want = [gs, oa, *bank.experts, gating.params, critic.params]
         got = [got_gs, got_oa, *bundle.bank.experts, bundle.gating.params, bundle.critic.params]
         assert ([a.tobytes() for net in got for a in net.arrays()]
                 == [a.tobytes() for net in want for a in net.arrays()])
-
-
-    def test_no_tasks_names_count(self):
-        with pytest.raises(ValueError, match="count"):
-            training.train_pipeline(tasks=0, generations=0, fusion_generations=0)
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--tasks", "0"),
-        ("--generations", "-1"),
-        ("--fusion-generations", "-1"),
-    ])
-    def test_script_rejects_bad_flag_naming_it(self, tmp_path, monkeypatch, capsys, flag, value):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "train_full_pipeline.py"
-        spec = importlib.util.spec_from_file_location("train_full_pipeline", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(sys, "argv", [str(script), flag, value, "--out", str(tmp_path / "p")])
-        with pytest.raises(SystemExit) as exit_info:
-            module.main()
-        assert exit_info.value.code == 2
-        assert flag in capsys.readouterr().err
-        assert not (tmp_path / "p").exists()
 
 
 class TestDeterminism:
